@@ -9,17 +9,13 @@ from pathlib import Path
 
 from .experiments import (
     ConfigError,
-    build_init,
-    build_model,
-    build_penalty,
     config_from_json,
     run_experiment,
-    truth_function,
+    run_theory_study,
     write_bundle,
     write_theory_report,
 )
 from .plots import emit_plots
-from .rules import run_delta_sequence
 from .solver import DivergenceError, PathAborted
 
 
@@ -92,24 +88,7 @@ def main(argv=None) -> int:
             for path in created:
                 print(path)
         else:
-            deltas = _parse_deltas(args.deltas)
-            model = build_model(config.model)
-            truth = truth_function(config.truth, model.x_grid)
-            pen = build_penalty(config.penalties[0], model.x_grid)
-            init = build_init(config.solver.init, model.x_grid)
-            report = run_delta_sequence(
-                model,
-                pen,
-                config.fidelity_r,
-                config.alpha0,
-                config.q,
-                config.j_max,
-                deltas,
-                config.noise.seed,
-                truth,
-                opts=config.solver.to_options(init),
-                max_workers=_max_workers(),
-            )
+            report = run_theory_study(config, _parse_deltas(args.deltas), _max_workers())
             path = write_theory_report(report, out_dir / "theory.csv")
             print(path)
             for row in report.convergence_table:

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grid import Grid, GridFunction, lr_norm
+from .grid import Grid, GridFunction, is_integer, is_real, lr_norm
 from .models import ForwardModel, NoiseSpec, elliptic_model, fredholm_model, make_noisy
 from .penalties import (
     Fidelity,
@@ -22,8 +21,16 @@ from .penalties import (
     SmoothedTVPenalty,
     bregman_distance,
 )
-from .rules import RuleOutcome, TheoryReport, discrepancy_select, hanke_raus_select
-from .solver import AlphaPathRecord, SolveOptions, compute_alpha_path
+from .rules import (
+    DeltaLevelRow,
+    RuleOutcome,
+    TheoryReport,
+    discrepancy_select,
+    hanke_raus_select,
+    kappa_hat,
+    run_delta_sequence,
+)
+from .solver import AlphaPathRecord, SolveOptions, alpha_grid_problems, compute_alpha_path
 
 
 class ConfigError(ValueError):
@@ -40,7 +47,6 @@ SOURCES = ("gaussian_bump",)
 C0_PROFILES = ("linear_t",)
 PENALTY_KINDS = ("quadratic", "shifted_quadratic", "smoothed_tv")
 RULE_KINDS = ("hanke_raus", "discrepancy")
-NOISE_KINDS = ("gaussian", "impulsive", "impulsive_gaussian")
 INIT_PROFILES = ("zeros", "ones")
 
 
@@ -53,16 +59,6 @@ class ModelSpec:
     g1: float = 6.0
     source: str = "gaussian_bump"
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "subintervals": self.subintervals,
-            "g0": self.g0,
-            "g1": self.g1,
-            "source": self.source,
-        }
-
 
 @dataclass
 class PenaltySpec:
@@ -71,17 +67,11 @@ class PenaltySpec:
     eps: float = 1e-4
     mu: float = 0.0
 
-    def to_dict(self):
-        return {"kind": self.kind, "c0": self.c0, "eps": self.eps, "mu": self.mu}
-
 
 @dataclass
 class RuleSpec:
     kind: str = "hanke_raus"
     tau: Optional[float] = None
-
-    def to_dict(self):
-        return {"kind": self.kind, "tau": self.tau}
 
 
 @dataclass
@@ -92,23 +82,8 @@ class NoisePlan:
     amplitude: Optional[float] = None
     seed: int = 0
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "level": self.level,
-            "fraction": self.fraction,
-            "amplitude": self.amplitude,
-            "seed": self.seed,
-        }
-
     def to_spec(self) -> NoiseSpec:
-        return NoiseSpec(
-            kind=self.kind,
-            level=self.level,
-            fraction=self.fraction,
-            amplitude=self.amplitude,
-            seed=self.seed,
-        )
+        return NoiseSpec(**asdict(self))
 
 
 @dataclass
@@ -118,25 +93,14 @@ class SolverPlan:
     grad_tol_abs: float = 0.0
     init: str = "zeros"
 
-    def to_dict(self):
-        return {
-            "max_iters": self.max_iters,
-            "grad_tol": self.grad_tol,
-            "grad_tol_abs": self.grad_tol_abs,
-            "init": self.init,
-        }
-
     def to_options(self, init: GridFunction) -> SolveOptions:
-        return SolveOptions(
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
-            grad_tol_abs=self.grad_tol_abs,
-            init=init,
-        )
+        return SolveOptions(**{**asdict(self), "init": init})
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; its JSON form has exactly these fields, sections nested."""
+
     experiment: str = "custom"
     model: ModelSpec = field(default_factory=ModelSpec)
     truth: str = "parabola_sine"
@@ -151,107 +115,119 @@ class ExperimentConfig:
     output_dir: str = "results"
     implementation_defaults: List[str] = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "model": self.model.to_dict(),
-            "truth": self.truth,
-            "fidelity_r": self.fidelity_r,
-            "penalties": [p.to_dict() for p in self.penalties],
-            "rules": [r.to_dict() for r in self.rules],
-            "alpha0": self.alpha0,
-            "q": self.q,
-            "j_max": self.j_max,
-            "noise": self.noise.to_dict(),
-            "solver": self.solver.to_dict(),
-            "output_dir": self.output_dir,
-            "implementation_defaults": list(self.implementation_defaults),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def _parse_section(data, cls, known, errors, prefix):
+def _is_object(value, name: str, errors: List[str]) -> bool:
+    if not isinstance(value, dict):
+        errors.append(f"{name} must be a JSON object, got {value!r}")
+    return isinstance(value, dict)
+
+
+_TYPE_TESTS = {
+    int: (is_integer, "an integer"),
+    float: (is_real, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _parse_section(cls, data: dict, where: str, errors: List[str], mistyped: set):
+    """Build ``cls`` from a JSON object, recursing into nested sections.
+
+    Every value is checked against its field's annotation.  A key left out,
+    or a section that is not an object, keeps the field's default; a scalar
+    of the wrong type is kept and its full name added to ``mistyped``.
+    """
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            errors.append(f"{prefix}: unknown key {key!r}")
+        name = f"{where}.{key}" if where else key
+        hint = hints.get(key)
+        element = get_args(hint)[0] if get_origin(hint) is list else None
+        optional = type(None) in get_args(hint)
+        if hint is None:
+            errors.append(f"{where + ': ' if where else ''}unknown key {key!r}")
+        elif is_dataclass(hint):
+            if _is_object(value, name, errors):
+                kwargs[key] = _parse_section(hint, value, name, errors, mistyped)
+        elif is_dataclass(element):
+            if not (isinstance(value, list) and value):
+                errors.append(f"{name} must be a nonempty list")
+            elif all([_is_object(v, f"{name}[{i}]", errors) for i, v in enumerate(value)]):
+                kwargs[key] = [_parse_section(element, v, f"{name}[{i}]", errors, mistyped)
+                               for i, v in enumerate(value)]
+        elif element is not None:
+            kwargs[key] = value
+            test, text = _TYPE_TESTS[element]
+            if not (isinstance(value, list) and all(test(v) for v in value)):
+                errors.append(f"{name} must be a list, each item {text}, got {value!r}")
         else:
             kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        errors.append(f"{prefix}: {exc}")
-        return cls()
+            test, text = _TYPE_TESTS[get_args(hint)[0] if optional else hint]
+            if not (test(value) or (optional and value is None)):
+                errors.append(f"{name} must be {text}{' or null' if optional else ''}, got {value!r}")
+                mistyped.add(name)
+    return cls(**kwargs)
+
+
+def _range_problems(cfg: ExperimentConfig) -> Iterator[str]:
+    """Every value out of range, led by its full field name.
+
+    The checks of values that the library's types take come from those
+    types: ``Fidelity``, ``SmoothedTVPenalty``, the alpha grid, ``NoiseSpec``
+    and ``SolveOptions``.
+    """
+
+    def choice(name: str, value, allowed):
+        return [] if value in allowed else [f"{name} must be one of {allowed}, got {value!r}"]
+
+    yield from choice("experiment", cfg.experiment, EXPERIMENTS)
+    yield from choice("model.kind", cfg.model.kind, ("fredholm", "elliptic"))
+    if cfg.model.kind == "fredholm" and not (is_integer(cfg.model.n) and cfg.model.n >= 3):
+        yield f"model.n must be an integer >= 3, got {cfg.model.n!r}"
+    if cfg.model.kind == "elliptic":
+        if not (is_integer(cfg.model.subintervals) and cfg.model.subintervals >= 4):
+            yield f"model.subintervals must be an integer >= 4, got {cfg.model.subintervals!r}"
+        yield from choice("model.source", cfg.model.source, SOURCES)
+    yield from choice("truth", cfg.truth, TRUTHS)
+    yield from ("fidelity_" + p for p in Fidelity.problems(cfg.fidelity_r))
+    for i, pen in enumerate(cfg.penalties):
+        yield from choice(f"penalties[{i}].kind", pen.kind, PENALTY_KINDS)
+        if pen.kind == "shifted_quadratic":
+            yield from choice(f"penalties[{i}].c0", pen.c0, C0_PROFILES)
+        if pen.kind == "smoothed_tv":
+            yield from (f"penalties[{i}].{p}" for p in SmoothedTVPenalty.problems(pen.eps, pen.mu))
+    for i, rule in enumerate(cfg.rules):
+        yield from choice(f"rules[{i}].kind", rule.kind, RULE_KINDS)
+        if rule.kind == "discrepancy" and not (is_real(rule.tau) and rule.tau > 0):
+            yield f"rules[{i}].tau must be positive, got {rule.tau!r}"
+    yield from alpha_grid_problems(cfg.alpha0, cfg.q, cfg.j_max)
+    yield from ("noise." + p for p in NoiseSpec.problems(**asdict(cfg.noise)))
+    tolerances = SolveOptions.problems(cfg.solver.max_iters, cfg.solver.grad_tol, cfg.solver.grad_tol_abs)
+    yield from ("solver." + p for p in tolerances)
+    yield from choice("solver.init", cfg.solver.init, INIT_PROFILES)
+    if not cfg.output_dir:
+        yield "output_dir must be a nonempty string"
+
+
+def _read_config(data) -> Tuple[ExperimentConfig, List[str]]:
+    """The config a JSON value describes, and every problem with it.
+
+    Type problems come first.  A range problem of a field whose type is
+    wrong is left out, as the type problem already names that field.
+    """
+    errors: List[str] = []
+    mistyped: set = set()
+    if not _is_object(data, "configuration", errors):
+        return ExperimentConfig(), errors
+    cfg = _parse_section(ExperimentConfig, data, "", errors, mistyped)
+    return cfg, errors + [e for e in _range_problems(cfg) if e.split(" ", 1)[0] not in mistyped]
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse a config mapping; raises ConfigError listing every problem."""
-    errors: List[str] = []
-    if not isinstance(data, dict):
-        raise ConfigError(["configuration must be a JSON object"])
-    top_known = {
-        "experiment",
-        "model",
-        "truth",
-        "fidelity_r",
-        "penalties",
-        "rules",
-        "alpha0",
-        "q",
-        "j_max",
-        "noise",
-        "solver",
-        "output_dir",
-        "implementation_defaults",
-    }
-    for key in data:
-        if key not in top_known:
-            errors.append(f"unknown key {key!r}")
-
-    cfg = ExperimentConfig()
-    cfg.experiment = data.get("experiment", cfg.experiment)
-    cfg.truth = data.get("truth", cfg.truth)
-    cfg.fidelity_r = data.get("fidelity_r", cfg.fidelity_r)
-    cfg.alpha0 = data.get("alpha0", cfg.alpha0)
-    cfg.q = data.get("q", cfg.q)
-    cfg.j_max = data.get("j_max", cfg.j_max)
-    cfg.output_dir = data.get("output_dir", cfg.output_dir)
-    cfg.implementation_defaults = list(data.get("implementation_defaults", []))
-
-    if "model" in data:
-        cfg.model = _parse_section(
-            data["model"], ModelSpec, {"kind", "n", "subintervals", "g0", "g1", "source"}, errors, "model"
-        )
-    if "noise" in data:
-        cfg.noise = _parse_section(
-            data["noise"], NoisePlan, {"kind", "level", "fraction", "amplitude", "seed"}, errors, "noise"
-        )
-    if "solver" in data:
-        cfg.solver = _parse_section(
-            data["solver"], SolverPlan, {"max_iters", "grad_tol", "grad_tol_abs", "init"}, errors, "solver"
-        )
-    if "penalties" in data:
-        raw = data["penalties"]
-        if not isinstance(raw, list) or not raw:
-            errors.append("penalties must be a nonempty list")
-        else:
-            cfg.penalties = [
-                _parse_section(p, PenaltySpec, {"kind", "c0", "eps", "mu"}, errors, f"penalties[{i}]")
-                for i, p in enumerate(raw)
-            ]
-    if "rules" in data:
-        raw = data["rules"]
-        if not isinstance(raw, list) or not raw:
-            errors.append("rules must be a nonempty list")
-        else:
-            cfg.rules = [
-                _parse_section(r, RuleSpec, {"kind", "tau"}, errors, f"rules[{i}]")
-                for i, r in enumerate(raw)
-            ]
-
-    errors.extend(validate_config(cfg))
+    cfg, errors = _read_config(data)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -266,69 +242,8 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> List[str]:
-    """Collect every semantic problem in a config (empty list = valid)."""
-    errors: List[str] = []
-    if cfg.experiment not in EXPERIMENTS:
-        errors.append(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
-    if cfg.model.kind not in ("fredholm", "elliptic"):
-        errors.append(f"model.kind must be fredholm or elliptic, got {cfg.model.kind!r}")
-    if cfg.model.kind == "fredholm" and (not isinstance(cfg.model.n, int) or cfg.model.n < 3):
-        errors.append(f"model.n must be an integer >= 3, got {cfg.model.n!r}")
-    if cfg.model.kind == "elliptic":
-        if not isinstance(cfg.model.subintervals, int) or cfg.model.subintervals < 4:
-            errors.append(f"model.subintervals must be an integer >= 4, got {cfg.model.subintervals!r}")
-        if cfg.model.source not in SOURCES:
-            errors.append(f"model.source must be one of {SOURCES}, got {cfg.model.source!r}")
-    if cfg.truth not in TRUTHS:
-        errors.append(f"truth must be one of {TRUTHS}, got {cfg.truth!r}")
-    if not (isinstance(cfg.fidelity_r, (int, float)) and 1.0 < cfg.fidelity_r < math.inf):
-        errors.append(f"fidelity_r must lie in (1, inf), got {cfg.fidelity_r!r}")
-    for i, pen in enumerate(cfg.penalties):
-        if pen.kind not in PENALTY_KINDS:
-            errors.append(f"penalties[{i}].kind must be one of {PENALTY_KINDS}, got {pen.kind!r}")
-        if pen.kind == "shifted_quadratic" and pen.c0 not in C0_PROFILES:
-            errors.append(f"penalties[{i}].c0 must be one of {C0_PROFILES}, got {pen.c0!r}")
-        if pen.kind == "smoothed_tv":
-            if not (isinstance(pen.eps, (int, float)) and pen.eps > 0):
-                errors.append(f"penalties[{i}].eps must be positive, got {pen.eps!r}")
-            if not (isinstance(pen.mu, (int, float)) and pen.mu >= 0):
-                errors.append(f"penalties[{i}].mu must be nonnegative, got {pen.mu!r}")
-    for i, rule in enumerate(cfg.rules):
-        if rule.kind not in RULE_KINDS:
-            errors.append(f"rules[{i}].kind must be one of {RULE_KINDS}, got {rule.kind!r}")
-        if rule.kind == "discrepancy" and not (isinstance(rule.tau, (int, float)) and rule.tau > 0):
-            errors.append(f"rules[{i}].tau must be positive, got {rule.tau!r}")
-    if not (isinstance(cfg.alpha0, (int, float)) and cfg.alpha0 > 0):
-        errors.append(f"alpha0 must be positive, got {cfg.alpha0!r}")
-    if not (isinstance(cfg.q, (int, float)) and 0 < cfg.q < 1):
-        errors.append(f"q must lie in (0, 1), got {cfg.q!r}")
-    if not (isinstance(cfg.j_max, int) and cfg.j_max >= 0):
-        errors.append(f"j_max must be a nonnegative integer, got {cfg.j_max!r}")
-    if cfg.noise.kind not in NOISE_KINDS:
-        errors.append(f"noise.kind must be one of {NOISE_KINDS}, got {cfg.noise.kind!r}")
-    else:
-        if cfg.noise.kind in ("gaussian", "impulsive_gaussian") and not (
-            isinstance(cfg.noise.level, (int, float)) and cfg.noise.level > 0
-        ):
-            errors.append(f"noise.level must be positive, got {cfg.noise.level!r}")
-        if cfg.noise.kind in ("impulsive", "impulsive_gaussian"):
-            if not (isinstance(cfg.noise.fraction, (int, float)) and 0 < cfg.noise.fraction < 1):
-                errors.append(f"noise.fraction must lie in (0, 1), got {cfg.noise.fraction!r}")
-            if not (isinstance(cfg.noise.amplitude, (int, float)) and cfg.noise.amplitude > 0):
-                errors.append(f"noise.amplitude must be positive, got {cfg.noise.amplitude!r}")
-    if not isinstance(cfg.noise.seed, int):
-        errors.append(f"noise.seed must be an integer, got {cfg.noise.seed!r}")
-    if not (isinstance(cfg.solver.max_iters, int) and cfg.solver.max_iters > 0):
-        errors.append(f"solver.max_iters must be a positive integer, got {cfg.solver.max_iters!r}")
-    if not (isinstance(cfg.solver.grad_tol, (int, float)) and cfg.solver.grad_tol > 0):
-        errors.append(f"solver.grad_tol must be positive, got {cfg.solver.grad_tol!r}")
-    if not (isinstance(cfg.solver.grad_tol_abs, (int, float)) and cfg.solver.grad_tol_abs >= 0):
-        errors.append(f"solver.grad_tol_abs must be nonnegative, got {cfg.solver.grad_tol_abs!r}")
-    if cfg.solver.init not in INIT_PROFILES:
-        errors.append(f"solver.init must be one of {INIT_PROFILES}, got {cfg.solver.init!r}")
-    if not isinstance(cfg.output_dir, str) or not cfg.output_dir:
-        errors.append("output_dir must be a nonempty string")
-    return errors
+    """Collect every problem in a config (empty list = valid), read from its JSON form."""
+    return _read_config(asdict(cfg))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +417,45 @@ def penalty_tags(specs: List[PenaltySpec]) -> List[str]:
     return tags
 
 
-def run_experiment(
-    config: ExperimentConfig, apply_rules: bool = True, max_workers: int = 1
-) -> ResultBundle:
-    """Build model + truth + noise, solve the alpha path(s), apply the rules."""
+def _setup(config: ExperimentConfig):
+    """Validate a config and build its model, truth and solver initial guess."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
     model = build_model(config.model)
     truth = truth_function(config.truth, model.x_grid)
+    return model, truth, build_init(config.solver.init, model.x_grid)
+
+
+def run_theory_study(config: ExperimentConfig, deltas, max_workers: int = 1) -> TheoryReport:
+    """Shrinking-noise study of a config's model and first penalty.
+
+    The noise direction comes from ``noise.seed``; see ``run_delta_sequence``.
+    """
+    model, truth, init = _setup(config)
+    return run_delta_sequence(
+        model,
+        build_penalty(config.penalties[0], model.x_grid),
+        config.fidelity_r,
+        config.alpha0,
+        config.q,
+        config.j_max,
+        deltas,
+        config.noise.seed,
+        truth,
+        opts=config.solver.to_options(init),
+        max_workers=max_workers,
+    )
+
+
+def run_experiment(
+    config: ExperimentConfig, apply_rules: bool = True, max_workers: int = 1
+) -> ResultBundle:
+    """Build model + truth + noise, solve the alpha path(s), apply the rules."""
+    model, truth, init = _setup(config)
     exact = model.apply(truth)
     noisy, delta = make_noisy(exact, config.noise.to_spec(), norm_exponent=config.fidelity_r)
     fid = Fidelity(config.fidelity_r, noisy)
-    init = build_init(config.solver.init, model.x_grid)
     tags = penalty_tags(config.penalties)
 
     def one_penalty(spec_tag):
@@ -531,8 +472,8 @@ def run_experiment(
                     outcomes.append(hanke_raus_select(path))
                 else:
                     outcomes.append(discrepancy_select(path, rule.tau, delta))
-        kappa_hat = min(1.0, min(rec.residual for rec in path) / delta) if delta > 0 else float("nan")
-        return PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa_hat)
+        kappa = kappa_hat(path, delta) if delta > 0 else float("nan")
+        return PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa)
 
     jobs = list(zip(config.penalties, tags))
     if max_workers > 1 and len(jobs) > 1:
@@ -670,20 +611,15 @@ def write_theory_report(report: TheoryReport, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["delta", "alpha_star", "theta_star", "bregman", "kappa_hat"])
+        writer.writerow([f.name for f in fields(DeltaLevelRow)])
         for row in report.convergence_table:
-            writer.writerow(
-                [_fmt(row.delta), _fmt(row.alpha_star), _fmt(row.theta_star),
-                 _fmt(row.bregman), _fmt(row.kappa_hat)]
-            )
+            writer.writerow([_fmt(value) for value in astuple(row)])
         writer.writerow([])
         writer.writerow(["key", "value"])
         for key in (
-            "kappa_estimate", "delta", "delta_star", "alpha_star",
-            "lower_bound_alpha", "bound_ratio",
+            "kappa_estimate", "delta", "delta_star", "alpha_star", "lower_bound_alpha", "bound_ratio",
+            "precondition_holds", "delta_bound_ok", "alpha_bound_ok",
         ):
-            writer.writerow([key, _fmt(getattr(report, key))])
-        for key in ("precondition_holds", "delta_bound_ok", "alpha_bound_ok"):
             writer.writerow([key, _fmt(getattr(report, key))])
         writer.writerow(["flags", ";".join(report.flags)])
     return path

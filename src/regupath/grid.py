@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,26 @@ class SingularSystemError(ValueError):
 
 
 _CONVENTIONS = ("nodal", "cell", "interior")
+
+
+def is_real(value) -> bool:
+    """A real number with a finite float value; bools do not count."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def is_integer(value) -> bool:
+    """An integer; bools do not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require(problems) -> None:
+    """Raise one ValueError listing ``problems``, if there are any."""
+    problems = list(problems)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -186,14 +207,6 @@ class TridiagonalSystem:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self.diag * x
-        if self.n > 1:
-            out[:-1] += self.sup * x[1:]
-            out[1:] += self.sub * x[:-1]
-        return out
-
 
 def solve_tridiagonal(system: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system; raises SingularSystemError on breakdown."""
@@ -213,12 +226,3 @@ def solve_tridiagonal(system: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
         return solve_banded((1, 1), ab, rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-
-
-def write_csv(f: GridFunction, path) -> None:
-    """Serialize a grid function as (t, value) rows with 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(f.points(), f.values):
-            writer.writerow([format(t, ".17g"), format(v, ".17g")])

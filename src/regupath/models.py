@@ -1,14 +1,15 @@
-"""Forward operators (integral equation and elliptic coefficient problem), noise, kappa."""
+"""Forward operators (integral equation and elliptic coefficient problem) and noise."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .grid import Grid, GridFunction, TridiagonalSystem, lr_norm, solve_tridiagonal
+from .grid import (Grid, GridFunction, TridiagonalSystem, is_integer, is_real, lr_norm, require,
+                   solve_tridiagonal)
 
 
 class InadmissibleCoefficientError(ValueError):
@@ -34,7 +35,6 @@ class ForwardModel:
     adjoint_derivative: Callable[[GridFunction, GridFunction], GridFunction]
     domain_check: Callable[[GridFunction], bool]
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    matrix: Optional[np.ndarray] = None
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -52,7 +52,11 @@ def fredholm_model(n: int) -> ForwardModel:
     kernel = 40.0 * np.minimum(s, t) * (1.0 - np.maximum(s, t))
     w = grid.weights()
     apply_mat = kernel * w[None, :]
-    adjoint_mat = kernel.T * w[None, :]
+    # The kernel is symmetric, so the adjoint for the weighted inner product
+    # has the same entries.  BLAS sums a column-major matrix-vector product in
+    # another order than a row-major one, and the shipped outputs depend on
+    # the adjoint's order, so the adjoint keeps its own column-major copy.
+    adjoint_mat = np.asfortranarray(apply_mat)
 
     def apply(x: GridFunction) -> GridFunction:
         if x.grid != grid:
@@ -75,7 +79,6 @@ def fredholm_model(n: int) -> ForwardModel:
         derivative=derivative,
         adjoint_derivative=adjoint_derivative,
         domain_check=lambda x: True,
-        matrix=apply_mat,
     )
 
 
@@ -151,6 +154,9 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     )
 
 
+NOISE_KINDS = ("gaussian", "impulsive", "impulsive_gaussian")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Deterministic noise generator configuration.
@@ -171,18 +177,22 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "impulsive", "impulsive_gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind in ("gaussian", "impulsive_gaussian"):
-            if self.level is None or not self.level > 0:
-                raise ValueError(f"{self.kind} noise needs level > 0")
-        if self.kind in ("impulsive", "impulsive_gaussian"):
-            if self.fraction is None or not 0 < self.fraction < 1:
-                raise ValueError(f"{self.kind} noise needs fraction in (0, 1)")
-            if self.amplitude is None or not self.amplitude > 0:
-                raise ValueError(f"{self.kind} noise needs amplitude > 0")
-        if not isinstance(self.seed, int):
-            raise ValueError("noise seed must be an integer")
+        require(self.problems(self.kind, self.level, self.fraction, self.amplitude, self.seed))
+
+    @staticmethod
+    def problems(kind, level, fraction, amplitude, seed) -> Iterator[str]:
+        """Every reason these arguments make no NoiseSpec, each led by its field name."""
+        if kind not in NOISE_KINDS:
+            yield f"kind must be one of {NOISE_KINDS}, got {kind!r}"
+        if kind in ("gaussian", "impulsive_gaussian") and not (is_real(level) and level > 0):
+            yield f"level must be positive, got {level!r}"
+        if kind in ("impulsive", "impulsive_gaussian"):
+            if not (is_real(fraction) and 0 < fraction < 1):
+                yield f"fraction must lie in (0, 1), got {fraction!r}"
+            if not (is_real(amplitude) and amplitude > 0):
+                yield f"amplitude must be positive, got {amplitude!r}"
+        if not is_integer(seed):
+            yield f"seed must be an integer, got {seed!r}"
 
 
 def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
@@ -211,18 +221,3 @@ def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
     noisy = y.with_values(y.values + pert)
     delta = lr_norm(y.with_values(pert), norm_exponent)
     return noisy, delta
-
-
-def estimate_kappa(noise: GridFunction, candidates, norm_exponent: float = 2.0) -> float:
-    """Empirical lower-bound estimate of the noise irregularity constant.
-
-    Returns min over the candidate residual images v (and v = 0) of
-    ||noise - v|| / ||noise||, capped at 1.  A zero noise input is rejected.
-    """
-    delta = lr_norm(noise, norm_exponent)
-    if delta == 0.0:
-        raise ValueError("kappa is undefined for zero noise")
-    best = 1.0
-    for v in candidates:
-        best = min(best, lr_norm(noise - v, norm_exponent) / delta)
-    return best

@@ -13,11 +13,11 @@ mutually consistent inside the descent solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .grid import GridFunction, GridMismatchError, l2_inner
+from .grid import GridFunction, is_real, l2_inner, require
 
 
 class SubgradientError(ValueError):
@@ -72,10 +72,15 @@ class SmoothedTVPenalty:
     kind = "smoothed_tv"
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("smoothing parameter eps must be positive")
-        if self.mu < 0:
-            raise ValueError("quadratic weight mu must be nonnegative")
+        require(self.problems(self.eps, self.mu))
+
+    @staticmethod
+    def problems(eps, mu) -> Iterator[str]:
+        """Every reason these arguments make no penalty, each led by its field name."""
+        if not (is_real(eps) and eps > 0):
+            yield f"eps must be positive, got {eps!r}"
+        if not (is_real(mu) and mu >= 0):
+            yield f"mu must be nonnegative, got {mu!r}"
 
     def value(self, x: GridFunction) -> float:
         if x.n < 2:
@@ -123,8 +128,13 @@ class Fidelity:
     target: GridFunction
 
     def __post_init__(self):
-        if not 1.0 < self.r < np.inf:
-            raise ValueError(f"fidelity exponent must lie in (1, inf), got {self.r}")
+        require(self.problems(self.r))
+
+    @staticmethod
+    def problems(r) -> Iterator[str]:
+        """Why ``r`` is no misfit exponent, led by the field name."""
+        if not (is_real(r) and r > 1.0):
+            yield f"r must lie in (1, inf), got {r!r}"
 
     def value(self, v: GridFunction) -> float:
         v._check_same_grid(self.target)

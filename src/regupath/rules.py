@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -129,18 +128,47 @@ def discrepancy_select(path: Sequence[AlphaPathRecord], tau: float, delta: float
     )
 
 
-def optimality_subgradient(
-    model: ForwardModel, x: GridFunction, y: GridFunction, alpha: float
-) -> GridFunction:
-    """Diagnostic subgradient (2/alpha) F'(x)* (y - F(x)) at an exact-data minimizer.
+def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
+    """Noise irregularity estimate min(1, min_j residual_j / delta) of a path.
 
-    For the quadratic-misfit problem with exact data y, first-order
-    optimality puts this element in the penalty subdifferential at x.
+    For a record with minimizer x the residual image F(x) - y_exact differs
+    from the noise by exactly F(x) - data, so ||noise - v|| equals the
+    stored residual and this is the empirical kappa over the path's images.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    residual = y - model.apply(x)
-    return (2.0 / alpha) * model.adjoint_derivative(x, residual)
+    return min(1.0, min(rec.residual for rec in path) / delta)
+
+
+def _level_row(outcome: RuleOutcome, delta: float, bregman: float, kappa: float) -> DeltaLevelRow:
+    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, bregman, kappa)
+
+
+def _bound_report(
+    outcome: RuleOutcome, kappa: float, delta: float, r_dagger: float, q: float, r: float,
+    rows: List[DeltaLevelRow], bound_ratio: float = float("nan"), flags: Sequence[str] = (),
+) -> TheoryReport:
+    """The a-posteriori bound fields of a theta-argmin selection.
+
+    delta_* >= kappa * delta and alpha_* >= q kappa^r delta^r / ((q+1) R(x_dagger)),
+    under the small-noise precondition delta^r <= alpha_0 * R(x_dagger).
+    """
+    alpha0 = max(rec.alpha for rec in outcome.path)
+    precondition = delta**r <= alpha0 * r_dagger
+    lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
+    lead = ("kappa_condition_failed",) if kappa == 0.0 else ()
+    lead += () if precondition else ("precondition_violated",)
+    return TheoryReport(
+        kappa_estimate=kappa,
+        delta=delta,
+        delta_star=outcome.delta_star,
+        alpha_star=outcome.alpha_star,
+        lower_bound_alpha=lower_bound,
+        bound_ratio=bound_ratio,
+        convergence_table=rows,
+        precondition_holds=precondition,
+        delta_bound_ok=outcome.delta_star >= kappa * delta - 1e-10,
+        alpha_bound_ok=outcome.alpha_star >= lower_bound - 1e-10,
+        flags=lead + tuple(flags),
+    )
 
 
 def check_corollary_bounds(
@@ -155,21 +183,16 @@ def check_corollary_bounds(
 ) -> TheoryReport:
     """Evaluate the a-posteriori lower bounds for a theta-argmin selection.
 
-    The noise irregularity constant is estimated from the path itself: for
-    a record with minimizer x the residual image F(x) - y_exact differs
-    from the noise by exactly F(x) - data, so ||noise - v|| equals the
-    stored residual and the estimate is min(1, min_j residual_j / delta).
-    Both bounds then hold by construction whenever the small-noise
-    precondition ||noise||^r <= alpha_0 * R(x_dagger) does; the report
-    records the precondition rather than failing when it is violated.
+    The noise irregularity constant is estimated from the path itself (see
+    ``kappa_hat``).  Both bounds then hold by construction whenever the
+    small-noise precondition ||noise||^r <= alpha_0 * R(x_dagger) does; the
+    report records the precondition rather than failing when it is violated.
 
     When an index function is supplied, the report carries the quotient of
     the measured Bregman error by its a-posteriori bound
     (1 + delta^r/delta_*^r) * (delta^r + phi(delta + delta_*)).
     """
     flags: List[str] = []
-    path = outcome.path
-    alpha0 = max(rec.alpha for rec in path)
     r_dagger = pen.value(x_dagger)
 
     if float(np.max(np.abs(noise.values))) == 0.0:
@@ -187,16 +210,7 @@ def check_corollary_bounds(
         )
 
     delta = lr_norm(noise, r)
-    kappa_hat = min(1.0, min(rec.residual for rec in path) / delta)
-    if kappa_hat == 0.0:
-        flags.append("kappa_condition_failed")
-    precondition = delta**r <= alpha0 * r_dagger
-    lower_bound = q * kappa_hat**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
-    delta_ok = outcome.delta_star >= kappa_hat * delta - 1e-10
-    alpha_ok = outcome.alpha_star >= lower_bound - 1e-10
-    if not precondition:
-        flags.append("precondition_violated")
-
+    kappa = kappa_hat(outcome.path, delta)
     bound_ratio = float("nan")
     rows: List[DeltaLevelRow] = []
     if index_fn is not None:
@@ -209,29 +223,8 @@ def check_corollary_bounds(
                 delta**r + index_fn(delta + outcome.delta_star)
             )
             bound_ratio = breg / denom
-            rows.append(
-                DeltaLevelRow(
-                    delta=delta,
-                    alpha_star=outcome.alpha_star,
-                    theta_star=outcome.record.theta,
-                    bregman=breg,
-                    kappa_hat=kappa_hat,
-                )
-            )
-
-    return TheoryReport(
-        kappa_estimate=kappa_hat,
-        delta=delta,
-        delta_star=outcome.delta_star,
-        alpha_star=outcome.alpha_star,
-        lower_bound_alpha=lower_bound,
-        bound_ratio=bound_ratio,
-        convergence_table=rows,
-        precondition_holds=precondition,
-        delta_bound_ok=delta_ok,
-        alpha_bound_ok=alpha_ok,
-        flags=tuple(flags),
-    )
+            rows.append(_level_row(outcome, delta, breg, kappa))
+    return _bound_report(outcome, kappa, delta, r_dagger, q, r, rows, bound_ratio, flags)
 
 
 def run_delta_sequence(
@@ -276,17 +269,7 @@ def run_delta_sequence(
         path = compute_alpha_path(model, fid, pen, alpha0, q, j_max, opts)
         outcome = hanke_raus_select(path)
         breg = bregman_distance(pen, xi, outcome.record.x, x_dagger)
-        kappa = min(1.0, min(rec.residual for rec in path) / delta)
-        return (
-            DeltaLevelRow(
-                delta=delta,
-                alpha_star=outcome.alpha_star,
-                theta_star=outcome.record.theta,
-                bregman=breg,
-                kappa_hat=kappa,
-            ),
-            outcome,
-        )
+        return _level_row(outcome, delta, breg, kappa_hat(path, delta)), outcome
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -295,23 +278,5 @@ def run_delta_sequence(
         results = [one_level(d) for d in deltas]
 
     rows = [row for row, _ in results]
-    last_row, last_outcome = rows[-1], results[-1][1]
     kappa_uniform = min(row.kappa_hat for row in rows)
-    r_dagger = pen.value(x_dagger)
-    alpha0_grid = max(rec.alpha for rec in last_outcome.path)
-    lower_bound = (
-        q * kappa_uniform**r * last_row.delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
-    )
-    return TheoryReport(
-        kappa_estimate=kappa_uniform,
-        delta=last_row.delta,
-        delta_star=last_outcome.delta_star,
-        alpha_star=last_row.alpha_star,
-        lower_bound_alpha=lower_bound,
-        bound_ratio=float("nan"),
-        convergence_table=rows,
-        precondition_holds=last_row.delta**r <= alpha0_grid * r_dagger,
-        delta_bound_ok=last_outcome.delta_star >= kappa_uniform * last_row.delta - 1e-10,
-        alpha_bound_ok=last_row.alpha_star >= lower_bound - 1e-10,
-        flags=(),
-    )
+    return _bound_report(results[-1][1], kappa_uniform, deltas[-1], pen.value(x_dagger), q, r, rows)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import GridFunction, l2_inner, lr_norm
+from .grid import GridFunction, is_integer, is_real, l2_inner, lr_norm, require
 from .models import ForwardModel, InadmissibleCoefficientError
 from .penalties import Fidelity, Penalty
 
@@ -49,18 +49,23 @@ class SolveOptions:
     init: Optional[GridFunction] = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if self.grad_tol_abs < 0:
-            raise ValueError("grad_tol_abs must be nonnegative")
+        require(self.problems(self.max_iters, self.grad_tol, self.grad_tol_abs))
         if not self.step_init > 0:
             raise ValueError("step_init must be positive")
         if not 0 < self.step_shrink < 1:
             raise ValueError("step_shrink must lie in (0, 1)")
         if not 0 < self.armijo < 1:
             raise ValueError("armijo constant must lie in (0, 1)")
+
+    @staticmethod
+    def problems(max_iters, grad_tol, grad_tol_abs) -> Iterator[str]:
+        """Every reason the iteration cap and tolerances make no SolveOptions, each led by its field name."""
+        if not (is_integer(max_iters) and max_iters > 0):
+            yield f"max_iters must be a positive integer, got {max_iters!r}"
+        if not (is_real(grad_tol) and grad_tol > 0):
+            yield f"grad_tol must be positive, got {grad_tol!r}"
+        if not (is_real(grad_tol_abs) and grad_tol_abs >= 0):
+            yield f"grad_tol_abs must be nonnegative, got {grad_tol_abs!r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +84,16 @@ class AlphaPathRecord:
 
 
 _MIN_STEP = 1e-20
+
+
+def alpha_grid_problems(alpha0, q, j_max) -> Iterator[str]:
+    """Every reason (alpha0, q, j_max) make no parameter grid, each led by its name."""
+    if not (is_real(alpha0) and alpha0 > 0):
+        yield f"alpha0 must be positive, got {alpha0!r}"
+    if not (is_real(q) and 0 < q < 1):
+        yield f"q must lie in (0, 1), got {q!r}"
+    if not (is_integer(j_max) and j_max >= 0):
+        yield f"j_max must be a nonnegative integer, got {j_max!r}"
 
 
 def solve_tikhonov(
@@ -192,12 +207,7 @@ def compute_alpha_path(
     exact data fit).  Solver failures abort the path with the partial record
     list attached to the raised PathAborted.
     """
-    if not alpha0 > 0:
-        raise ValueError("alpha0 must be positive")
-    if not 0 < q < 1:
-        raise ValueError("q must lie in (0, 1)")
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    require(alpha_grid_problems(alpha0, q, j_max))
     opts = opts if opts is not None else SolveOptions()
     init = opts.init if opts.init is not None else model.x_grid.zeros()
 

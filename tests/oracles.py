@@ -8,6 +8,8 @@ high-resolution quadrature instead of the working grid.
 
 import numpy as np
 
+from regupath import lr_norm
+
 
 def trapezoid_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     h = (b - a) / (n - 1)
@@ -72,6 +74,22 @@ def oracle_theta_table(
         residual = float(np.sum(weights * np.abs(resid_vec) ** r) ** (1.0 / r))
         rows.append((float(alpha), residual, residual**r / alpha))
     return rows
+
+
+def estimate_kappa(noise, candidates, norm_exponent: float = 2.0) -> float:
+    """Empirical lower-bound estimate of the noise irregularity constant.
+
+    Returns min over the candidate residual images v (and v = 0) of
+    ||noise - v|| / ||noise||, capped at 1, by direct norm evaluation.  A zero
+    noise input is rejected.
+    """
+    delta = lr_norm(noise, norm_exponent)
+    if delta == 0.0:
+        raise ValueError("kappa is undefined for zero noise")
+    best = 1.0
+    for v in candidates:
+        best = min(best, lr_norm(noise - v, norm_exponent) / delta)
+    return best
 
 
 def directional_derivative(value_fn, x_vals: np.ndarray, direction: np.ndarray, step: float) -> float:

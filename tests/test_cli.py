@@ -1,10 +1,12 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import regupath.experiments
+import regupath.rules
 from regupath.cli import main
-from regupath import ExperimentConfig, ModelSpec, NoisePlan, PenaltySpec, RuleSpec, SolverPlan
 
 
 def small_config_dict(out_dir):
@@ -104,10 +106,38 @@ def test_divergent_solve_exit_code_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_threads_env_does_not_change_results(config_file, tmp_path, monkeypatch):
-    rc = main(["run", "--config", str(config_file), "--out", str(tmp_path / "t1")])
-    monkeypatch.setenv("REGUPATH_THREADS", "4")
-    rc2 = main(["run", "--config", str(config_file), "--out", str(tmp_path / "t4")])
-    assert rc == rc2 == 0
-    for name in ("outcomes.csv", "path_quadratic.csv", "data.csv"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+def test_nonfinite_number_exit_code_2(tmp_path, capsys):
+    data = json.dumps(small_config_dict(tmp_path / "out")).replace('"level": 0.05', '"level": Infinity')
+    cfg_path = tmp_path / "nonfinite.json"
+    cfg_path.write_text(data, encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: noise.level must be a finite number" in capsys.readouterr().err
+
+
+def test_threads_env_does_not_change_results(tmp_path, monkeypatch, capsys):
+    # two penalties and two noise levels, so that both thread pools start
+    data = small_config_dict(tmp_path / "out")
+    data["penalties"] = [{"kind": "quadratic"}, {"kind": "shifted_quadratic", "c0": "linear_t"}]
+    cfg_path = tmp_path / "two_penalties.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(regupath.experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(regupath.rules, "ThreadPoolExecutor", RecordingPool)
+    for threads in ("1", "4"):
+        monkeypatch.setenv("REGUPATH_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out / "run")]) == 0
+        theory = ["theory", "--config", str(cfg_path), "--deltas", "0.1,0.05", "--out", str(out / "theory")]
+        assert main(theory) == 0
+    assert pools == [4, 4]
+    capsys.readouterr()
+    files = sorted(p.relative_to(tmp_path / "t1") for p in (tmp_path / "t1").rglob("*") if p.is_file())
+    assert Path("run/path_shifted_quadratic.csv") in files and Path("theory/theory.csv") in files
+    for name in files:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name

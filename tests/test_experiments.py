@@ -2,8 +2,10 @@ import json
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from regupath import (
     ConfigError,
@@ -96,6 +98,86 @@ def test_unknown_keys_rejected():
 def test_invalid_json_is_a_config_error():
     with pytest.raises(ConfigError):
         config_from_json("{not json")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"model": 5}', "model"),
+        ('{"noise": []}', "noise"),
+        ('{"penalties": [3]}', "penalties[0]"),
+        ('{"implementation_defaults": 5}', "implementation_defaults"),
+        ('{"implementation_defaults": "solver"}', "implementation_defaults"),
+        ('{"noise": {"kind": "gaussian", "level": Infinity}}', "noise.level"),
+        ('{"alpha0": Infinity}', "alpha0"),
+        ('{"fidelity_r": NaN}', "fidelity_r"),
+        ('{"solver": {"max_iters": true}}', "solver.max_iters"),
+        ('{"j_max": false}', "j_max"),
+        ('{"model": {"kind": "elliptic", "g0": "high"}}', "model.g0"),
+    ],
+)
+def test_malformed_input_is_a_config_error(text, field):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_json(text)
+    assert [e.split(" ", 1)[0] for e in excinfo.value.errors] == [field]
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+_TOP_KEYS = ["model", "noise", "solver", "penalties", "rules", "alpha0", "q", "j_max",
+             "implementation_defaults", "bogus"]
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON value, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_presets(draw):
+    name = draw(st.sampled_from(["example1", "example2_smooth", "example2_piecewise"]))
+    data = json.loads(preset(name).to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return data
+
+
+def _accepted_or_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert validate_config(cfg) == []
+    text = cfg.to_json()
+    assert config_from_json(text).to_json() == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES | st.dictionaries(st.sampled_from(_TOP_KEYS), _JSON_VALUES))
+def test_config_from_dict_fuzz_arbitrary_json(data):
+    _accepted_or_config_error(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_presets())
+def test_config_from_dict_fuzz_mutated_presets(data):
+    _accepted_or_config_error(data)
 
 
 def test_presets_expose_published_constants():

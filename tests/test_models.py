@@ -8,14 +8,13 @@ from regupath import (
     InadmissibleCoefficientError,
     NoiseSpec,
     elliptic_model,
-    estimate_kappa,
     fredholm_model,
     l2_inner,
     lr_norm,
     make_noisy,
 )
 
-from oracles import fredholm_apply_matrix
+from oracles import estimate_kappa, fredholm_apply_matrix
 
 
 def _elliptic(N=100, g0=1.0, g1=6.0):
@@ -44,10 +43,16 @@ def test_fredholm_kernel_symmetry(rng):
         )
 
 
+def _assembled_matrix(model):
+    """The model's matrix, column by column from its action on unit vectors."""
+    g = model.x_grid
+    return np.column_stack([model.apply(g.function(e)).values for e in np.eye(g.n)])
+
+
 def test_fredholm_matrix_selfadjoint_up_to_weights():
     model = fredholm_model(80)
     w = model.x_grid.weights()
-    weighted = w[:, None] * model.matrix
+    weighted = w[:, None] * _assembled_matrix(model)
     assert np.max(np.abs(weighted - weighted.T)) <= 1e-12
 
 
@@ -55,7 +60,7 @@ def test_fredholm_matches_independent_quadrature(rng):
     model = fredholm_model(64)
     ref = fredholm_apply_matrix(64)
     x = rng.normal(size=64)
-    np.testing.assert_allclose(model.matrix @ x, ref @ x, rtol=1e-13)
+    np.testing.assert_allclose(model.apply(model.x_grid.function(x)).values, ref @ x, rtol=1e-13)
 
 
 def _greens_identity_error(n):

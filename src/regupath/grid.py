@@ -8,7 +8,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 
 class GridMismatchError(ValueError):
@@ -120,12 +120,11 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a private copy
         if vals.ndim != 1 or vals.shape[0] != self.grid.n:
             raise ValueError(f"expected {self.grid.n} samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid function values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -140,7 +139,7 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
     def _check_same_grid(self, other: "GridFunction"):
-        if self.grid != other.grid:
+        if self.grid is not other.grid and self.grid != other.grid:
             raise GridMismatchError(f"grid mismatch: {self.grid} vs {other.grid}")
 
     def __add__(self, other):
@@ -163,16 +162,20 @@ class GridFunction:
 
 
 def lr_norm(f: GridFunction, r: float) -> float:
-    """Weighted discrete L^r norm (sum_i w_i |f_i|^r)^(1/r), r > 1."""
+    """Weighted discrete L^r norm (sum_i w_i |f_i|^r)^(1/r), r > 1.
+
+    A sum beyond the largest float gives inf, without an overflow warning.
+    """
     if not r > 1.0:
         raise ValueError(f"lr_norm requires r > 1, got {r}")
     v = f.values
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("lr_norm: non-finite input values")
     w = f.grid.weights()
-    if r == 2.0:
-        return float(np.sqrt(np.sum(w * v * v)))
-    return float(np.sum(w * np.abs(v) ** r) ** (1.0 / r))
+    with np.errstate(over="ignore"):
+        if r == 2.0:
+            return float(np.sqrt((w * v * v).sum()))
+        return float((w * np.abs(v) ** r).sum() ** (1.0 / r))
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> float:
@@ -181,7 +184,7 @@ def l2_inner(f: GridFunction, g: GridFunction) -> float:
     The product f*g is formed first so the result is exactly symmetric.
     """
     f._check_same_grid(g)
-    return float(np.sum(f.grid.weights() * (f.values * g.values)))
+    return float((f.grid.weights() * (f.values * g.values)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,20 +212,24 @@ class TridiagonalSystem:
 
 
 def solve_tridiagonal(system: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system; raises SingularSystemError on breakdown."""
+    """Solve a tridiagonal system; raises SingularSystemError on breakdown.
+
+    LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting) works on
+    copies of the three diagonals and the right-hand side; it is the routine
+    ``scipy.linalg.solve_banded`` calls for one sub- and one super-diagonal,
+    without the banded copy.
+    """
     rhs = np.asarray(rhs, dtype=float)
     n = system.n
     if rhs.shape != (n,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {n}")
-    if n == 1:
-        if system.diag[0] == 0.0:
+    if n <= 1:
+        if n == 1 and system.diag[0] == 0.0:
             raise SingularSystemError("zero pivot in 1x1 system")
         return rhs / system.diag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = system.sup
-    ab[1, :] = system.diag
-    ab[2, :-1] = system.sub
-    try:
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    x, info = dgtsv(system.sub, system.diag, system.sup, rhs)[3:]
+    if info > 0:
+        raise SingularSystemError(f"singular matrix: zero pivot in row {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x

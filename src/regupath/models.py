@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -102,45 +103,45 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     base_rhs = f.values.copy()
     base_rhs[0] += g0 * inv_h2
     base_rhs[-1] += g1 * inv_h2
-    cache: dict = {}
+    # The operator A(c) and state u(c) of the last coefficient, one pair per
+    # thread, so that paths solved on worker threads do not evict each other.
+    last = threading.local()
 
-    def _system(c: GridFunction) -> TridiagonalSystem:
-        return TridiagonalSystem(off, 2.0 * inv_h2 + c.values[1:-1], off)
-
-    def _state(c: GridFunction) -> np.ndarray:
+    def _solved(c: GridFunction) -> Tuple[TridiagonalSystem, np.ndarray]:
         key = c.values.tobytes()
-        hit = cache.get("state")
+        hit = getattr(last, "state", None)
         if hit is not None and hit[0] == key:
-            return hit[1]
+            return hit[1], hit[2]
         if not domain_check(c):
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
-        u = solve_tridiagonal(_system(c), base_rhs)
-        cache["state"] = (key, u)
-        return u
+        system = TridiagonalSystem(off, 2.0 * inv_h2 + c.values[1:-1], off)
+        u = solve_tridiagonal(system, base_rhs)
+        last.state = (key, system, u)
+        return system, u
 
     def apply(c: GridFunction) -> GridFunction:
         if c.grid != c_grid:
             raise ValueError("coefficient lives on the wrong grid")
-        return u_grid.function(_state(c))
+        return u_grid.function(_solved(c)[1])
 
     def derivative(c: GridFunction, hdir: GridFunction) -> GridFunction:
         if hdir.grid != c_grid:
             raise ValueError("direction lives on the wrong grid")
-        u = _state(c)
-        v = solve_tridiagonal(_system(c), hdir.values[1:-1] * u)
+        system, u = _solved(c)
+        v = solve_tridiagonal(system, hdir.values[1:-1] * u)
         return u_grid.function(-v)
 
     def adjoint_derivative(c: GridFunction, w: GridFunction) -> GridFunction:
         if w.grid != u_grid:
             raise ValueError("data-space input lives on the wrong grid")
-        u = _state(c)
-        v = solve_tridiagonal(_system(c), w.values)
+        system, u = _solved(c)
+        v = solve_tridiagonal(system, w.values)
         full = np.zeros(N + 1)
         full[1:-1] = -u * v
         return c_grid.function(full)
 
     def domain_check(c: GridFunction) -> bool:
-        return bool(np.all(c.values >= 0.0))
+        return bool((c.values >= 0.0).all())
 
     return ForwardModel(
         name="elliptic",

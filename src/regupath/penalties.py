@@ -32,7 +32,7 @@ class QuadraticPenalty:
 
     def value(self, x: GridFunction) -> float:
         w = x.grid.weights()
-        return float(np.sum(w * x.values * x.values))
+        return float((w * x.values * x.values).sum())
 
     def subgradient(self, x: GridFunction) -> GridFunction:
         return 2.0 * x
@@ -48,7 +48,7 @@ class ShiftedQuadraticPenalty:
     def value(self, x: GridFunction) -> float:
         x._check_same_grid(self.c0)
         d = x.values - self.c0.values
-        return float(np.sum(x.grid.weights() * d * d))
+        return float((x.grid.weights() * d * d).sum())
 
     def subgradient(self, x: GridFunction) -> GridFunction:
         x._check_same_grid(self.c0)
@@ -85,16 +85,18 @@ class SmoothedTVPenalty:
     def value(self, x: GridFunction) -> float:
         if x.n < 2:
             raise ValueError("smoothed TV needs at least two samples")
+        v = x.values
         h = x.grid.h
-        d = np.diff(x.values) / h
-        tv = float(np.sum(h * np.sqrt(d * d + self.eps**2)))
+        d = (v[1:] - v[:-1]) / h
+        tv = float((h * np.sqrt(d * d + self.eps**2)).sum())
         tv -= self.eps * (x.grid.b - x.grid.a)
         w = x.grid.weights()
-        return tv + self.mu * float(np.sum(w * x.values * x.values))
+        return tv + self.mu * float((w * v * v).sum())
 
     def subgradient(self, x: GridFunction) -> GridFunction:
+        v = x.values
         h = x.grid.h
-        d = np.diff(x.values) / h
+        d = (v[1:] - v[:-1]) / h
         s = d / np.sqrt(d * d + self.eps**2)
         g = np.zeros(x.n)
         # exact discrete chain rule: backward difference of s, one-sided at ends
@@ -102,7 +104,7 @@ class SmoothedTVPenalty:
         g[1:-1] = s[:-1] - s[1:]
         g[-1] = s[-1]
         g /= x.grid.weights()
-        return x.with_values(g + 2.0 * self.mu * x.values)
+        return x.with_values(g + 2.0 * self.mu * v)
 
 
 Penalty = Union[QuadraticPenalty, ShiftedQuadraticPenalty, SmoothedTVPenalty]
@@ -141,8 +143,8 @@ class Fidelity:
         d = v.values - self.target.values
         w = v.grid.weights()
         if self.r == 2.0:
-            return float(np.sum(w * d * d))
-        return float(np.sum(w * np.abs(d) ** self.r))
+            return float((w * d * d).sum())
+        return float((w * np.abs(d) ** self.r).sum())
 
     def gradient(self, v: GridFunction) -> GridFunction:
         v._check_same_grid(self.target)

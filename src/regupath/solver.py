@@ -8,7 +8,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import GridFunction, is_integer, is_real, l2_inner, lr_norm, require
+from .grid import GridFunction, is_integer, is_real, lr_norm, require
 from .models import ForwardModel, InadmissibleCoefficientError
 from .penalties import Fidelity, Penalty
 
@@ -85,17 +85,37 @@ class AlphaPathRecord:
 
 _MIN_STEP = 1e-20
 
+# Paths stop before alpha falls below this floor; a grid must start at or above it.
+ALPHA_FLOOR = 1e-12
+
 
 def alpha_grid_problems(alpha0, q, j_max) -> Iterator[str]:
     """Every reason (alpha0, q, j_max) make no parameter grid, each led by its name."""
     if not (is_real(alpha0) and alpha0 > 0):
         yield f"alpha0 must be positive, got {alpha0!r}"
+    elif alpha0 < ALPHA_FLOOR:
+        yield f"alpha0 must be at least the path floor {ALPHA_FLOOR!r}, got {alpha0!r}"
     if not (is_real(q) and 0 < q < 1):
         yield f"q must lie in (0, 1), got {q!r}"
     if not (is_integer(j_max) and j_max >= 0):
         yield f"j_max must be a nonnegative integer, got {j_max!r}"
 
 
+def _gradient(model: ForwardModel, fid: Fidelity, pen: Penalty, alpha: float,
+              x: GridFunction, fx: GridFunction) -> np.ndarray:
+    """The objective's gradient F'(x)* grad fid(F x) + alpha * dR(x), as a plain array."""
+    g = model.adjoint_derivative(x, fid.gradient(fx)).values + alpha * pen.subgradient(x).values
+    if not np.isfinite(g).all():
+        raise ValueError(f"gradient is non-finite (alpha={alpha})")
+    return g
+
+
+def _norm(weights: np.ndarray, g: np.ndarray) -> float:
+    """Weighted L^2 norm, summed as ``l2_inner`` sums it."""
+    return math.sqrt((weights * (g * g)).sum())
+
+
+@np.errstate(over="ignore")  # an overflowing objective is a DivergenceError, not a numpy warning
 def solve_tikhonov(
     model: ForwardModel,
     fid: Fidelity,
@@ -107,31 +127,32 @@ def solve_tikhonov(
 
     Returns a stationary-point record; ``converged`` reports whether the
     gradient tolerance was met within max_iters.  A non-finite objective at
-    an accepted point raises DivergenceError.
+    an accepted point raises DivergenceError.  Between calls into the model,
+    fidelity and penalty, the loop works on plain arrays.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     opts = opts if opts is not None else SolveOptions()
-    x = opts.init if opts.init is not None else model.x_grid.zeros()
-    if x.grid != model.x_grid:
+    x_grid = model.x_grid
+    x = opts.init if opts.init is not None else x_grid.zeros()
+    if x.grid != x_grid:
         raise ValueError("initial guess lives on the wrong grid")
     if not model.domain_check(x):
         raise InadmissibleCoefficientError("initial guess violates the model domain")
 
-    weights = model.x_grid.weights()
+    weights = x_grid.weights()
+    project = model.project
 
     def objective(point: GridFunction):
         fx = model.apply(point)
         return fx, fid.value(fx) + alpha * pen.value(point)
 
-    def gradient(point: GridFunction, fx: GridFunction) -> GridFunction:
-        return model.adjoint_derivative(point, fid.gradient(fx)) + alpha * pen.subgradient(point)
-
     fx, obj = objective(x)
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
-    g = gradient(x, fx)
-    gnorm = math.sqrt(l2_inner(g, g))
+    xv = x.values
+    g = _gradient(model, fid, pen, alpha, x, fx)
+    gnorm = _norm(weights, g)
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
     iters = 0
@@ -141,16 +162,16 @@ def solve_tikhonov(
         t = trial
         accepted = False
         while t >= _MIN_STEP:
-            cand = x.values - t * g.values
-            if model.project is not None:
-                cand = model.project(cand)
-            if not np.all(np.isfinite(cand)):
+            cand = xv - t * g
+            if project is not None:
+                cand = project(cand)
+            if not np.isfinite(cand).all():
                 t *= opts.step_shrink
                 continue
-            x_new = model.x_grid.function(cand)
+            x_new = GridFunction(x_grid, cand)
             fx_new, obj_new = objective(x_new)
             if math.isfinite(obj_new):
-                predicted = float(np.sum(weights * g.values * (x.values - cand)))
+                predicted = float((weights * g * (xv - cand)).sum())
                 if predicted <= 0.0:
                     break  # projection blocked every direction of decrease
                 if obj - obj_new >= opts.armijo * predicted:
@@ -159,17 +180,18 @@ def solve_tikhonov(
             t *= opts.step_shrink
         if not accepted:
             break  # no further decrease representable at this precision
-        g_new = gradient(x_new, fx_new)
-        s = x_new.values - x.values
-        d = g_new.values - g.values
-        sd = float(np.sum(weights * s * d))
+        g_new = _gradient(model, fid, pen, alpha, x_new, fx_new)
+        xv_new = x_new.values
+        s = xv_new - xv
+        d = g_new - g
+        sd = float((weights * s * d).sum())
         if sd > 0:
-            trial = float(np.sum(weights * s * s)) / sd
+            trial = float((weights * s * s).sum()) / sd
             trial = min(max(trial, 1e-14), 1e14)
         else:
             trial = min(t * 2.0, 1e14)
-        x, fx, obj, g = x_new, fx_new, obj_new, g_new
-        gnorm = math.sqrt(l2_inner(g, g))
+        x, xv, fx, obj, g = x_new, xv_new, fx_new, obj_new, g_new
+        gnorm = _norm(weights, g)
         iters += 1
         converged = gnorm <= tol
 
@@ -195,14 +217,13 @@ def compute_alpha_path(
     q: float,
     j_max: int,
     opts: Optional[SolveOptions] = None,
-    alpha_floor: float = 1e-12,
     residual_power_floor: float = 1e-14,
 ) -> List[AlphaPathRecord]:
     """Solve along the geometric grid alpha0 * q^j, j = 0..j_max.
 
     Records come back in decreasing-alpha order; each solve warm-starts from
     the previous minimizer (the first from opts.init, default zero).  The
-    grid is truncated early once alpha drops below ``alpha_floor`` or the
+    grid is truncated early once alpha drops below ``ALPHA_FLOOR`` or the
     residual satisfies residual^r <= ``residual_power_floor`` (a numerically
     exact data fit).  Solver failures abort the path with the partial record
     list attached to the raised PathAborted.
@@ -213,20 +234,20 @@ def compute_alpha_path(
 
     # Warm-started solves inherit an absolute gradient floor anchored at the
     # path's initial point, so a nearly-converged warm start terminates.
-    fx0 = model.apply(init)
-    if not math.isfinite(fid.value(fx0) + alpha0 * pen.value(init)):
-        raise PathAborted(
-            f"path aborted at alpha={alpha0}: objective is non-finite at the initial point", []
-        )
-    g0 = model.adjoint_derivative(init, fid.gradient(fx0)) + alpha0 * pen.subgradient(init)
-    anchor = math.sqrt(l2_inner(g0, g0))
+    with np.errstate(over="ignore"):
+        fx0 = model.apply(init)
+        if not math.isfinite(fid.value(fx0) + alpha0 * pen.value(init)):
+            raise PathAborted(
+                f"path aborted at alpha={alpha0}: objective is non-finite at the initial point", []
+            )
+        anchor = _norm(model.x_grid.weights(), _gradient(model, fid, pen, alpha0, init, fx0))
     floor = max(opts.grad_tol * anchor, opts.grad_tol_abs)
 
     records: List[AlphaPathRecord] = []
     current = init
     for j in range(j_max + 1):
         alpha = alpha0 * q**j
-        if alpha < alpha_floor:
+        if alpha < ALPHA_FLOOR:
             break
         step_opts = replace(opts, init=current, grad_tol_abs=floor)
         try:

@@ -6,9 +6,14 @@ descent, explicit kernel quadrature instead of the model's cached matrix,
 high-resolution quadrature instead of the working grid.
 """
 
+import math
+from typing import Optional
+
 import numpy as np
 
-from regupath import lr_norm
+from regupath import (AlphaPathRecord, DivergenceError, Fidelity, ForwardModel, GridFunction,
+                      InadmissibleCoefficientError, SolveOptions, l2_inner, lr_norm)
+from regupath.penalties import Penalty
 
 
 def trapezoid_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
@@ -95,3 +100,99 @@ def estimate_kappa(noise, candidates, norm_exponent: float = 2.0) -> float:
 def directional_derivative(value_fn, x_vals: np.ndarray, direction: np.ndarray, step: float) -> float:
     """Central finite difference of a scalar functional along a direction."""
     return (value_fn(x_vals + step * direction) - value_fn(x_vals - step * direction)) / (2.0 * step)
+
+
+_MIN_STEP = 1e-20
+
+
+# The descent loop as it was written on GridFunctions, before the solver moved
+# onto plain arrays; kept verbatim so the array loop can be held to its bits.
+def reference_solve_tikhonov(
+    model: ForwardModel,
+    fid: Fidelity,
+    pen: Penalty,
+    alpha: float,
+    opts: Optional[SolveOptions] = None,
+) -> AlphaPathRecord:
+    """Minimize ||F(x) - data||_r^r + alpha * R(x) by projected descent.
+
+    Returns a stationary-point record; ``converged`` reports whether the
+    gradient tolerance was met within max_iters.  A non-finite objective at
+    an accepted point raises DivergenceError.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    opts = opts if opts is not None else SolveOptions()
+    x = opts.init if opts.init is not None else model.x_grid.zeros()
+    if x.grid != model.x_grid:
+        raise ValueError("initial guess lives on the wrong grid")
+    if not model.domain_check(x):
+        raise InadmissibleCoefficientError("initial guess violates the model domain")
+
+    weights = model.x_grid.weights()
+
+    def objective(point: GridFunction):
+        fx = model.apply(point)
+        return fx, fid.value(fx) + alpha * pen.value(point)
+
+    def gradient(point: GridFunction, fx: GridFunction) -> GridFunction:
+        return model.adjoint_derivative(point, fid.gradient(fx)) + alpha * pen.subgradient(point)
+
+    fx, obj = objective(x)
+    if not math.isfinite(obj):
+        raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
+    g = gradient(x, fx)
+    gnorm = math.sqrt(l2_inner(g, g))
+    tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
+
+    iters = 0
+    converged = gnorm <= tol
+    trial = opts.step_init
+    while iters < opts.max_iters and not converged:
+        t = trial
+        accepted = False
+        while t >= _MIN_STEP:
+            cand = x.values - t * g.values
+            if model.project is not None:
+                cand = model.project(cand)
+            if not np.all(np.isfinite(cand)):
+                t *= opts.step_shrink
+                continue
+            x_new = model.x_grid.function(cand)
+            fx_new, obj_new = objective(x_new)
+            if math.isfinite(obj_new):
+                predicted = float(np.sum(weights * g.values * (x.values - cand)))
+                if predicted <= 0.0:
+                    break  # projection blocked every direction of decrease
+                if obj - obj_new >= opts.armijo * predicted:
+                    accepted = True
+                    break
+            t *= opts.step_shrink
+        if not accepted:
+            break  # no further decrease representable at this precision
+        g_new = gradient(x_new, fx_new)
+        s = x_new.values - x.values
+        d = g_new.values - g.values
+        sd = float(np.sum(weights * s * d))
+        if sd > 0:
+            trial = float(np.sum(weights * s * s)) / sd
+            trial = min(max(trial, 1e-14), 1e14)
+        else:
+            trial = min(t * 2.0, 1e14)
+        x, fx, obj, g = x_new, fx_new, obj_new, g_new
+        gnorm = math.sqrt(l2_inner(g, g))
+        iters += 1
+        converged = gnorm <= tol
+
+    residual = lr_norm(fx - fid.target, fid.r)
+    return AlphaPathRecord(
+        alpha=alpha,
+        x=x,
+        fx=fx,
+        residual=residual,
+        penalty=pen.value(x),
+        theta=residual**fid.r / alpha,
+        objective=obj,
+        iters=iters,
+        converged=converged,
+    )

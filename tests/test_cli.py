@@ -84,6 +84,17 @@ def test_config_error_exit_code_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_alpha0_below_path_floor_exit_code_2(tmp_path, capsys):
+    # every grid point would lie below the path's alpha floor, leaving no path
+    data = small_config_dict(tmp_path / "out")
+    data["alpha0"] = 1e-13
+    cfg_path = tmp_path / "tiny_alpha0.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: alpha0 must be at least the path floor 1e-12, got 1e-13" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exit_code_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.linalg import solve_banded
 
 from regupath import (
     Grid,
@@ -123,6 +124,15 @@ def test_lr_norm_triangle_inequality(n, r, seed):
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
 
+def test_lr_norm_keeps_the_plain_sum_on_finite_sums(rng):
+    g = Grid(37)
+    v = rng.normal(size=37)
+    f = g.function(v)
+    w = g.weights()
+    assert lr_norm(f, 2.0) == float(np.sqrt(np.sum(w * v * v)))
+    assert lr_norm(f, 1.01) == float(np.sum(w * np.abs(v) ** 1.01) ** (1.0 / 1.01))
+
+
 # ---------------------------------------------------------------------------
 # l2_inner
 
@@ -201,6 +211,31 @@ def test_solve_reproduces_rhs_on_1000_random_dominant_systems():
         x = solve_tridiagonal(sys, rhs)
         defect = np.max(np.abs(dense_tridiagonal(sys.sub, sys.diag, sys.sup) @ x - rhs))
         assert defect <= 1e-10 * max(np.max(np.abs(rhs)), 1e-30)
+
+
+def test_solve_matches_solve_banded_bit_for_bit():
+    # dgtsv is the routine solve_banded((1, 1), ...) runs, minus the banded copy
+    gen = np.random.default_rng(99)
+    pivoting = 0
+    for k in range(400):
+        n = int(gen.integers(2, 60))
+        if k % 2:
+            sys = _random_dominant(gen, n)
+        else:  # small diagonal: elimination swaps rows
+            sys = TridiagonalSystem(gen.uniform(-1, 1, n - 1), gen.uniform(-0.1, 0.1, n),
+                                    gen.uniform(-1, 1, n - 1))
+            pivoting += bool(abs(sys.sub[0]) > abs(sys.diag[0]))
+        rhs = gen.normal(size=n)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = sys.sup
+        ab[1, :] = sys.diag
+        ab[2, :-1] = sys.sub
+        inputs = [a.copy() for a in (sys.sub, sys.diag, sys.sup, rhs)]
+        x = solve_tridiagonal(sys, rhs)
+        assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
+        for before, after in zip(inputs, (sys.sub, sys.diag, sys.sup, rhs)):
+            assert np.array_equal(before, after)  # the inputs are left alone
+    assert pivoting > 150
 
 
 def test_singular_system_raises():

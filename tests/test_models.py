@@ -1,8 +1,11 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import regupath.models
 from regupath import (
     Grid,
     InadmissibleCoefficientError,
@@ -119,6 +122,39 @@ def test_elliptic_rejects_negative_coefficient():
     assert not model.domain_check(c)
     with pytest.raises(InadmissibleCoefficientError):
         model.apply(c)
+
+
+def test_elliptic_state_cache_is_per_thread(monkeypatch):
+    # Two threads alternate apply and adjoint on their own coefficient.  Each
+    # thread keeps its own last state: one solve for its first apply, then one
+    # per adjoint, none per repeated apply, and every value is a fresh solve's.
+    model = _elliptic(N=60)
+    t = model.x_grid.points()
+    coeffs = [model.x_grid.function(1.0 + t), model.x_grid.function(2.0 + np.sin(3.0 * t))]
+    w = model.y_grid.function(np.cos(model.y_grid.points()))
+    fresh = [(_elliptic(N=60).apply(c).values, _elliptic(N=60).adjoint_derivative(c, w).values) for c in coeffs]
+    solves = []
+    solve = regupath.models.solve_tridiagonal
+    monkeypatch.setattr(regupath.models, "solve_tridiagonal", lambda *a: solves.append(1) or solve(*a))
+    turn = threading.Barrier(2, timeout=30)
+    rounds = 4
+
+    def worker(k):
+        c, got = coeffs[k], []
+        for _ in range(rounds):
+            for op in (lambda: model.apply(c), lambda: model.adjoint_derivative(c, w)):
+                for slot in (0, 1):
+                    if slot == k:
+                        got.append(op().values)
+                    turn.wait()
+        return got
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [f.result() for f in [pool.submit(worker, k) for k in (0, 1)]]
+    for k, got in enumerate(results):
+        for i, values in enumerate(got):
+            assert np.array_equal(values, fresh[k][i % 2])
+    assert len(solves) == 2 * (1 + rounds)
 
 
 def test_elliptic_adjoint_identity(rng):

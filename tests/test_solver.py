@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,17 @@ from regupath import (
     NoiseSpec,
     QuadraticPenalty,
     ShiftedQuadraticPenalty,
+    SmoothedTVPenalty,
     SolveOptions,
     compute_alpha_path,
+    elliptic_model,
     fredholm_model,
     lr_norm,
     make_noisy,
     solve_tikhonov,
 )
 
-from oracles import fredholm_apply_matrix, tikhonov_normal_equations
+from oracles import fredholm_apply_matrix, reference_solve_tikhonov, tikhonov_normal_equations
 
 
 def identity_model(n=50):
@@ -156,12 +160,15 @@ def test_path_single_point_when_j_max_zero():
 
 
 def test_path_truncates_below_alpha_floor():
-    model = identity_model(8)
-    data = model.x_grid.function(np.ones(8))
+    # 1e-15 is the first grid point below the 1e-12 floor; five descent
+    # steps keep the residual far above its own truncation floor
+    model = fredholm_model(16)
+    data = model.x_grid.function(np.ones(16))
     path = compute_alpha_path(
-        model, Fidelity(2.0, data), QuadraticPenalty(), 1.0, 1e-6, 5, alpha_floor=1e-9
+        model, Fidelity(2.0, data), QuadraticPenalty(), 1.0, 1e-5, 5, SolveOptions(max_iters=5)
     )
-    assert [rec.alpha for rec in path] == [1.0, 1e-6]
+    assert [rec.alpha for rec in path] == [1.0, 1e-5, 1e-5**2]
+    assert path[-1].residual ** 2 > 1e-14
 
 
 def test_path_truncates_on_numerically_exact_fit():
@@ -257,3 +264,60 @@ def test_projection_keeps_iterates_admissible(rng):
                          SolveOptions(max_iters=200, init=grid.function(np.ones(30))))
     assert min(seen) >= 0.0
     assert np.all(rec.x.values >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the array-level descent loop against the GridFunction-level reference
+
+
+def _fredholm_outlier_case():
+    model = fredholm_model(101)
+    t = model.x_grid.points()
+    y = model.apply(model.x_grid.function(4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t)))
+    noisy, _ = make_noisy(y, NoiseSpec(kind="impulsive", fraction=0.1, amplitude=2.0, seed=3), 1.01)
+    return model, Fidelity(1.01, noisy), QuadraticPenalty(), 0.05
+
+
+def _elliptic_case(penalty_of):
+    N = 50
+    u_grid = Grid(N - 1, convention="interior")
+    f = u_grid.from_callable(lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2))
+    model = elliptic_model(N, 1.0, 6.0, f)
+    t = model.x_grid.points()
+    y = model.apply(model.x_grid.function(1.0 + 2.0 * (t > 0.4) * (t < 0.7)))
+    noisy, _ = make_noisy(y, NoiseSpec(kind="gaussian", level=0.05, seed=5), 2.0)
+    return model, Fidelity(2.0, noisy), penalty_of(model.x_grid), 1e-3
+
+
+GUARD_CASES = {
+    "fredholm_r1.01": _fredholm_outlier_case,
+    "elliptic_tv_projected": lambda: _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3)),
+    "elliptic_shifted_quadratic": lambda: _elliptic_case(
+        lambda grid: ShiftedQuadraticPenalty(grid.function(grid.points()))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_solver_matches_gridfunction_reference_bit_for_bit(case):
+    model, fid, pen, alpha = GUARD_CASES[case]()
+    clipped = []
+    if model.project is not None:
+        project = model.project
+        model = dataclasses.replace(model, project=lambda v: clipped.append((v < 0).any()) or project(v))
+    opts = SolveOptions(max_iters=400, grad_tol=1e-10)
+    got = solve_tikhonov(model, fid, pen, alpha, opts)
+    want = reference_solve_tikhonov(model, fid, pen, alpha, opts)
+    assert got.iters == want.iters and got.iters > 50
+    assert got.converged == want.converged
+    assert got.objective == want.objective
+    assert np.array_equal(got.x.values, want.x.values)
+    assert np.array_equal(got.fx.values, want.fx.values)
+    assert any(clipped) == (case == "elliptic_tv_projected")
+
+
+def test_non_finite_gradient_is_an_error():
+    # the objective alpha * ||1||^2 is finite, its gradient alpha * 2 * 1 is not
+    model = identity_model(8)
+    ones = model.x_grid.function(np.ones(8))
+    with pytest.raises(ValueError, match="gradient is non-finite"):
+        solve_tikhonov(model, Fidelity(2.0, ones), QuadraticPenalty(), 1e308, SolveOptions(init=ones))

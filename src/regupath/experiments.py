@@ -74,6 +74,13 @@ class RuleSpec:
     tau: Optional[float] = None
 
 
+def rule_tag(kind: str, tau: Optional[float]) -> str:
+    """The rule part of a reconstruction's file name; distinct rules of a config have distinct tags."""
+    if kind == "discrepancy":
+        return f"discrepancy_tau{tau:g}"
+    return kind
+
+
 @dataclass
 class NoisePlan:
     kind: str = "gaussian"
@@ -198,10 +205,16 @@ def _range_problems(cfg: ExperimentConfig) -> Iterator[str]:
             yield from choice(f"penalties[{i}].c0", pen.c0, C0_PROFILES)
         if pen.kind == "smoothed_tv":
             yield from (f"penalties[{i}].{p}" for p in SmoothedTVPenalty.problems(pen.eps, pen.mu))
+    tagged = {}
     for i, rule in enumerate(cfg.rules):
         yield from choice(f"rules[{i}].kind", rule.kind, RULE_KINDS)
         if rule.kind == "discrepancy" and not (is_real(rule.tau) and rule.tau > 0):
             yield f"rules[{i}].tau must be positive, got {rule.tau!r}"
+        elif rule.kind in RULE_KINDS:
+            tag = rule_tag(rule.kind, rule.tau)
+            if tag in tagged:
+                yield f"rules[{i}] writes the files of rules[{tagged[tag]}] (both are tagged {tag!r})"
+            tagged.setdefault(tag, i)
     yield from alpha_grid_problems(cfg.alpha0, cfg.q, cfg.j_max)
     yield from ("noise." + p for p in NoiseSpec.problems(**asdict(cfg.noise)))
     tolerances = SolveOptions.problems(cfg.solver.max_iters, cfg.solver.grad_tol, cfg.solver.grad_tol_abs)
@@ -523,12 +536,6 @@ def tv_roughness(x: GridFunction) -> float:
     return float(np.sum(np.abs(np.diff(x.values))))
 
 
-def rule_tag(outcome: RuleOutcome) -> str:
-    if outcome.rule == "discrepancy":
-        return f"discrepancy_tau{outcome.tau:g}"
-    return outcome.rule
-
-
 def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
     """Write the bundle as CSVs + config echo; returns the created paths."""
     out = Path(out_dir)
@@ -585,7 +592,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
                     ";".join(outcome.flags),
                 )
             )
-            recon_path = out / f"recon_{result.tag}_{rule_tag(outcome)}.csv"
+            recon_path = out / f"recon_{result.tag}_{rule_tag(outcome.rule, outcome.tau)}.csv"
             _write_rows(
                 recon_path,
                 ["t", "truth", "estimate"],

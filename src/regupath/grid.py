@@ -19,7 +19,7 @@ class SingularSystemError(ValueError):
     """Raised when tridiagonal elimination encounters a singular system."""
 
 
-_CONVENTIONS = ("nodal", "cell", "interior")
+_CONVENTIONS = ("nodal", "interior")
 
 
 def is_real(value) -> bool:
@@ -44,23 +44,20 @@ def require(problems) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on the interval [a, b].
+    """Uniform grid on the interval [0, 1].
 
-    Three layouts are supported:
+    Two layouts are supported:
 
-    * ``nodal``: n points including both endpoints, spacing h = (b-a)/(n-1),
+    * ``nodal``: n points including both endpoints, spacing h = 1/(n-1),
       composite trapezoid quadrature weights.
-    * ``cell``: n cell midpoints, spacing h = (b-a)/n, weight h per cell.
     * ``interior``: n interior points of n+1 equal subintervals (endpoints
       excluded, as for homogeneous Dirichlet unknowns), spacing
-      h = (b-a)/(n+1), uniform weight h per point.  The uniform weights are
+      h = 1/(n+1), uniform weight h per point.  The uniform weights are
       what make the discrete elliptic adjoint identity exact; they sum to
-      n*h rather than b-a, i.e. the two boundary half-cells are dropped.
+      n*h rather than 1, i.e. the two boundary half-cells are dropped.
     """
 
     n: int
-    a: float = 0.0
-    b: float = 1.0
     convention: str = "nodal"
 
     def __post_init__(self):
@@ -69,30 +66,23 @@ class Grid:
         min_n = 2 if self.convention == "nodal" else 1
         if self.n < min_n:
             raise ValueError(f"{self.convention} grid needs at least {min_n} points, got {self.n}")
-        if not self.b > self.a:
-            raise ValueError(f"empty interval [{self.a}, {self.b}]")
 
     @property
     def h(self) -> float:
-        length = self.b - self.a
         if self.convention == "nodal":
-            return length / (self.n - 1)
-        if self.convention == "cell":
-            return length / self.n
-        return length / (self.n + 1)
+            return 1.0 / (self.n - 1)
+        return 1.0 / (self.n + 1)
 
     def points(self) -> np.ndarray:
         if self.convention == "nodal":
-            return np.linspace(self.a, self.b, self.n)
-        if self.convention == "cell":
-            return self.a + (np.arange(self.n) + 0.5) * self.h
-        return self.a + (np.arange(self.n) + 1.0) * self.h
+            return np.linspace(0.0, 1.0, self.n)
+        return (np.arange(self.n) + 1.0) * self.h
 
     def weights(self) -> np.ndarray:
         return _weights(self)
 
     def function(self, values) -> "GridFunction":
-        return GridFunction(self, np.asarray(values, dtype=float))
+        return GridFunction(self, values)
 
     def zeros(self) -> "GridFunction":
         return self.function(np.zeros(self.n))
@@ -187,47 +177,16 @@ def l2_inner(f: GridFunction, g: GridFunction) -> float:
     return float((f.grid.weights() * (f.values * g.values)).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class TridiagonalSystem:
-    """Tridiagonal matrix with sub-, main and super-diagonals."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self):
-        sub = np.asarray(self.sub, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        sup = np.asarray(self.sup, dtype=float)
-        n = diag.shape[0]
-        if sub.shape != (max(n - 1, 0),) or sup.shape != (max(n - 1, 0),):
-            raise ValueError("off-diagonals must have length n-1")
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sup", sup)
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-
-def solve_tridiagonal(system: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system; raises SingularSystemError on breakdown.
+def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals ``sub``, ``diag``, ``sup``.
 
     LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting) works on
     copies of the three diagonals and the right-hand side; it is the routine
     ``scipy.linalg.solve_banded`` calls for one sub- and one super-diagonal,
-    without the banded copy.
+    without the banded copy.  Lengths that do not fit an n-unknown system
+    (n >= 2) raise ValueError; a zero pivot raises SingularSystemError.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = system.n
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs length {rhs.shape} does not match system size {n}")
-    if n <= 1:
-        if n == 1 and system.diag[0] == 0.0:
-            raise SingularSystemError("zero pivot in 1x1 system")
-        return rhs / system.diag
-    x, info = dgtsv(system.sub, system.diag, system.sup, rhs)[3:]
+    x, info = dgtsv(sub, diag, sup, rhs)[3:]
     if info > 0:
         raise SingularSystemError(f"singular matrix: zero pivot in row {info}")
     if info < 0:

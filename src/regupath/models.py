@@ -9,8 +9,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, TridiagonalSystem, is_integer, is_real, lr_norm, require,
-                   solve_tridiagonal)
+from .grid import Grid, GridFunction, is_integer, is_real, lr_norm, require, solve_tridiagonal
 
 
 class InadmissibleCoefficientError(ValueError):
@@ -103,21 +102,22 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     base_rhs = f.values.copy()
     base_rhs[0] += g0 * inv_h2
     base_rhs[-1] += g1 * inv_h2
-    # The operator A(c) and state u(c) of the last coefficient, one pair per
-    # thread, so that paths solved on worker threads do not evict each other.
+    # The diagonal of A(c) (its off-diagonals are ``off``) and the state u(c)
+    # of the last coefficient, one pair per thread, so that paths solved on
+    # worker threads do not evict each other.
     last = threading.local()
 
-    def _solved(c: GridFunction) -> Tuple[TridiagonalSystem, np.ndarray]:
+    def _solved(c: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
         key = c.values.tobytes()
         hit = getattr(last, "state", None)
         if hit is not None and hit[0] == key:
             return hit[1], hit[2]
         if not domain_check(c):
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
-        system = TridiagonalSystem(off, 2.0 * inv_h2 + c.values[1:-1], off)
-        u = solve_tridiagonal(system, base_rhs)
-        last.state = (key, system, u)
-        return system, u
+        diag = 2.0 * inv_h2 + c.values[1:-1]
+        u = solve_tridiagonal(off, diag, off, base_rhs)
+        last.state = (key, diag, u)
+        return diag, u
 
     def apply(c: GridFunction) -> GridFunction:
         if c.grid != c_grid:
@@ -127,15 +127,15 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     def derivative(c: GridFunction, hdir: GridFunction) -> GridFunction:
         if hdir.grid != c_grid:
             raise ValueError("direction lives on the wrong grid")
-        system, u = _solved(c)
-        v = solve_tridiagonal(system, hdir.values[1:-1] * u)
+        diag, u = _solved(c)
+        v = solve_tridiagonal(off, diag, off, hdir.values[1:-1] * u)
         return u_grid.function(-v)
 
     def adjoint_derivative(c: GridFunction, w: GridFunction) -> GridFunction:
         if w.grid != u_grid:
             raise ValueError("data-space input lives on the wrong grid")
-        system, u = _solved(c)
-        v = solve_tridiagonal(system, w.values)
+        diag, u = _solved(c)
+        v = solve_tridiagonal(off, diag, off, w.values)
         full = np.zeros(N + 1)
         full[1:-1] = -u * v
         return c_grid.function(full)

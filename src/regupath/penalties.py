@@ -59,12 +59,13 @@ class ShiftedQuadraticPenalty:
 class SmoothedTVPenalty:
     """Smoothed total variation plus a small quadratic term.
 
-    R(x) = sum_i h * sqrt(d_i^2 + eps^2) - eps*(b-a) + mu*||x||^2
+    R(x) = sum_i h * sqrt(d_i^2 + eps^2) - eps + mu*||x||^2
 
-    with d_i the forward differences of x scaled by 1/h.  The constant
-    offset makes R of a constant function exactly mu*||x||^2.  For eps > 0
-    the functional is differentiable everywhere, so the gradient is the
-    unique subgradient.
+    with d_i the forward differences of x scaled by 1/h on a grid of [0, 1].
+    The offset eps, the smoothed variation of a constant over the unit
+    interval, makes R of a constant function exactly mu*||x||^2.  For
+    eps > 0 the functional is differentiable everywhere, so the gradient
+    is the unique subgradient.
     """
 
     eps: float = 1e-4
@@ -89,7 +90,7 @@ class SmoothedTVPenalty:
         h = x.grid.h
         d = (v[1:] - v[:-1]) / h
         tv = float((h * np.sqrt(d * d + self.eps**2)).sum())
-        tv -= self.eps * (x.grid.b - x.grid.a)
+        tv -= self.eps
         w = x.grid.weights()
         return tv + self.mu * float((w * v * v).sum())
 
@@ -181,8 +182,8 @@ def phi(index_fn: IndexFunction, r: float, t: float) -> float:
     return t**r / index_fn(t)
 
 
-def phi_inverse(index_fn: IndexFunction, r: float, s: float, rel_tol: float = 1e-10) -> float:
-    """Invert t -> t**r/phi(t) by bracketing bisection.
+def phi_inverse(index_fn: IndexFunction, r: float, s: float) -> float:
+    """Invert t -> t**r/phi(t) by bracketing bisection, to a relative tolerance of 1e-10.
 
     The bracket is grown geometrically from t = 1; more than 1000 doublings
     (or halvings) without enclosing s raises a ValueError.
@@ -211,7 +212,7 @@ def phi_inverse(index_fn: IndexFunction, r: float, s: float, rel_tol: float = 1e
     for _ in range(500):
         mid = 0.5 * (lo + hi)
         val = phi(index_fn, r, mid)
-        if abs(val - s) <= rel_tol * s:
+        if abs(val - s) <= 1e-10 * s:
             return mid
         if val < s:
             lo = mid

@@ -204,13 +204,14 @@ def emit_plots(bundle: ResultBundle, out_dir) -> List[Path]:
             created.append(p)
 
         for outcome in result.outcomes:
+            tag = rule_tag(outcome.rule, outcome.tau)
             svg = line_chart(
                 [("truth", t_x, bundle.truth.values),
                  ("reconstruction", t_x, outcome.record.x.values)],
-                title=f"reconstruction ({result.tag}, {rule_tag(outcome)})",
+                title=f"reconstruction ({result.tag}, {tag})",
                 xlabel="t", ylabel="x",
             )
-            p = out / f"recon_{result.tag}_{rule_tag(outcome)}.svg"
+            p = out / f"recon_{result.tag}_{tag}.svg"
             p.write_text(svg, encoding="utf-8")
             created.append(p)
     return created

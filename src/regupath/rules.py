@@ -63,16 +63,14 @@ class DeltaLevelRow:
     kappa_hat: float
 
 
-def _small_delta_flag(path: Sequence[AlphaPathRecord], delta_star: float, factor: float) -> bool:
+def _small_delta_flag(path: Sequence[AlphaPathRecord], delta_star: float) -> bool:
+    """Whether delta_star is below a tenth of the median residual of the smallest-alpha quarter."""
     by_alpha = sorted(path, key=lambda rec: rec.alpha)
     tail = by_alpha[: max(1, len(by_alpha) // 4)]
-    return delta_star < factor * float(np.median([rec.residual for rec in tail]))
+    return delta_star < 0.1 * float(np.median([rec.residual for rec in tail]))
 
 
-def hanke_raus_select(
-    path: Sequence[AlphaPathRecord],
-    small_delta_factor: float = 0.1,
-) -> RuleOutcome:
+def hanke_raus_select(path: Sequence[AlphaPathRecord]) -> RuleOutcome:
     """Pick the grid parameter minimizing theta = residual^r / alpha.
 
     Ties are broken toward the larger alpha, so the selection is a pure
@@ -82,7 +80,7 @@ def hanke_raus_select(
         raise ValueError("cannot select from an empty path")
     best = min(path, key=lambda rec: (rec.theta, -rec.alpha))
     flags = []
-    if _small_delta_flag(path, best.residual, small_delta_factor):
+    if _small_delta_flag(path, best.residual):
         flags.append("small_delta_star")
     return RuleOutcome(
         rule="hanke_raus",

@@ -14,7 +14,7 @@ from .penalties import Fidelity, Penalty
 
 
 class DivergenceError(RuntimeError):
-    """Objective became non-finite during a solve."""
+    """Objective or gradient became non-finite during a solve."""
 
 
 class PathAborted(RuntimeError):
@@ -30,10 +30,11 @@ class SolveOptions:
     """Descent solver configuration.
 
     The solver runs projected gradient descent with Armijo backtracking.
-    The first trial step is ``step_init``; later trial steps come from a
-    Barzilai-Borwein estimate, backtracked by ``step_shrink`` until the
-    sufficient-decrease condition with constant ``armijo`` holds, so the
-    objective is non-increasing across accepted iterations by construction.
+    The first trial step is the constant ``_STEP_INIT``; later trial steps
+    come from a Barzilai-Borwein estimate, backtracked by ``_STEP_SHRINK``
+    until the sufficient-decrease condition with constant ``_ARMIJO`` holds,
+    so the objective is non-increasing across accepted iterations by
+    construction.
 
     Convergence is declared when the weighted L^2 norm of the objective
     gradient falls below grad_tol relative to its value at the solve's
@@ -43,19 +44,10 @@ class SolveOptions:
     max_iters: int = 5000
     grad_tol: float = 1e-8
     grad_tol_abs: float = 0.0
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     init: Optional[GridFunction] = None
 
     def __post_init__(self):
         require(self.problems(self.max_iters, self.grad_tol, self.grad_tol_abs))
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not 0 < self.armijo < 1:
-            raise ValueError("armijo constant must lie in (0, 1)")
 
     @staticmethod
     def problems(max_iters, grad_tol, grad_tol_abs) -> Iterator[str]:
@@ -83,7 +75,13 @@ class AlphaPathRecord:
     converged: bool
 
 
+_STEP_INIT = 1.0  # first trial step of a solve
+_STEP_SHRINK = 0.5  # backtracking factor
+_ARMIJO = 1e-4  # sufficient-decrease constant
 _MIN_STEP = 1e-20
+
+# A path stops once residual^r falls to this floor (a numerically exact data fit).
+_RESIDUAL_POWER_FLOOR = 1e-14
 
 # Paths stop before alpha falls below this floor; a grid must start at or above it.
 ALPHA_FLOOR = 1e-12
@@ -106,7 +104,7 @@ def _gradient(model: ForwardModel, fid: Fidelity, pen: Penalty, alpha: float,
     """The objective's gradient F'(x)* grad fid(F x) + alpha * dR(x), as a plain array."""
     g = model.adjoint_derivative(x, fid.gradient(fx)).values + alpha * pen.subgradient(x).values
     if not np.isfinite(g).all():
-        raise ValueError(f"gradient is non-finite (alpha={alpha})")
+        raise DivergenceError(f"gradient is non-finite (alpha={alpha})")
     return g
 
 
@@ -126,9 +124,9 @@ def solve_tikhonov(
     """Minimize ||F(x) - data||_r^r + alpha * R(x) by projected descent.
 
     Returns a stationary-point record; ``converged`` reports whether the
-    gradient tolerance was met within max_iters.  A non-finite objective at
-    an accepted point raises DivergenceError.  Between calls into the model,
-    fidelity and penalty, the loop works on plain arrays.
+    gradient tolerance was met within max_iters.  A non-finite objective or
+    gradient at an accepted point raises DivergenceError.  Between calls into
+    the model, fidelity and penalty, the loop works on plain arrays.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -157,7 +155,7 @@ def solve_tikhonov(
 
     iters = 0
     converged = gnorm <= tol
-    trial = opts.step_init
+    trial = _STEP_INIT
     while iters < opts.max_iters and not converged:
         t = trial
         accepted = False
@@ -166,7 +164,7 @@ def solve_tikhonov(
             if project is not None:
                 cand = project(cand)
             if not np.isfinite(cand).all():
-                t *= opts.step_shrink
+                t *= _STEP_SHRINK
                 continue
             x_new = GridFunction(x_grid, cand)
             fx_new, obj_new = objective(x_new)
@@ -174,10 +172,10 @@ def solve_tikhonov(
                 predicted = float((weights * g * (xv - cand)).sum())
                 if predicted <= 0.0:
                     break  # projection blocked every direction of decrease
-                if obj - obj_new >= opts.armijo * predicted:
+                if obj - obj_new >= _ARMIJO * predicted:
                     accepted = True
                     break
-            t *= opts.step_shrink
+            t *= _STEP_SHRINK
         if not accepted:
             break  # no further decrease representable at this precision
         g_new = _gradient(model, fid, pen, alpha, x_new, fx_new)
@@ -217,16 +215,16 @@ def compute_alpha_path(
     q: float,
     j_max: int,
     opts: Optional[SolveOptions] = None,
-    residual_power_floor: float = 1e-14,
 ) -> List[AlphaPathRecord]:
     """Solve along the geometric grid alpha0 * q^j, j = 0..j_max.
 
     Records come back in decreasing-alpha order; each solve warm-starts from
     the previous minimizer (the first from opts.init, default zero).  The
     grid is truncated early once alpha drops below ``ALPHA_FLOOR`` or the
-    residual satisfies residual^r <= ``residual_power_floor`` (a numerically
+    residual satisfies residual^r <= ``_RESIDUAL_POWER_FLOOR`` (a numerically
     exact data fit).  Solver failures abort the path with the partial record
-    list attached to the raised PathAborted.
+    list attached to the raised PathAborted; a non-finite objective or
+    gradient at the initial point aborts it with no records.
     """
     require(alpha_grid_problems(alpha0, q, j_max))
     opts = opts if opts is not None else SolveOptions()
@@ -236,11 +234,12 @@ def compute_alpha_path(
     # path's initial point, so a nearly-converged warm start terminates.
     with np.errstate(over="ignore"):
         fx0 = model.apply(init)
-        if not math.isfinite(fid.value(fx0) + alpha0 * pen.value(init)):
-            raise PathAborted(
-                f"path aborted at alpha={alpha0}: objective is non-finite at the initial point", []
-            )
-        anchor = _norm(model.x_grid.weights(), _gradient(model, fid, pen, alpha0, init, fx0))
+        try:
+            if not math.isfinite(fid.value(fx0) + alpha0 * pen.value(init)):
+                raise DivergenceError("objective is non-finite at the initial point")
+            anchor = _norm(model.x_grid.weights(), _gradient(model, fid, pen, alpha0, init, fx0))
+        except DivergenceError as exc:
+            raise PathAborted(f"path aborted at alpha={alpha0}: {exc}", []) from exc
     floor = max(opts.grad_tol * anchor, opts.grad_tol_abs)
 
     records: List[AlphaPathRecord] = []
@@ -256,6 +255,6 @@ def compute_alpha_path(
             raise PathAborted(f"path aborted at alpha={alpha}: {exc}", records) from exc
         records.append(rec)
         current = rec.x
-        if rec.residual**fid.r <= residual_power_floor:
+        if rec.residual**fid.r <= _RESIDUAL_POWER_FLOOR:
             break
     return records

@@ -107,6 +107,8 @@ _MIN_STEP = 1e-20
 
 # The descent loop as it was written on GridFunctions, before the solver moved
 # onto plain arrays; kept verbatim so the array loop can be held to its bits.
+# The first step 1.0, the backtracking factor 0.5 and the Armijo constant 1e-4
+# are literals here, not the solver's constants, so the reference stays apart.
 def reference_solve_tikhonov(
     model: ForwardModel,
     fid: Fidelity,
@@ -147,7 +149,7 @@ def reference_solve_tikhonov(
 
     iters = 0
     converged = gnorm <= tol
-    trial = opts.step_init
+    trial = 1.0
     while iters < opts.max_iters and not converged:
         t = trial
         accepted = False
@@ -156,7 +158,7 @@ def reference_solve_tikhonov(
             if model.project is not None:
                 cand = model.project(cand)
             if not np.all(np.isfinite(cand)):
-                t *= opts.step_shrink
+                t *= 0.5
                 continue
             x_new = model.x_grid.function(cand)
             fx_new, obj_new = objective(x_new)
@@ -164,10 +166,10 @@ def reference_solve_tikhonov(
                 predicted = float(np.sum(weights * g.values * (x.values - cand)))
                 if predicted <= 0.0:
                     break  # projection blocked every direction of decrease
-                if obj - obj_new >= opts.armijo * predicted:
+                if obj - obj_new >= 1e-4 * predicted:
                     accepted = True
                     break
-            t *= opts.step_shrink
+            t *= 0.5
         if not accepted:
             break  # no further decrease representable at this precision
         g_new = gradient(x_new, fx_new)

@@ -82,6 +82,13 @@ def test_config_error_exit_code_2(tmp_path, capsys):
     bad.write_text(json.dumps({"experiment": "wat"}), encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    # two taus that print alike would write the same reconstruction files
+    data = small_config_dict(tmp_path / "out")
+    data["rules"] = [{"kind": "discrepancy", "tau": 1.0000001}, {"kind": "discrepancy", "tau": 1.0000002}]
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "config error: rules[1] writes the files of rules[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_alpha0_below_path_floor_exit_code_2(tmp_path, capsys):
@@ -115,6 +122,13 @@ def test_divergent_solve_exit_code_3(tmp_path, capsys):
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert "solver failure" in capsys.readouterr().err
+    # a finite objective whose gradient 2 * alpha * x overflows at the ones initial guess
+    data = small_config_dict(tmp_path / "digress")
+    data["alpha0"] = 1e308
+    data["solver"]["init"] = "ones"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert "gradient is non-finite" in capsys.readouterr().err
 
 
 def test_nonfinite_number_exit_code_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ from regupath import (
     GridFunction,
     GridMismatchError,
     SingularSystemError,
-    TridiagonalSystem,
     l2_inner,
     lr_norm,
     solve_tridiagonal,
@@ -23,7 +22,7 @@ from oracles import dense_tridiagonal, highres_lr_norm
 
 def test_grid_conventions_spacing():
     assert Grid(401).h == pytest.approx(1.0 / 400)
-    assert Grid(400, convention="cell").h == pytest.approx(1.0 / 400)
+    assert Grid(400, convention="interior").h == pytest.approx(1.0 / 401)
     assert Grid(399, convention="interior").h == pytest.approx(1.0 / 400)
 
 
@@ -38,11 +37,11 @@ def test_interior_points_exclude_endpoints():
 
 
 def test_weights_sum_to_interval_length():
-    for g in (Grid(17), Grid(12, convention="cell")):
-        assert np.sum(g.weights()) == pytest.approx(g.b - g.a)
+    assert np.sum(Grid(17).weights()) == pytest.approx(1.0)
     # interior grids drop the two boundary half-cells (uniform weights)
-    g = Grid(9, convention="interior")
-    assert np.sum(g.weights()) == pytest.approx(9 * g.h)
+    for n in (9, 12):
+        g = Grid(n, convention="interior")
+        assert np.sum(g.weights()) == pytest.approx(n * g.h)
 
 
 def test_gridfunction_rejects_nonfinite():
@@ -64,7 +63,7 @@ def test_arithmetic_requires_matching_grids():
     g = Grid(6).function(np.ones(6))
     with pytest.raises(GridMismatchError):
         _ = f + g
-    h = Grid(5, convention="cell").function(np.ones(5))
+    h = Grid(5, convention="interior").function(np.ones(5))
     with pytest.raises(GridMismatchError):
         _ = f - h
 
@@ -163,8 +162,7 @@ def test_l2_inner_rejects_mismatched_grids():
 def test_solve_identity_diagonal(rng):
     n = 12
     rhs = rng.normal(size=n)
-    sys = TridiagonalSystem(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
-    np.testing.assert_allclose(solve_tridiagonal(sys, rhs), rhs)
+    np.testing.assert_allclose(solve_tridiagonal(np.zeros(n - 1), np.ones(n), np.zeros(n - 1), rhs), rhs)
 
 
 def test_solve_laplacian_exact_on_linear_solution():
@@ -172,13 +170,11 @@ def test_solve_laplacian_exact_on_linear_solution():
     N = 40
     h = 1.0 / N
     n = N - 1
-    sys = TridiagonalSystem(
-        np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
-    )
+    off = np.full(n - 1, -1.0 / h**2)
     rhs = np.zeros(n)
     rhs[0] = 1.0 / h**2
     rhs[-1] = 6.0 / h**2
-    u = solve_tridiagonal(sys, rhs)
+    u = solve_tridiagonal(off, np.full(n, 2.0 / h**2), off, rhs)
     t = (np.arange(n) + 1) * h
     np.testing.assert_allclose(u, 1.0 + 5.0 * t, rtol=1e-12)
 
@@ -190,15 +186,15 @@ def _random_dominant(gen, n):
     row_off[1:] += np.abs(sub)
     row_off[:-1] += np.abs(sup)
     diag = (row_off + gen.uniform(0.5, 1.5, size=n)) * gen.choice([-1.0, 1.0], size=n)
-    return TridiagonalSystem(sub, diag, sup)
+    return sub, diag, sup
 
 
 def test_solve_random_dominant_matches_dense_oracle(rng):
     n = 50
     sys = _random_dominant(rng, n)
     rhs = rng.normal(size=n)
-    x = solve_tridiagonal(sys, rhs)
-    x_ref = np.linalg.solve(dense_tridiagonal(sys.sub, sys.diag, sys.sup), rhs)
+    x = solve_tridiagonal(*sys, rhs)
+    x_ref = np.linalg.solve(dense_tridiagonal(*sys), rhs)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -208,8 +204,8 @@ def test_solve_reproduces_rhs_on_1000_random_dominant_systems():
         n = int(gen.integers(2, 24))
         sys = _random_dominant(gen, n)
         rhs = gen.normal(size=n)
-        x = solve_tridiagonal(sys, rhs)
-        defect = np.max(np.abs(dense_tridiagonal(sys.sub, sys.diag, sys.sup) @ x - rhs))
+        x = solve_tridiagonal(*sys, rhs)
+        defect = np.max(np.abs(dense_tridiagonal(*sys) @ x - rhs))
         assert defect <= 1e-10 * max(np.max(np.abs(rhs)), 1e-30)
 
 
@@ -220,28 +216,34 @@ def test_solve_matches_solve_banded_bit_for_bit():
     for k in range(400):
         n = int(gen.integers(2, 60))
         if k % 2:
-            sys = _random_dominant(gen, n)
+            sub, diag, sup = _random_dominant(gen, n)
         else:  # small diagonal: elimination swaps rows
-            sys = TridiagonalSystem(gen.uniform(-1, 1, n - 1), gen.uniform(-0.1, 0.1, n),
-                                    gen.uniform(-1, 1, n - 1))
-            pivoting += bool(abs(sys.sub[0]) > abs(sys.diag[0]))
+            sub, diag, sup = gen.uniform(-1, 1, n - 1), gen.uniform(-0.1, 0.1, n), gen.uniform(-1, 1, n - 1)
+            pivoting += bool(abs(sub[0]) > abs(diag[0]))
         rhs = gen.normal(size=n)
         ab = np.zeros((3, n))
-        ab[0, 1:] = sys.sup
-        ab[1, :] = sys.diag
-        ab[2, :-1] = sys.sub
-        inputs = [a.copy() for a in (sys.sub, sys.diag, sys.sup, rhs)]
-        x = solve_tridiagonal(sys, rhs)
+        ab[0, 1:] = sup
+        ab[1, :] = diag
+        ab[2, :-1] = sub
+        inputs = [a.copy() for a in (sub, diag, sup, rhs)]
+        x = solve_tridiagonal(sub, diag, sup, rhs)
         assert np.array_equal(x, solve_banded((1, 1), ab, rhs))
-        for before, after in zip(inputs, (sys.sub, sys.diag, sys.sup, rhs)):
+        for before, after in zip(inputs, (sub, diag, sup, rhs)):
             assert np.array_equal(before, after)  # the inputs are left alone
     assert pivoting > 150
 
 
 def test_singular_system_raises():
-    sys = TridiagonalSystem(np.zeros(2), np.zeros(3), np.zeros(2))
     with pytest.raises(SingularSystemError):
-        solve_tridiagonal(sys, np.ones(3))
+        solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+    # [[1, 1], [1, 1]]: the zero pivot appears only after elimination
+    with pytest.raises(SingularSystemError, match="row 2"):
+        solve_tridiagonal(np.ones(1), np.ones(2), np.ones(1), np.ones(2))
+    # lengths that fit no system are ValueErrors, not singular systems
+    for sub, rhs in ((np.zeros(2), np.ones(2)), (np.zeros(1), np.ones(3))):
+        with pytest.raises(ValueError) as excinfo:
+            solve_tridiagonal(sub, np.ones(3), np.zeros(2), rhs)
+        assert not isinstance(excinfo.value, SingularSystemError)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .experiments import (
     write_theory_report,
 )
 from .plots import emit_plots
+from .rules import noise_level_problems
 from .solver import DivergenceError, PathAborted
 
 
@@ -40,8 +41,9 @@ def _parse_deltas(raw: str):
         deltas = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError([f"invalid --deltas list {raw!r}: {exc}"]) from exc
-    if not deltas:
-        raise ConfigError([f"--deltas list {raw!r} is empty"])
+    problems = [f"--deltas: {p}" for p in noise_level_problems(deltas)]
+    if problems:
+        raise ConfigError(problems)
     return deltas
 
 

@@ -42,12 +42,6 @@ class ConfigError(ValueError):
 
 
 EXPERIMENTS = ("example1", "example2_smooth", "example2_piecewise", "custom")
-TRUTHS = ("parabola_sine", "smooth_mix", "three_steps")
-SOURCES = ("gaussian_bump",)
-C0_PROFILES = ("linear_t",)
-PENALTY_KINDS = ("quadratic", "shifted_quadratic", "smoothed_tv")
-RULE_KINDS = ("hanke_raus", "discrepancy")
-INIT_PROFILES = ("zeros", "ones")
 
 
 @dataclass
@@ -186,11 +180,13 @@ def _range_problems(cfg: ExperimentConfig) -> Iterator[str]:
     and ``SolveOptions``.
     """
 
-    def choice(name: str, value, allowed):
+    def choice(name: str, value, table):
+        # a tuple, so that a mistyped (unhashable) value is a problem, not a TypeError
+        allowed = tuple(table)
         return [] if value in allowed else [f"{name} must be one of {allowed}, got {value!r}"]
 
     yield from choice("experiment", cfg.experiment, EXPERIMENTS)
-    yield from choice("model.kind", cfg.model.kind, ("fredholm", "elliptic"))
+    yield from choice("model.kind", cfg.model.kind, MODEL_KINDS)
     if cfg.model.kind == "fredholm" and not (is_integer(cfg.model.n) and cfg.model.n >= 3):
         yield f"model.n must be an integer >= 3, got {cfg.model.n!r}"
     if cfg.model.kind == "elliptic":
@@ -210,7 +206,7 @@ def _range_problems(cfg: ExperimentConfig) -> Iterator[str]:
         yield from choice(f"rules[{i}].kind", rule.kind, RULE_KINDS)
         if rule.kind == "discrepancy" and not (is_real(rule.tau) and rule.tau > 0):
             yield f"rules[{i}].tau must be positive, got {rule.tau!r}"
-        elif rule.kind in RULE_KINDS:
+        elif rule.kind in tuple(RULE_KINDS):
             tag = rule_tag(rule.kind, rule.tau)
             if tag in tagged:
                 yield f"rules[{i}] writes the files of rules[{tagged[tag]}] (both are tagged {tag!r})"
@@ -260,58 +256,48 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# shipped profiles
+# shipped choices: one table per config field, from each allowed name to its
+# builder.  Profiles are functions of the grid points.  Entries look the model
+# factories and the rules up in this module when called, so that replacing
+# those names here (as the benchmark's tracing shims do) reaches every run.
+
+TRUTHS = {
+    "parabola_sine": lambda t: 4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t),
+    "smooth_mix": lambda t: np.sin(np.pi * t) + np.sin(4.0 * np.pi * t) + 2.0 * t**3 * (1.0 - t) + t,
+    "three_steps": lambda t: np.select([t < 0.3, t < 0.6], [1.0, 6.0], 3.0),
+}
+SOURCES = {"gaussian_bump": lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2)}
+C0_PROFILES = {"linear_t": lambda t: t}
+INIT_PROFILES = {"zeros": np.zeros_like, "ones": np.ones_like}
+
+MODEL_KINDS = {
+    "fredholm": lambda spec: fredholm_model(spec.n),
+    "elliptic": lambda spec: elliptic_model(
+        spec.subintervals, spec.g0, spec.g1,
+        Grid(spec.subintervals - 1, convention="interior").from_callable(SOURCES[spec.source]),
+    ),
+}
+PENALTY_KINDS = {
+    "quadratic": lambda spec, x_grid: QuadraticPenalty(),
+    "shifted_quadratic": lambda spec, x_grid: ShiftedQuadraticPenalty(x_grid.from_callable(C0_PROFILES[spec.c0])),
+    "smoothed_tv": lambda spec, x_grid: SmoothedTVPenalty(eps=spec.eps, mu=spec.mu),
+}
+RULE_KINDS = {
+    "hanke_raus": lambda rule, path, delta: hanke_raus_select(path),
+    "discrepancy": lambda rule, path, delta: discrepancy_select(path, rule.tau, delta),
+}
+
 
 def truth_function(name: str, grid: Grid) -> GridFunction:
-    t = grid.points()
-    if name == "parabola_sine":
-        return grid.function(4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t))
-    if name == "smooth_mix":
-        return grid.function(
-            np.sin(np.pi * t) + np.sin(4.0 * np.pi * t) + 2.0 * t**3 * (1.0 - t) + t
-        )
-    if name == "three_steps":
-        vals = np.full(grid.n, 1.0)
-        vals[(t >= 0.3) & (t < 0.6)] = 6.0
-        vals[t >= 0.6] = 3.0
-        return grid.function(vals)
-    raise ValueError(f"unknown truth profile {name!r}")
-
-
-def source_function(name: str, grid: Grid) -> GridFunction:
-    t = grid.points()
-    if name == "gaussian_bump":
-        return grid.function(100.0 * np.exp(-10.0 * (t - 0.5) ** 2))
-    raise ValueError(f"unknown source profile {name!r}")
+    return grid.from_callable(TRUTHS[name])
 
 
 def build_model(spec: ModelSpec) -> ForwardModel:
-    if spec.kind == "fredholm":
-        return fredholm_model(spec.n)
-    u_grid = Grid(spec.subintervals - 1, convention="interior")
-    return elliptic_model(spec.subintervals, spec.g0, spec.g1, source_function(spec.source, u_grid))
+    return MODEL_KINDS[spec.kind](spec)
 
 
 def build_penalty(spec: PenaltySpec, x_grid: Grid) -> Penalty:
-    if spec.kind == "quadratic":
-        return QuadraticPenalty()
-    if spec.kind == "shifted_quadratic":
-        if spec.c0 == "linear_t":
-            c0 = x_grid.function(x_grid.points())
-        else:
-            raise ValueError(f"unknown c0 profile {spec.c0!r}")
-        return ShiftedQuadraticPenalty(c0)
-    if spec.kind == "smoothed_tv":
-        return SmoothedTVPenalty(eps=spec.eps, mu=spec.mu)
-    raise ValueError(f"unknown penalty kind {spec.kind!r}")
-
-
-def build_init(name: str, grid: Grid) -> GridFunction:
-    if name == "zeros":
-        return grid.zeros()
-    if name == "ones":
-        return grid.function(np.ones(grid.n))
-    raise ValueError(f"unknown init profile {name!r}")
+    return PENALTY_KINDS[spec.kind](spec, x_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +423,7 @@ def _setup(config: ExperimentConfig):
         raise ConfigError(errors)
     model = build_model(config.model)
     truth = truth_function(config.truth, model.x_grid)
-    return model, truth, build_init(config.solver.init, model.x_grid)
+    return model, truth, model.x_grid.from_callable(INIT_PROFILES[config.solver.init])
 
 
 def run_theory_study(config: ExperimentConfig, deltas, max_workers: int = 1) -> TheoryReport:
@@ -478,13 +464,8 @@ def run_experiment(
             model, fid, pen, config.alpha0, config.q, config.j_max,
             config.solver.to_options(init),
         )
-        outcomes: List[RuleOutcome] = []
-        if apply_rules:
-            for rule in config.rules:
-                if rule.kind == "hanke_raus":
-                    outcomes.append(hanke_raus_select(path))
-                else:
-                    outcomes.append(discrepancy_select(path, rule.tau, delta))
+        rules = config.rules if apply_rules else []
+        outcomes = [RULE_KINDS[rule.kind](rule, path, delta) for rule in rules]
         kappa = kappa_hat(path, delta) if delta > 0 else float("nan")
         return PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa)
 

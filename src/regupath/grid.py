@@ -147,9 +147,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
 
 def lr_norm(f: GridFunction, r: float) -> float:
     """Weighted discrete L^r norm (sum_i w_i |f_i|^r)^(1/r), r > 1.

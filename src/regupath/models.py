@@ -20,11 +20,13 @@ class InadmissibleCoefficientError(ValueError):
 class ForwardModel:
     """Operator contract: F, its derivative action and the adjoint action.
 
-    ``apply`` maps x_grid functions to y_grid functions.  ``derivative`` and
-    ``adjoint_derivative`` evaluate F'(x)h and F'(x)*w; the adjoint is taken
-    with respect to the weighted L^2 inner products of the two grids.
-    ``project`` (optional) maps a raw value array onto the admissible set and
-    is used by the descent solver after each step.
+    ``apply`` maps x_grid functions to y_grid functions and raises
+    InadmissibleCoefficientError outside the model's admissible set, if it
+    has one.  ``derivative`` and ``adjoint_derivative`` evaluate F'(x)h and
+    F'(x)*w; the adjoint is taken with respect to the weighted L^2 inner
+    products of the two grids.  ``project`` (optional) maps a raw value
+    array onto the admissible set and is used by the descent solver after
+    each step.
     """
 
     name: str
@@ -33,7 +35,6 @@ class ForwardModel:
     apply: Callable[[GridFunction], GridFunction]
     derivative: Callable[[GridFunction, GridFunction], GridFunction]
     adjoint_derivative: Callable[[GridFunction, GridFunction], GridFunction]
-    domain_check: Callable[[GridFunction], bool]
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -78,7 +79,6 @@ def fredholm_model(n: int) -> ForwardModel:
         apply=apply,
         derivative=derivative,
         adjoint_derivative=adjoint_derivative,
-        domain_check=lambda x: True,
     )
 
 
@@ -112,7 +112,7 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         hit = getattr(last, "state", None)
         if hit is not None and hit[0] == key:
             return hit[1], hit[2]
-        if not domain_check(c):
+        if not (c.values >= 0.0).all():
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
         diag = 2.0 * inv_h2 + c.values[1:-1]
         u = solve_tridiagonal(off, diag, off, base_rhs)
@@ -140,9 +140,6 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         full[1:-1] = -u * v
         return c_grid.function(full)
 
-    def domain_check(c: GridFunction) -> bool:
-        return bool((c.values >= 0.0).all())
-
     return ForwardModel(
         name="elliptic",
         x_grid=c_grid,
@@ -150,7 +147,6 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         apply=apply,
         derivative=derivative,
         adjoint_derivative=adjoint_derivative,
-        domain_check=domain_check,
         project=lambda vals: np.maximum(vals, 0.0),
     )
 
@@ -192,8 +188,8 @@ class NoiseSpec:
                 yield f"fraction must lie in (0, 1), got {fraction!r}"
             if not (is_real(amplitude) and amplitude > 0):
                 yield f"amplitude must be positive, got {amplitude!r}"
-        if not is_integer(seed):
-            yield f"seed must be an integer, got {seed!r}"
+        if not (is_integer(seed) and seed >= 0):
+            yield f"seed must be a nonnegative integer, got {seed!r}"
 
 
 def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):

@@ -16,10 +16,10 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> List[float]:
+def _nice_ticks(lo: float, hi: float) -> List[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

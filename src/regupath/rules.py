@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import GridFunction, lr_norm
+from .grid import GridFunction, is_real, lr_norm, require
 from .models import ForwardModel
 from .penalties import Fidelity, IndexFunction, Penalty, bregman_distance
 from .solver import AlphaPathRecord, SolveOptions, compute_alpha_path
@@ -18,7 +18,8 @@ from .solver import AlphaPathRecord, SolveOptions, compute_alpha_path
 class RuleOutcome:
     """Selected regularization parameter together with its provenance.
 
-    ``delta_star`` is the residual of the selected record in the data norm.
+    ``alpha_star`` and ``delta_star`` are the parameter and the residual (in
+    the data norm) of the selected record.
     Flags: ``no_qualifying_alpha`` (discrepancy rule found no grid point
     under its threshold) and ``small_delta_star`` (the selected residual is
     suspiciously small relative to the small-alpha tail of the path and the
@@ -26,13 +27,18 @@ class RuleOutcome:
     """
 
     rule: str
-    alpha_star: float
     record: AlphaPathRecord
-    delta_star: float
     path: Tuple[AlphaPathRecord, ...]
     tau: Optional[float] = None
-    noise_level: Optional[float] = None
     flags: Tuple[str, ...] = ()
+
+    @property
+    def alpha_star(self) -> float:
+        return self.record.alpha
+
+    @property
+    def delta_star(self) -> float:
+        return self.record.residual
 
 
 @dataclass
@@ -84,9 +90,7 @@ def hanke_raus_select(path: Sequence[AlphaPathRecord]) -> RuleOutcome:
         flags.append("small_delta_star")
     return RuleOutcome(
         rule="hanke_raus",
-        alpha_star=best.alpha,
         record=best,
-        delta_star=best.residual,
         path=tuple(sorted(path, key=lambda rec: -rec.alpha)),
         flags=tuple(flags),
     )
@@ -116,12 +120,9 @@ def discrepancy_select(path: Sequence[AlphaPathRecord], tau: float, delta: float
         flags = ("no_qualifying_alpha",)
     return RuleOutcome(
         rule="discrepancy",
-        alpha_star=chosen.alpha,
         record=chosen,
-        delta_star=chosen.residual,
         path=tuple(ordered),
         tau=tau,
-        noise_level=delta,
         flags=flags,
     )
 
@@ -177,7 +178,6 @@ def check_corollary_bounds(
     q: float,
     r: float,
     index_fn: Optional[IndexFunction] = None,
-    xi_dagger: Optional[GridFunction] = None,
 ) -> TheoryReport:
     """Evaluate the a-posteriori lower bounds for a theta-argmin selection.
 
@@ -215,14 +215,23 @@ def check_corollary_bounds(
         if outcome.delta_star == 0.0:
             flags.append("degenerate_zero_residual")
         else:
-            xi = xi_dagger if xi_dagger is not None else pen.subgradient(x_dagger)
-            breg = bregman_distance(pen, xi, outcome.record.x, x_dagger)
+            breg = bregman_distance(pen, pen.subgradient(x_dagger), outcome.record.x, x_dagger)
             denom = (1.0 + delta**r / outcome.delta_star**r) * (
                 delta**r + index_fn(delta + outcome.delta_star)
             )
             bound_ratio = breg / denom
             rows.append(_level_row(outcome, delta, breg, kappa))
     return _bound_report(outcome, kappa, delta, r_dagger, q, r, rows, bound_ratio, flags)
+
+
+def noise_level_problems(deltas: Sequence[float]) -> Iterator[str]:
+    """Every reason a list of noise levels makes no shrinking-noise study."""
+    if not deltas:
+        yield "need at least one noise level"
+    if not all(is_real(d) and d > 0 for d in deltas):
+        yield f"noise levels must be finite and positive, got {list(deltas)!r}"
+    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
+        yield f"noise levels must be strictly decreasing, got {list(deltas)!r}"
 
 
 def run_delta_sequence(
@@ -235,7 +244,6 @@ def run_delta_sequence(
     deltas: Sequence[float],
     seed: int,
     x_dagger: GridFunction,
-    xi_dagger: Optional[GridFunction] = None,
     opts: Optional[SolveOptions] = None,
     max_workers: int = 1,
 ) -> TheoryReport:
@@ -248,18 +256,13 @@ def run_delta_sequence(
     applied, and (delta, alpha_*, theta_*, Bregman error) recorded.
     """
     deltas = list(deltas)
-    if not deltas:
-        raise ValueError("need at least one noise level")
-    if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("noise levels must be strictly decreasing")
-    if any(not d > 0 for d in deltas):
-        raise ValueError("noise levels must be positive")
+    require(noise_level_problems(deltas))
 
     y = model.apply(x_dagger)
     rng = np.random.default_rng(seed)
     raw = y.grid.function(rng.standard_normal(y.n))
     direction = (1.0 / lr_norm(raw, r)) * raw
-    xi = xi_dagger if xi_dagger is not None else pen.subgradient(x_dagger)
+    xi = pen.subgradient(x_dagger)
 
     def one_level(delta: float):
         data = y + delta * direction

@@ -125,8 +125,10 @@ def solve_tikhonov(
 
     Returns a stationary-point record; ``converged`` reports whether the
     gradient tolerance was met within max_iters.  A non-finite objective or
-    gradient at an accepted point raises DivergenceError.  Between calls into
-    the model, fidelity and penalty, the loop works on plain arrays.
+    gradient at an accepted point raises DivergenceError; an initial guess
+    outside the model's admissible set raises the model's
+    InadmissibleCoefficientError.  Between calls into the model, fidelity
+    and penalty, the loop works on plain arrays.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -135,8 +137,6 @@ def solve_tikhonov(
     x = opts.init if opts.init is not None else x_grid.zeros()
     if x.grid != x_grid:
         raise ValueError("initial guess lives on the wrong grid")
-    if not model.domain_check(x):
-        raise InadmissibleCoefficientError("initial guess violates the model domain")
 
     weights = x_grid.weights()
     project = model.project

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from regupath import (AlphaPathRecord, DivergenceError, Fidelity, ForwardModel, GridFunction,
-                      InadmissibleCoefficientError, SolveOptions, l2_inner, lr_norm)
+                      SolveOptions, l2_inner, lr_norm)
 from regupath.penalties import Penalty
 
 
@@ -128,8 +128,6 @@ def reference_solve_tikhonov(
     x = opts.init if opts.init is not None else model.x_grid.zeros()
     if x.grid != model.x_grid:
         raise ValueError("initial guess lives on the wrong grid")
-    if not model.domain_check(x):
-        raise InadmissibleCoefficientError("initial guess violates the model domain")
 
     weights = model.x_grid.weights()
 

@@ -107,9 +107,26 @@ def test_missing_config_file_exit_code_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_bad_deltas_exit_code_2(config_file, capsys):
-    assert main(["theory", "--config", str(config_file), "--deltas", "abc"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("deltas", ["abc", "0.1,0.2", "-0.1", "0.1,nan", "inf,0.1"])
+def test_bad_deltas_exit_code_2(config_file, tmp_path, capsys, deltas):
+    out = tmp_path / "theory_out"
+    assert main(["theory", "--config", str(config_file), "--deltas", deltas, "--out", str(out)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_exit_code_2(tmp_path, capsys):
+    data = small_config_dict(tmp_path / "out")
+    data["noise"]["seed"] = -3
+    cfg_path = tmp_path / "negative_seed.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: noise.seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(small_config_dict(tmp_path / "out")), encoding="utf-8")
+    for command in (["run"], ["theory", "--deltas", "0.1,0.05"]):
+        assert main(command + ["--config", str(cfg_path), "--seed", "-4"]) == 2
+        assert "config error: noise.seed must be a nonnegative integer, got -4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergent_solve_exit_code_3(tmp_path, capsys):

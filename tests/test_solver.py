@@ -8,6 +8,7 @@ from regupath import (
     Fidelity,
     ForwardModel,
     Grid,
+    InadmissibleCoefficientError,
     NoiseSpec,
     PathAborted,
     QuadraticPenalty,
@@ -35,7 +36,6 @@ def identity_model(n=50):
         apply=ident,
         derivative=lambda x, h: h,
         adjoint_derivative=lambda x, w: w,
-        domain_check=lambda x: True,
     )
 
 
@@ -236,6 +236,22 @@ def test_theta_stored_exactly(noisy_benchmark):
         assert rec.theta == rec.residual**1.5 / rec.alpha
 
 
+def test_inadmissible_initial_guess_raises():
+    # the model's apply is the one home of the admissible set
+    N = 20
+    u_grid = Grid(N - 1, convention="interior")
+    model = elliptic_model(N, 1.0, 6.0, u_grid.from_callable(lambda t: 1.0 + t))
+    coefficient = np.ones(N + 1)
+    coefficient[N // 2] = -0.5
+    init = model.x_grid.function(coefficient)
+    fid = Fidelity(2.0, model.apply(model.x_grid.function(np.ones(N + 1))))
+    opts = SolveOptions(max_iters=10, init=init)
+    with pytest.raises(InadmissibleCoefficientError):
+        solve_tikhonov(model, fid, QuadraticPenalty(), 0.1, opts)
+    with pytest.raises(InadmissibleCoefficientError):
+        compute_alpha_path(model, fid, QuadraticPenalty(), 0.1, 0.5, 3, opts)
+
+
 def test_projection_keeps_iterates_admissible(rng):
     # a clipping model must never see a negative coordinate at evaluation
     grid = Grid(30)
@@ -252,7 +268,6 @@ def test_projection_keeps_iterates_admissible(rng):
         apply=checked_apply,
         derivative=lambda x, h: h,
         adjoint_derivative=lambda x, w: w,
-        domain_check=lambda x: bool(np.all(x.values >= 0)),
         project=lambda vals: np.maximum(vals, 0.0),
     )
     data = grid.function(rng.normal(size=30))  # some negative targets

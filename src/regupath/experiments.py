@@ -12,7 +12,7 @@ from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_ty
 import numpy as np
 
 from .grid import Grid, GridFunction, is_integer, is_real, lr_norm
-from .models import ForwardModel, NoiseSpec, elliptic_model, fredholm_model, make_noisy
+from .models import ForwardModel, NoiseOverflowError, NoiseSpec, elliptic_model, fredholm_model, make_noisy
 from .penalties import (
     Fidelity,
     Penalty,
@@ -453,7 +453,10 @@ def run_experiment(
     """Build model + truth + noise, solve the alpha path(s), apply the rules."""
     model, truth, init = _setup(config)
     exact = model.apply(truth)
-    noisy, delta = make_noisy(exact, config.noise.to_spec(), norm_exponent=config.fidelity_r)
+    try:
+        noisy, delta = make_noisy(exact, config.noise.to_spec(), norm_exponent=config.fidelity_r)
+    except NoiseOverflowError as exc:
+        raise ConfigError([f"noise: {exc}"]) from exc
     fid = Fidelity(config.fidelity_r, noisy)
     tags = penalty_tags(config.penalties)
 

@@ -8,12 +8,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dgbsv, dposv
 
-from .grid import Grid, GridFunction, is_integer, is_real, lr_norm, require, solve_tridiagonal
+from .grid import Grid, GridFunction, SingularSystemError, is_integer, is_real, lr_norm, require, solve_tridiagonal
 
 
 class InadmissibleCoefficientError(ValueError):
     """Coefficient outside the operator's admissible domain."""
+
+
+class NoiseOverflowError(ValueError):
+    """Noisy data beyond the float range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,8 +31,15 @@ class ForwardModel:
     has one.  ``derivative`` and ``adjoint_derivative`` evaluate F'(x)h and
     F'(x)*w; the adjoint is taken with respect to the weighted L^2 inner
     products of the two grids.  ``project`` (optional) maps a raw value
-    array onto the admissible set and is used by the descent solver after
-    each step.
+    array onto the admissible set and is used by the solver after each step.
+
+    ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
+    misfit, ``gauss_newton(x, free, diag, sub, rhs)``: with J = F'(x) as a
+    matrix on the raw sample values, W_y the data grid's weights, D_f the
+    diagonal 0/1 matrix of the boolean mask ``free`` and B the symmetric
+    tridiagonal matrix with diagonal ``diag`` and sub-diagonal ``sub``, it
+    returns s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs.  It raises
+    SingularSystemError when that matrix is singular.
     """
 
     name: str
@@ -36,6 +49,7 @@ class ForwardModel:
     derivative: Callable[[GridFunction, GridFunction], GridFunction]
     adjoint_derivative: Callable[[GridFunction, GridFunction], GridFunction]
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gauss_newton: Optional[Callable[..., np.ndarray]] = None
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -72,6 +86,21 @@ def fredholm_model(n: int) -> ForwardModel:
             raise ValueError("data-space input lives on the wrong grid")
         return grid.function(adjoint_mat @ v.values)
 
+    root_w = np.sqrt(w)
+    diagonal = np.arange(n)
+
+    def gauss_newton(x, free, diag, sub, rhs):
+        # 2 (W^(1/2) K D_f)^T (W^(1/2) K D_f) by one dsyrk into the lower
+        # triangle, then B added in place and a Cholesky solve
+        scaled = (root_w[:, None] * apply_mat) * free
+        gram = dsyrk(2.0, scaled.T, lower=1)
+        gram[diagonal, diagonal] += diag
+        gram[diagonal[1:], diagonal[:-1]] += sub
+        s, info = dposv(gram, rhs, lower=1, overwrite_a=1)[1:]
+        if info != 0:
+            raise SingularSystemError(f"Gauss-Newton matrix is not positive definite (info={info})")
+        return s
+
     return ForwardModel(
         name="fredholm",
         x_grid=grid,
@@ -79,6 +108,7 @@ def fredholm_model(n: int) -> ForwardModel:
         apply=apply,
         derivative=derivative,
         adjoint_derivative=adjoint_derivative,
+        gauss_newton=gauss_newton,
     )
 
 
@@ -140,6 +170,42 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         full[1:-1] = -u * v
         return c_grid.function(full)
 
+    # J = -A(c)^{-1} diag(u) on the interior coefficients, so with u_f = u on
+    # the free interior nodes and 0 elsewhere the Gauss-Newton system is
+    #   B s + diag(u_f) z = rhs,   A w - diag(u_f) s = 0,   A z - 2h w = 0
+    # (W_y = h I).  Ordered s_0, (s_k, w_k, z_k) for k = 1..N-1, s_N, every
+    # coupling lies within three places of the diagonal.
+    size = 3 * (N - 1) + 2
+    s_at = np.arange(N + 1) * 3 - 2
+    s_at[0] = 0
+    w_at = s_at[1:-1] + 1
+    z_at = s_at[1:-1] + 2
+    kl = ku = 3
+
+    def gauss_newton(c, free, diag, sub, rhs):
+        a_diag, u = _solved(c)
+        u_f = u * free[1:-1]
+        band = np.zeros((2 * kl + ku + 1, size))
+
+        def put(rows, cols, values):
+            band[kl + ku + rows - cols, cols] = values
+
+        put(s_at, s_at, diag)
+        put(s_at[1:], s_at[:-1], sub)
+        put(s_at[:-1], s_at[1:], sub)
+        put(s_at[1:-1], z_at, u_f)
+        for at, coupled, weight in ((w_at, s_at[1:-1], -u_f), (z_at, w_at, -2.0 * h)):
+            put(at, at, a_diag)
+            put(at[1:], at[:-1], -inv_h2)
+            put(at[:-1], at[1:], -inv_h2)
+            put(at, coupled, weight)
+        b = np.zeros(size)
+        b[s_at] = rhs
+        x, info = dgbsv(kl, ku, band, b, overwrite_ab=1, overwrite_b=1)[2:]
+        if info != 0:
+            raise SingularSystemError(f"singular Gauss-Newton system: zero pivot in row {info}")
+        return x[s_at]
+
     return ForwardModel(
         name="elliptic",
         x_grid=c_grid,
@@ -148,6 +214,7 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         derivative=derivative,
         adjoint_derivative=adjoint_derivative,
         project=lambda vals: np.maximum(vals, 0.0),
+        gauss_newton=gauss_newton,
     )
 
 
@@ -192,11 +259,13 @@ class NoiseSpec:
             yield f"seed must be a nonnegative integer, got {seed!r}"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite noisy data are a NoiseOverflowError
 def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
     """Perturb exact data; returns (noisy, delta) with delta = ||noisy - y||.
 
     The realized noise level is reported in the experiment's data norm, i.e.
     the L^norm_exponent norm on y's grid.  Bit-reproducible for a fixed seed.
+    Noisy values beyond the float range raise NoiseOverflowError.
     """
     rng = np.random.default_rng(spec.seed)
     n = y.n
@@ -215,6 +284,9 @@ def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
             raw = rng.standard_normal(n)
             nrm = math.sqrt(float(np.sum(w * raw * raw)))
             pert = pert + (spec.level / nrm) * raw
-    noisy = y.with_values(y.values + pert)
+    values = y.values + pert
+    if not np.isfinite(values).all():
+        raise NoiseOverflowError(f"{spec.kind} noise of this size gives noisy data beyond the float range")
+    noisy = y.with_values(values)
     delta = lr_norm(y.with_values(pert), norm_exponent)
     return noisy, delta

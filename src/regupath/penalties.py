@@ -7,13 +7,16 @@ value functional J and direction d
     d/ds J(x + s d) |_{s=0} = l2_inner(grad J(x), d).
 
 This keeps penalty subgradients, misfit gradients and operator adjoints
-mutually consistent inside the descent solver.
+mutually consistent inside the solver.  Penalty Hessians, in contrast, are
+Euclidean: ``hessian(x)`` returns the diagonal and sub-diagonal of the
+symmetric tridiagonal matrix of second derivatives of R in the raw sample
+values, the form the Gauss-Newton systems of the solver add to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +40,9 @@ class QuadraticPenalty:
     def subgradient(self, x: GridFunction) -> GridFunction:
         return 2.0 * x
 
+    def hessian(self, x: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+        return 2.0 * x.grid.weights(), np.zeros(x.n - 1)
+
 
 @dataclass(frozen=True, eq=False)
 class ShiftedQuadraticPenalty:
@@ -53,6 +59,10 @@ class ShiftedQuadraticPenalty:
     def subgradient(self, x: GridFunction) -> GridFunction:
         x._check_same_grid(self.c0)
         return 2.0 * (x - self.c0)
+
+    def hessian(self, x: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+        x._check_same_grid(self.c0)
+        return 2.0 * x.grid.weights(), np.zeros(x.n - 1)
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,18 @@ class SmoothedTVPenalty:
         g[-1] = s[-1]
         g /= x.grid.weights()
         return x.with_values(g + 2.0 * self.mu * v)
+
+    def hessian(self, x: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+        # D^T diag(c) D + 2 mu W, with D the unscaled forward difference and
+        # c = d(s_i)/d(v_{i+1} - v_i) = eps^2 / (h (d^2 + eps^2)^(3/2))
+        v = x.values
+        h = x.grid.h
+        d = (v[1:] - v[:-1]) / h
+        c = self.eps**2 / (h * (d * d + self.eps**2) ** 1.5)
+        diag = 2.0 * self.mu * x.grid.weights()
+        diag[:-1] += c
+        diag[1:] += c
+        return diag, -c
 
 
 Penalty = Union[QuadraticPenalty, ShiftedQuadraticPenalty, SmoothedTVPenalty]

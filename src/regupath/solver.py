@@ -1,4 +1,4 @@
-"""Backtracking gradient descent for Tikhonov functionals and alpha paths."""
+"""Projected Gauss-Newton and gradient descent for Tikhonov functionals, and alpha paths."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import GridFunction, is_integer, is_real, lr_norm, require
+from .grid import GridFunction, SingularSystemError, is_integer, is_real, lr_norm, require
 from .models import ForwardModel, InadmissibleCoefficientError
 from .penalties import Fidelity, Penalty
 
@@ -27,14 +27,18 @@ class PathAborted(RuntimeError):
 
 @dataclass
 class SolveOptions:
-    """Descent solver configuration.
+    """Solver configuration.
 
-    The solver runs projected gradient descent with Armijo backtracking.
-    The first trial step is the constant ``_STEP_INIT``; later trial steps
-    come from a Barzilai-Borwein estimate, backtracked by ``_STEP_SHRINK``
+    An r = 2 misfit on a model with a ``gauss_newton`` solve (both shipped
+    models) takes projected Gauss-Newton steps; every other problem, such as
+    an r = 1.01 misfit, takes projected gradient descent steps.  Either way
+    each step is backtracked by ``_STEP_SHRINK`` along the projection arc
     until the sufficient-decrease condition with constant ``_ARMIJO`` holds,
     so the objective is non-increasing across accepted iterations by
-    construction.
+    construction, and ``max_iters`` caps the number of accepted steps.  A
+    Gauss-Newton step starts at the full step 1; the first descent step is
+    the constant ``_STEP_INIT`` and later ones come from a Barzilai-Borwein
+    estimate.
 
     Convergence is declared when the weighted L^2 norm of the objective
     gradient falls below grad_tol relative to its value at the solve's
@@ -75,10 +79,13 @@ class AlphaPathRecord:
     converged: bool
 
 
-_STEP_INIT = 1.0  # first trial step of a solve
+_STEP_INIT = 1.0  # first trial step of a descent solve
 _STEP_SHRINK = 0.5  # backtracking factor
 _ARMIJO = 1e-4  # sufficient-decrease constant
 _MIN_STEP = 1e-20
+
+# Bertsekas' epsilon-active set never reaches further from the bound than this.
+_ACTIVE_EPS = 1e-3
 
 # A path stops once residual^r falls to this floor (a numerically exact data fit).
 _RESIDUAL_POWER_FLOOR = 1e-14
@@ -113,6 +120,30 @@ def _norm(weights: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt((weights * (g * g)).sum())
 
 
+def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, x: GridFunction,
+                            g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The projected Gauss-Newton direction d; the step goes to P(x - t d).
+
+    Following Bertsekas (1982), a coordinate is active when it lies within
+    min(_ACTIVE_EPS, |x - P(x - g)|_inf) of the bound 0 of the model's
+    projection (the nonnegative set) and its gradient component is positive.  Free coordinates take the Gauss-Newton step of
+    the free block, active ones the gradient step scaled by the penalty
+    Hessian's diagonal, and a singular system falls back to d = g.
+    """
+    xv = x.values
+    diag, sub = pen.hessian(x)
+    diag, sub = alpha * diag, alpha * sub
+    free = np.ones(xv.shape, dtype=bool)
+    if model.project is not None:
+        eps = min(_ACTIVE_EPS, float(np.abs(xv - model.project(xv - g)).max()))
+        free = (xv > eps) | (g <= 0.0)
+        sub = sub * (free[1:] & free[:-1])
+    try:
+        return model.gauss_newton(x, free, diag, sub, weights * g)
+    except SingularSystemError:
+        return g
+
+
 @np.errstate(over="ignore")  # an overflowing objective is a DivergenceError, not a numpy warning
 def solve_tikhonov(
     model: ForwardModel,
@@ -121,9 +152,10 @@ def solve_tikhonov(
     alpha: float,
     opts: Optional[SolveOptions] = None,
 ) -> AlphaPathRecord:
-    """Minimize ||F(x) - data||_r^r + alpha * R(x) by projected descent.
+    """Minimize ||F(x) - data||_r^r + alpha * R(x) by projected Gauss-Newton or descent.
 
-    Returns a stationary-point record; ``converged`` reports whether the
+    See SolveOptions for which problems take which method.  Returns a
+    stationary-point record; ``converged`` reports whether the
     gradient tolerance was met within max_iters.  A non-finite objective or
     gradient at an accepted point raises DivergenceError; an initial guess
     outside the model's admissible set raises the model's
@@ -153,14 +185,18 @@ def solve_tikhonov(
     gnorm = _norm(weights, g)
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
+    gauss_newton = fid.r == 2.0 and model.gauss_newton is not None
     iters = 0
     converged = gnorm <= tol
     trial = _STEP_INIT
     while iters < opts.max_iters and not converged:
-        t = trial
+        if gauss_newton:
+            direction, t = _gauss_newton_direction(model, pen, alpha, x, g, weights), 1.0
+        else:
+            direction, t = g, trial
         accepted = False
         while t >= _MIN_STEP:
-            cand = xv - t * g
+            cand = xv - t * direction
             if project is not None:
                 cand = project(cand)
             if not np.isfinite(cand).all():
@@ -170,9 +206,9 @@ def solve_tikhonov(
             fx_new, obj_new = objective(x_new)
             if math.isfinite(obj_new):
                 predicted = float((weights * g * (xv - cand)).sum())
-                if predicted <= 0.0:
+                if predicted <= 0.0 and not gauss_newton:
                     break  # projection blocked every direction of decrease
-                if obj - obj_new >= _ARMIJO * predicted:
+                if predicted > 0.0 and obj - obj_new >= _ARMIJO * predicted:
                     accepted = True
                     break
             t *= _STEP_SHRINK

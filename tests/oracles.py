@@ -40,6 +40,20 @@ def dense_tridiagonal(sub, diag, sup) -> np.ndarray:
     return m
 
 
+def dense_jacobian(model: ForwardModel, x: GridFunction) -> np.ndarray:
+    """F'(x) as a matrix on the raw sample values, one derivative action per unit vector."""
+    unit = np.eye(model.x_grid.n)
+    return np.column_stack([model.derivative(x, model.x_grid.function(e)).values for e in unit])
+
+
+def dense_gauss_newton(model: ForwardModel, x: GridFunction, free: np.ndarray, diag: np.ndarray,
+                       sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (2 (J D_f)^T W_y (J D_f) + B) s = rhs with dense matrices."""
+    jf = dense_jacobian(model, x) * free
+    lhs = 2.0 * jf.T @ np.diag(model.y_grid.weights()) @ jf + dense_tridiagonal(sub, diag, sub)
+    return np.linalg.solve(lhs, rhs)
+
+
 def fredholm_kernel_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values and trapezoid weights for the shipped integral operator."""
     t = np.linspace(0.0, 1.0, n)

@@ -12,10 +12,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_traced_theory_study_is_correct():
+def _traced_run(workload: str) -> dict:
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--blas-threads", "1",
-           "--workload", "theory_study", "--seed", "1", "--seconds", "0", "--trace", "1"]
+           "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+    return result
+
+
+def test_benchmark_traced_theory_study_is_correct():
+    _traced_run("theory_study")
+
+
+def test_benchmark_traced_elliptic_tv_converges_everywhere():
+    # every alpha solve of example2_piecewise meets the gradient test
+    metrics = _traced_run("elliptic_tv")["metrics"]
+    assert metrics["solver.converged"]["value"] == metrics["solver.solves"]["value"] > 0

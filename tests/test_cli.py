@@ -148,6 +148,17 @@ def test_divergent_solve_exit_code_3(tmp_path, capsys):
     assert "gradient is non-finite" in capsys.readouterr().err
 
 
+def test_noise_beyond_float_range_exit_code_2(tmp_path, capsys):
+    data = small_config_dict(tmp_path / "out")
+    data["noise"] = {"kind": "gaussian", "level": 1e308}
+    cfg_path = tmp_path / "huge_noise.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: noise: gaussian noise of this size gives noisy data beyond the float range" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonfinite_number_exit_code_2(tmp_path, capsys):
     data = json.dumps(small_config_dict(tmp_path / "out")).replace('"level": 0.05', '"level": Infinity')
     cfg_path = tmp_path / "nonfinite.json"

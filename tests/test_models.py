@@ -9,7 +9,10 @@ import regupath.models
 from regupath import (
     Grid,
     InadmissibleCoefficientError,
+    NoiseOverflowError,
     NoiseSpec,
+    QuadraticPenalty,
+    SmoothedTVPenalty,
     elliptic_model,
     fredholm_model,
     l2_inner,
@@ -17,7 +20,7 @@ from regupath import (
     make_noisy,
 )
 
-from oracles import estimate_kappa, fredholm_apply_matrix
+from oracles import dense_gauss_newton, estimate_kappa, fredholm_apply_matrix
 
 
 def _elliptic(N=100, g0=1.0, g1=6.0):
@@ -216,6 +219,25 @@ def test_elliptic_projection_clips_at_zero():
     np.testing.assert_array_equal(model.project(vals), [0.0, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-8])
+@pytest.mark.parametrize("penalty", [QuadraticPenalty(), SmoothedTVPenalty(eps=0.5, mu=1e-3)],
+                         ids=["quadratic", "smoothed_tv"])
+def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
+    # the elliptic banded (s, w, z) system and the Fredholm Cholesky against
+    # a dense J assembled from derivative actions, on random free masks
+    for model in (_elliptic(N=60), fredholm_model(41)):
+        grid = model.x_grid
+        x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
+        for _ in range(3):
+            free = rng.uniform(size=grid.n) > 0.3
+            diag, sub = penalty.hessian(x)
+            diag, sub = alpha * diag, alpha * sub * (free[1:] & free[:-1])
+            rhs = rng.normal(size=grid.n)
+            want = dense_gauss_newton(model, x, free, diag, sub, rhs)
+            got = model.gauss_newton(x, free, diag, sub, rhs)
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
+
+
 # ---------------------------------------------------------------------------
 # noise generation
 
@@ -248,6 +270,18 @@ def test_noise_is_reproducible_bitwise():
     assert da == db
     c, _ = make_noisy(y, NoiseSpec(kind="gaussian", level=0.1, seed=43))
     assert np.any(c.values != a.values)
+
+
+def test_noise_beyond_float_range_raises():
+    g = Grid(50)
+    y = g.from_callable(np.sin)
+    for spec in (NoiseSpec(kind="gaussian", level=1e308, seed=1),
+                 NoiseSpec(kind="impulsive_gaussian", fraction=0.5, amplitude=1e308, level=1e308, seed=1)):
+        with pytest.raises(NoiseOverflowError, match="beyond the float range"):
+            make_noisy(y, spec)
+    # an impulse of the largest size still fits
+    noisy, _ = make_noisy(y, NoiseSpec(kind="impulsive", fraction=0.1, amplitude=1e308, seed=1))
+    assert np.abs(noisy.values).max() == pytest.approx(1e308)
 
 
 def test_noise_spec_validation():

@@ -19,7 +19,7 @@ from regupath import (
     power_index,
 )
 
-from oracles import directional_derivative
+from oracles import dense_tridiagonal, directional_derivative
 
 
 def _smooth_probe(grid, gen, slope=2.0):
@@ -96,6 +96,32 @@ def test_smoothed_tv_gradient_matches_finite_differences(rng, mu):
         fd = directional_derivative(value, x.values, direction, 1e-8)
         exact = l2_inner(xi, g.function(direction))
         assert fd == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "make_pen",
+    [
+        lambda g: QuadraticPenalty(),
+        lambda g: ShiftedQuadraticPenalty(g.function(g.points())),
+        lambda g: SmoothedTVPenalty(eps=1e-4, mu=0.3),
+        lambda g: SmoothedTVPenalty(eps=0.5, mu=0.0),
+    ],
+)
+def test_hessian_matches_central_differences_of_subgradient(rng, make_pen):
+    # the Euclidean Hessian is the derivative of W * subgradient, column by column
+    g = Grid(41)
+    pen = make_pen(g)
+    x = _smooth_probe(g, rng)
+    diag, sub = pen.hessian(x)
+    hess = dense_tridiagonal(sub, diag, sub)
+    w = g.weights()
+    step = 1e-7
+    for k in range(g.n):
+        e = np.zeros(g.n)
+        e[k] = step
+        fd = w * (pen.subgradient(g.function(x.values + e)).values
+                  - pen.subgradient(g.function(x.values - e)).values) / (2.0 * step)
+        assert np.abs(fd - hess[:, k]).max() <= 1e-6 * np.abs(hess[:, k]).max(), k
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from regupath import (
     PathAborted,
     QuadraticPenalty,
     ShiftedQuadraticPenalty,
+    SingularSystemError,
     SmoothedTVPenalty,
     SolveOptions,
     compute_alpha_path,
@@ -76,6 +77,38 @@ def test_fredholm_solver_matches_normal_equations(noisy_benchmark):
         x_ref = tikhonov_normal_equations(ref_mat, w, noisy.values, alpha)
         ref = model.x_grid.function(x_ref)
         assert lr_norm(rec.x - ref, 2.0) <= 1e-5 * lr_norm(ref, 2.0)
+
+
+def test_linear_quadratic_gauss_newton_takes_one_step(noisy_benchmark):
+    # r = 2, a linear model and a quadratic penalty: the Gauss-Newton step is
+    # the normal-equations solve, and its gradient meets the test at once
+    model, truth, noisy, _ = noisy_benchmark
+    fid = Fidelity(2.0, noisy)
+    ref_mat = fredholm_apply_matrix(101)
+    w = model.x_grid.weights()
+    for alpha in (0.3, 1e-3, 1e-6):
+        rec = solve_tikhonov(model, fid, QuadraticPenalty(), alpha, SolveOptions(grad_tol=1e-8))
+        assert rec.iters == 1 and rec.converged
+        ref = model.x_grid.function(tikhonov_normal_equations(ref_mat, w, noisy.values, alpha))
+        assert lr_norm(rec.x - ref, 2.0) <= 1e-9 * lr_norm(ref, 2.0)
+
+
+def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):
+    # a model whose Gauss-Newton solve always fails still converges, by
+    # gradient steps, to the closed-form minimizer data/(1+alpha)
+    calls = []
+
+    def singular(*args):
+        calls.append(1)
+        raise SingularSystemError("singular")
+
+    model = dataclasses.replace(identity_model(), gauss_newton=singular)
+    data = model.x_grid.function(rng.normal(size=model.x_grid.n))
+    rec = solve_tikhonov(model, Fidelity(2.0, data), QuadraticPenalty(), 1.0,
+                         SolveOptions(grad_tol=1e-12, max_iters=100))
+    assert rec.converged and len(calls) == rec.iters
+    expected = 0.5 * data
+    assert lr_norm(rec.x - expected, 2.0) <= 1e-10 * lr_norm(expected, 2.0)
 
 
 def test_shifted_penalty_solver_matches_oracle(noisy_benchmark):
@@ -279,7 +312,7 @@ def test_projection_keeps_iterates_admissible(rng):
 
 
 # ---------------------------------------------------------------------------
-# the array-level descent loop against the GridFunction-level reference
+# the array-level loop against the GridFunction-level descent reference
 
 
 def _fredholm_outlier_case():
@@ -311,20 +344,30 @@ GUARD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(GUARD_CASES))
 def test_solver_matches_gridfunction_reference_bit_for_bit(case):
+    # The r = 1.01 case runs descent, which must match the reference bit for
+    # bit.  The r = 2 elliptic cases take projected Gauss-Newton steps, which
+    # must end at or below the reference descent's objective through
+    # admissible points only.
     model, fid, pen, alpha = GUARD_CASES[case]()
-    clipped = []
-    if model.project is not None:
-        project = model.project
+    clipped, lowest = [], []
+    project, apply = model.project, model.apply
+    model = dataclasses.replace(model, apply=lambda x: lowest.append(x.values.min()) or apply(x))
+    if project is not None:
         model = dataclasses.replace(model, project=lambda v: clipped.append((v < 0).any()) or project(v))
     opts = SolveOptions(max_iters=400, grad_tol=1e-10)
     got = solve_tikhonov(model, fid, pen, alpha, opts)
+    got_clipped, got_lowest = any(clipped), min(lowest)
     want = reference_solve_tikhonov(model, fid, pen, alpha, opts)
-    assert got.iters == want.iters and got.iters > 50
-    assert got.converged == want.converged
-    assert got.objective == want.objective
-    assert np.array_equal(got.x.values, want.x.values)
-    assert np.array_equal(got.fx.values, want.fx.values)
-    assert any(clipped) == (case == "elliptic_tv_projected")
+    if fid.r == 2.0:
+        assert got.objective <= want.objective * (1 + 1e-12)
+        assert got_lowest >= 0.0 and got.x.values.min() >= 0.0
+    else:
+        assert got.iters == want.iters and got.iters > 50
+        assert got.converged == want.converged
+        assert got.objective == want.objective
+        assert np.array_equal(got.x.values, want.x.values)
+        assert np.array_equal(got.fx.values, want.fx.values)
+    assert got_clipped == (case == "elliptic_tv_projected")
 
 
 def test_non_finite_gradient_is_an_error():

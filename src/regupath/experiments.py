@@ -430,21 +430,16 @@ def run_theory_study(config: ExperimentConfig, deltas, max_workers: int = 1) -> 
     """Shrinking-noise study of a config's model and first penalty.
 
     The noise direction comes from ``noise.seed``; see ``run_delta_sequence``.
+    Noise levels whose data leave the float range are a ConfigError.
     """
     model, truth, init = _setup(config)
-    return run_delta_sequence(
-        model,
-        build_penalty(config.penalties[0], model.x_grid),
-        config.fidelity_r,
-        config.alpha0,
-        config.q,
-        config.j_max,
-        deltas,
-        config.noise.seed,
-        truth,
-        opts=config.solver.to_options(init),
-        max_workers=max_workers,
-    )
+    pen = build_penalty(config.penalties[0], model.x_grid)
+    try:
+        return run_delta_sequence(model, pen, config.fidelity_r, config.alpha0, config.q, config.j_max,
+                                  deltas, config.noise.seed, truth, opts=config.solver.to_options(init),
+                                  max_workers=max_workers)
+    except NoiseOverflowError as exc:
+        raise ConfigError([f"deltas: {exc}"]) from exc
 
 
 def run_experiment(

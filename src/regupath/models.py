@@ -132,21 +132,21 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     base_rhs = f.values.copy()
     base_rhs[0] += g0 * inv_h2
     base_rhs[-1] += g1 * inv_h2
-    # The diagonal of A(c) (its off-diagonals are ``off``) and the state u(c)
-    # of the last coefficient, one pair per thread, so that paths solved on
-    # worker threads do not evict each other.
+    # The last coefficient with the diagonal of A(c) (its off-diagonals are
+    # ``off``) and the state u(c), one triple per thread, so that paths solved
+    # on worker threads do not evict each other.  GridFunction values are
+    # read-only, so the coefficient object itself is the key.
     last = threading.local()
 
     def _solved(c: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-        key = c.values.tobytes()
         hit = getattr(last, "state", None)
-        if hit is not None and hit[0] == key:
+        if hit is not None and hit[0] is c:
             return hit[1], hit[2]
         if not (c.values >= 0.0).all():
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
         diag = 2.0 * inv_h2 + c.values[1:-1]
         u = solve_tridiagonal(off, diag, off, base_rhs)
-        last.state = (key, diag, u)
+        last.state = (c, diag, u)
         return diag, u
 
     def apply(c: GridFunction) -> GridFunction:

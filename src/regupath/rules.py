@@ -9,7 +9,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import GridFunction, is_real, lr_norm, require
-from .models import ForwardModel
+from .models import ForwardModel, NoiseOverflowError
 from .penalties import Fidelity, IndexFunction, Penalty, bregman_distance
 from .solver import AlphaPathRecord, SolveOptions, compute_alpha_path
 
@@ -253,7 +253,9 @@ def run_delta_sequence(
     shared across all levels, so the data at level delta_k is exactly
     y + delta_k * e and the irregularity constant is level-independent.
     For each level the full alpha path is solved, the theta-argmin rule
-    applied, and (delta, alpha_*, theta_*, Bregman error) recorded.
+    applied, and (delta, alpha_*, theta_*, Bregman error) recorded.  A level
+    whose data leave the float range raises NoiseOverflowError before any
+    path is solved.
     """
     deltas = list(deltas)
     require(noise_level_problems(deltas))
@@ -263,10 +265,13 @@ def run_delta_sequence(
     raw = y.grid.function(rng.standard_normal(y.n))
     direction = (1.0 / lr_norm(raw, r)) * raw
     xi = pen.subgradient(x_dagger)
+    with np.errstate(over="ignore"):
+        noisy = [y.values + delta * direction.values for delta in deltas]
+    if not np.isfinite(noisy).all():
+        raise NoiseOverflowError(f"noise levels up to {deltas[0]!r} give noisy data beyond the float range")
 
-    def one_level(delta: float):
-        data = y + delta * direction
-        fid = Fidelity(r, data)
+    def one_level(delta: float, values: np.ndarray):
+        fid = Fidelity(r, y.with_values(values))
         path = compute_alpha_path(model, fid, pen, alpha0, q, j_max, opts)
         outcome = hanke_raus_select(path)
         breg = bregman_distance(pen, xi, outcome.record.x, x_dagger)
@@ -274,9 +279,9 @@ def run_delta_sequence(
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one_level, deltas))
+            results = list(pool.map(one_level, deltas, noisy))
     else:
-        results = [one_level(d) for d in deltas]
+        results = [one_level(d, values) for d, values in zip(deltas, noisy)]
 
     rows = [row for row, _ in results]
     kappa_uniform = min(row.kappa_hat for row in rows)

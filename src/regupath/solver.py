@@ -9,7 +9,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from .grid import GridFunction, SingularSystemError, is_integer, is_real, lr_norm, require
-from .models import ForwardModel, InadmissibleCoefficientError
+from .models import ForwardModel
 from .penalties import Fidelity, Penalty
 
 
@@ -41,8 +41,8 @@ class SolveOptions:
     estimate.
 
     Convergence is declared when the weighted L^2 norm of the objective
-    gradient falls below grad_tol relative to its value at the solve's
-    initial point, or below the absolute floor grad_tol_abs (if positive).
+    gradient is at most tol = max(grad_tol * |g(init)|, grad_tol_abs), the
+    tolerance each record reports.
     """
 
     max_iters: int = 5000
@@ -66,7 +66,7 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class AlphaPathRecord:
-    """Solver output at one regularization parameter."""
+    """Solver output at one regularization parameter; ``tol`` is the tolerance its solve tested."""
 
     alpha: float
     x: GridFunction
@@ -77,6 +77,7 @@ class AlphaPathRecord:
     objective: float
     iters: int
     converged: bool
+    tol: float
 
 
 _STEP_INIT = 1.0  # first trial step of a descent solve
@@ -194,7 +195,6 @@ def solve_tikhonov(
             direction, t = _gauss_newton_direction(model, pen, alpha, x, g, weights), 1.0
         else:
             direction, t = g, trial
-        accepted = False
         while t >= _MIN_STEP:
             cand = xv - t * direction
             if project is not None:
@@ -206,14 +206,11 @@ def solve_tikhonov(
             fx_new, obj_new = objective(x_new)
             if math.isfinite(obj_new):
                 predicted = float((weights * g * (xv - cand)).sum())
-                if predicted <= 0.0 and not gauss_newton:
-                    break  # projection blocked every direction of decrease
                 if predicted > 0.0 and obj - obj_new >= _ARMIJO * predicted:
-                    accepted = True
                     break
             t *= _STEP_SHRINK
-        if not accepted:
-            break  # no further decrease representable at this precision
+        else:
+            break  # no decrease along the arc: below float precision, or the projection blocks it
         g_new = _gradient(model, fid, pen, alpha, x_new, fx_new)
         xv_new = x_new.values
         s = xv_new - xv
@@ -240,6 +237,7 @@ def solve_tikhonov(
         objective=obj,
         iters=iters,
         converged=converged,
+        tol=tol,
     )
 
 
@@ -254,43 +252,29 @@ def compute_alpha_path(
 ) -> List[AlphaPathRecord]:
     """Solve along the geometric grid alpha0 * q^j, j = 0..j_max.
 
-    Records come back in decreasing-alpha order; each solve warm-starts from
-    the previous minimizer (the first from opts.init, default zero).  The
-    grid is truncated early once alpha drops below ``ALPHA_FLOOR`` or the
-    residual satisfies residual^r <= ``_RESIDUAL_POWER_FLOOR`` (a numerically
-    exact data fit).  Solver failures abort the path with the partial record
-    list attached to the raised PathAborted; a non-finite objective or
-    gradient at the initial point aborts it with no records.
+    Records come back in decreasing-alpha order.  The first solve runs with
+    ``opts`` (from opts.init, default zero); each later one warm-starts from
+    the previous minimizer with the first record's ``tol`` as its absolute
+    floor grad_tol_abs, so that a nearly-converged warm start terminates.
+    The grid is truncated early once alpha drops below ``ALPHA_FLOOR`` or
+    residual^r <= ``_RESIDUAL_POWER_FLOOR`` (a numerically exact data fit).
+    A DivergenceError aborts the path with the partial record list attached
+    to the raised PathAborted (no records if the first solve fails); an
+    inadmissible opts.init raises the model's InadmissibleCoefficientError.
     """
     require(alpha_grid_problems(alpha0, q, j_max))
     opts = opts if opts is not None else SolveOptions()
-    init = opts.init if opts.init is not None else model.x_grid.zeros()
-
-    # Warm-started solves inherit an absolute gradient floor anchored at the
-    # path's initial point, so a nearly-converged warm start terminates.
-    with np.errstate(over="ignore"):
-        fx0 = model.apply(init)
-        try:
-            if not math.isfinite(fid.value(fx0) + alpha0 * pen.value(init)):
-                raise DivergenceError("objective is non-finite at the initial point")
-            anchor = _norm(model.x_grid.weights(), _gradient(model, fid, pen, alpha0, init, fx0))
-        except DivergenceError as exc:
-            raise PathAborted(f"path aborted at alpha={alpha0}: {exc}", []) from exc
-    floor = max(opts.grad_tol * anchor, opts.grad_tol_abs)
-
     records: List[AlphaPathRecord] = []
-    current = init
     for j in range(j_max + 1):
         alpha = alpha0 * q**j
         if alpha < ALPHA_FLOOR:
             break
-        step_opts = replace(opts, init=current, grad_tol_abs=floor)
+        step_opts = replace(opts, init=records[-1].x, grad_tol_abs=records[0].tol) if records else opts
         try:
             rec = solve_tikhonov(model, fid, pen, alpha, step_opts)
-        except (DivergenceError, InadmissibleCoefficientError) as exc:
+        except DivergenceError as exc:
             raise PathAborted(f"path aborted at alpha={alpha}: {exc}", records) from exc
         records.append(rec)
-        current = rec.x
         if rec.residual**fid.r <= _RESIDUAL_POWER_FLOOR:
             break
     return records

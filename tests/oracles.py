@@ -209,4 +209,5 @@ def reference_solve_tikhonov(
         objective=obj,
         iters=iters,
         converged=converged,
+        tol=tol,
     )

@@ -159,6 +159,18 @@ def test_noise_beyond_float_range_exit_code_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_theory_noise_beyond_float_range_exit_code_2(config_file, tmp_path, capsys, monkeypatch):
+    # the largest level overflows y + delta * direction before any path is solved
+    paths = []
+    solve_path = regupath.rules.compute_alpha_path
+    monkeypatch.setattr(regupath.rules, "compute_alpha_path", lambda *a: paths.append(1) or solve_path(*a))
+    out = tmp_path / "theory_out"
+    assert main(["theory", "--config", str(config_file), "--deltas", "1e308,0.1", "--out", str(out)]) == 2
+    assert "config error: deltas: noise levels up to 1e+308 give noisy data beyond the float range" \
+        in capsys.readouterr().err
+    assert paths == [] and not out.exists()
+
+
 def test_nonfinite_number_exit_code_2(tmp_path, capsys):
     data = json.dumps(small_config_dict(tmp_path / "out")).replace('"level": 0.05', '"level": Infinity')
     cfg_path = tmp_path / "nonfinite.json"

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import regupath
 from regupath import (
     ConfigError,
     ExperimentConfig,
@@ -296,6 +301,42 @@ def test_seed_changes_noise_but_config_controls_everything_else():
     b = run_experiment(cfg_b)
     assert np.any(a.noisy_data.values != b.noisy_data.values)
     np.testing.assert_array_equal(a.exact_data.values, b.exact_data.values)
+
+
+# Outputs pinned by sha256; a change to any of them is a change of results.
+# A bundle's digest runs over the names and bytes of its files in name order.
+PINNED_BUNDLES = {
+    "example2_smooth": (12, "8f42e8e9940dd91b4c215945c12f3cb04b4f35cd57ed01dc689027d740b2c531"),
+    "example2_piecewise": (8, "6cb331e78555950a9616ae30f9096772b03cef5c004f8fbd258284dda281db6f"),
+}
+# scripts/theory_study.py's theory.csv, the file's own sha256, at one BLAS
+# thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
+PINNED_THEORY_CSV = "9e400392ca662e69e446eb08e851f727afd4350079e0c5e8598649aeaed4202c"
+
+
+def files_digest(paths) -> str:
+    h = hashlib.sha256()
+    for path in sorted(Path(p) for p in paths):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUNDLES))
+def test_preset_bundle_matches_pinned_digest(name, tmp_path):
+    bundle = run_experiment(preset(name))
+    files = write_bundle(bundle, tmp_path) + emit_plots(bundle, tmp_path)
+    assert (len(files), files_digest(files)) == PINNED_BUNDLES[name]
+
+
+def test_theory_study_matches_pinned_digest(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(regupath.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": python_path}
+    subprocess.run([sys.executable, str(root / "scripts" / "theory_study.py")],
+                   cwd=tmp_path, env=env, check=True, capture_output=True)
+    csv_bytes = (tmp_path / "results" / "theory" / "theory.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == PINNED_THEORY_CSV
 
 
 # ---------------------------------------------------------------------------

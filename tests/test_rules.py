@@ -30,7 +30,7 @@ def synthetic_path(alphas, residuals, r=2.0, grid=None):
     return [
         AlphaPathRecord(
             alpha=a, x=x, fx=x, residual=res, penalty=0.0,
-            theta=res**r / a, objective=res**r, iters=0, converged=True,
+            theta=res**r / a, objective=res**r, iters=0, converged=True, tol=0.0,
         )
         for a, res in zip(alphas, residuals)
     ]

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import regupath.solver
 from regupath import (
     DivergenceError,
     Fidelity,
@@ -19,6 +21,7 @@ from regupath import (
     compute_alpha_path,
     elliptic_model,
     fredholm_model,
+    l2_inner,
     lr_norm,
     make_noisy,
     solve_tikhonov,
@@ -269,6 +272,28 @@ def test_theta_stored_exactly(noisy_benchmark):
         assert rec.theta == rec.residual**1.5 / rec.alpha
 
 
+def test_path_evaluates_its_start_once_and_floors_later_solves_at_the_first_tol(
+        noisy_benchmark, monkeypatch):
+    # the first solve is the only evaluation at the path's start; every later
+    # solve warm-starts from the previous record with the first record's tol
+    # as its absolute floor
+    model, truth, noisy, _ = noisy_benchmark
+    fid, pen, alpha0 = Fidelity(2.0, noisy), QuadraticPenalty(), 0.5
+    init = model.x_grid.function(np.ones(model.x_grid.n))
+    g = model.adjoint_derivative(init, fid.gradient(model.apply(init))) + alpha0 * pen.subgradient(init)
+    opts = SolveOptions(max_iters=50, grad_tol=1e-9, grad_tol_abs=1e-12, init=init)
+    starts, seen = [], []
+    apply, solve = model.apply, regupath.solver.solve_tikhonov
+    model = dataclasses.replace(model, apply=lambda x: starts.append(x is init) or apply(x))
+    monkeypatch.setattr(regupath.solver, "solve_tikhonov", lambda *args: seen.append(args[4]) or solve(*args))
+    path = compute_alpha_path(model, fid, pen, alpha0, 0.6, 4, opts)
+    assert sum(starts) == 1
+    assert len(seen) == len(path) == 5 and seen[0] is opts
+    assert path[0].tol == max(opts.grad_tol * math.sqrt(l2_inner(g, g)), opts.grad_tol_abs)
+    for prev, step_opts in zip(path, seen[1:]):
+        assert step_opts.init is prev.x and step_opts.grad_tol_abs == path[0].tol
+
+
 def test_inadmissible_initial_guess_raises():
     # the model's apply is the one home of the admissible set
     N = 20
@@ -323,7 +348,7 @@ def _fredholm_outlier_case():
     return model, Fidelity(1.01, noisy), QuadraticPenalty(), 0.05
 
 
-def _elliptic_case(penalty_of):
+def _elliptic_case(penalty_of, r=2.0):
     N = 50
     u_grid = Grid(N - 1, convention="interior")
     f = u_grid.from_callable(lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2))
@@ -331,7 +356,7 @@ def _elliptic_case(penalty_of):
     t = model.x_grid.points()
     y = model.apply(model.x_grid.function(1.0 + 2.0 * (t > 0.4) * (t < 0.7)))
     noisy, _ = make_noisy(y, NoiseSpec(kind="gaussian", level=0.05, seed=5), 2.0)
-    return model, Fidelity(2.0, noisy), penalty_of(model.x_grid), 1e-3
+    return model, Fidelity(r, noisy), penalty_of(model.x_grid), 1e-3
 
 
 GUARD_CASES = {
@@ -339,12 +364,15 @@ GUARD_CASES = {
     "elliptic_tv_projected": lambda: _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3)),
     "elliptic_shifted_quadratic": lambda: _elliptic_case(
         lambda grid: ShiftedQuadraticPenalty(grid.function(grid.points()))),
+    # descent that ends where the projection blocks every direction of decrease
+    "elliptic_shifted_quadratic_r1.01": lambda: _elliptic_case(
+        lambda grid: ShiftedQuadraticPenalty(grid.function(grid.points())), r=1.01),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GUARD_CASES))
 def test_solver_matches_gridfunction_reference_bit_for_bit(case):
-    # The r = 1.01 case runs descent, which must match the reference bit for
+    # The r = 1.01 cases run descent, which must match the reference bit for
     # bit.  The r = 2 elliptic cases take projected Gauss-Newton steps, which
     # must end at or below the reference descent's objective through
     # admissible points only.
@@ -367,7 +395,7 @@ def test_solver_matches_gridfunction_reference_bit_for_bit(case):
         assert got.objective == want.objective
         assert np.array_equal(got.x.values, want.x.values)
         assert np.array_equal(got.fx.values, want.fx.values)
-    assert got_clipped == (case == "elliptic_tv_projected")
+    assert got_clipped == (case in ("elliptic_tv_projected", "elliptic_shifted_quadratic_r1.01"))
 
 
 def test_non_finite_gradient_is_an_error():
@@ -377,7 +405,7 @@ def test_non_finite_gradient_is_an_error():
     fid, opts = Fidelity(2.0, ones), SolveOptions(init=ones)
     with pytest.raises(DivergenceError, match="gradient is non-finite"):
         solve_tikhonov(model, fid, QuadraticPenalty(), 1e308, opts)
-    # the path's anchor gradient fails before the first solve
+    # the first solve's gradient at the path's start fails, so no record is kept
     with pytest.raises(PathAborted, match="gradient is non-finite") as excinfo:
         compute_alpha_path(model, fid, QuadraticPenalty(), 1e308, 0.5, 3, opts)
     assert excinfo.value.records == []

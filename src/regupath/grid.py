@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -66,6 +65,11 @@ class Grid:
         min_n = 2 if self.convention == "nodal" else 1
         if self.n < min_n:
             raise ValueError(f"{self.convention} grid needs at least {min_n} points, got {self.n}")
+        w = np.full(self.n, self.h)
+        if self.convention == "nodal":
+            w[0] = w[-1] = 0.5 * self.h
+        w.setflags(write=False)
+        object.__setattr__(self, "_weights", w)  # read on every objective evaluation
 
     @property
     def h(self) -> float:
@@ -79,7 +83,7 @@ class Grid:
         return (np.arange(self.n) + 1.0) * self.h
 
     def weights(self) -> np.ndarray:
-        return _weights(self)
+        return self._weights
 
     def function(self, values) -> "GridFunction":
         return GridFunction(self, values)
@@ -89,17 +93,6 @@ class Grid:
 
     def from_callable(self, fn) -> "GridFunction":
         return self.function(fn(self.points()))
-
-
-@functools.lru_cache(maxsize=64)
-def _weights(grid: Grid) -> np.ndarray:
-    if grid.convention == "nodal":
-        w = np.full(grid.n, grid.h)
-        w[0] = w[-1] = 0.5 * grid.h
-    else:
-        w = np.full(grid.n, grid.h)
-    w.setflags(write=False)
-    return w
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,36 @@ class NoiseOverflowError(ValueError):
     """Noisy data beyond the float range."""
 
 
+class GridMap:
+    """A map of grid functions that is one wrapper over its array form.
+
+    ``GridMap(on_values, out_grid, *in_grids)`` called on grid functions
+    f_1, ..., f_k checks that each f_i lives on ``in_grids[i]`` and returns
+    ``on_values(f_1.values, ..., f_k.values)`` as a function on ``out_grid``.
+    The solver calls ``on_values`` on raw arrays and never builds the
+    GridFunctions.
+    """
+
+    def __init__(self, on_values: Callable[..., np.ndarray], out_grid: Grid, *in_grids: Grid):
+        self.on_values = on_values
+        self.out_grid = out_grid
+        self.in_grids = in_grids
+
+    def __call__(self, *args: GridFunction) -> GridFunction:
+        for k, (arg, grid) in enumerate(zip(args, self.in_grids)):
+            if arg.grid != grid:
+                raise ValueError(f"argument {k} lives on {arg.grid}, not on {grid}")
+        return self.out_grid.function(self.on_values(*(arg.values for arg in args)))
+
+
+def _array_form(op: Callable[..., GridFunction], *grids: Grid) -> Callable[..., np.ndarray]:
+    """The array form of a grid-function map: its own for a GridMap, else a wrap through ``grids``."""
+    own = getattr(op, "on_values", None)
+    if own is not None:
+        return own
+    return lambda *arrays: op(*(grid.function(a) for grid, a in zip(grids, arrays))).values
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardModel:
     """Operator contract: F, its derivative action and the adjoint action.
@@ -33,13 +63,26 @@ class ForwardModel:
     products of the two grids.  ``project`` (optional) maps a raw value
     array onto the admissible set and is used by the solver after each step.
 
+    The shipped models build ``apply``, ``derivative`` and
+    ``adjoint_derivative`` as GridMaps, one wrapper each over an array-level
+    implementation.  ``apply_values(v)`` and ``adjoint_values(v, w)`` are
+    those array forms, on the raw sample arrays of x and of the data-space w;
+    they return plain arrays and, unlike the GridFunction forms, let a
+    non-finite output through.  A model whose callables are not GridMaps
+    gets array forms that wrap the arrays in GridFunctions, and ``apply_at``
+    hands such a model's ``apply`` the caller's GridFunction itself, where
+    the solver evaluates its start point.  Arrays handed to the array forms
+    must not be written to afterwards: the elliptic model keeps the state of
+    the last array it saw, keyed by the array object, and the solver marks
+    its iterates read-only.
+
     ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
-    misfit, ``gauss_newton(x, free, diag, sub, rhs)``: with J = F'(x) as a
-    matrix on the raw sample values, W_y the data grid's weights, D_f the
-    diagonal 0/1 matrix of the boolean mask ``free`` and B the symmetric
-    tridiagonal matrix with diagonal ``diag`` and sub-diagonal ``sub``, it
-    returns s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs.  It raises
-    SingularSystemError when that matrix is singular.
+    misfit on raw arrays, ``gauss_newton(v, free, diag, sub, rhs)``: with
+    J = F'(x) as a matrix on the sample values v of x, W_y the data grid's
+    weights, D_f the diagonal 0/1 matrix of the boolean mask ``free`` and B
+    the symmetric tridiagonal matrix with diagonal ``diag`` and sub-diagonal
+    ``sub``, it returns s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs.  It
+    raises SingularSystemError when that matrix is singular.
     """
 
     name: str
@@ -50,6 +93,19 @@ class ForwardModel:
     adjoint_derivative: Callable[[GridFunction, GridFunction], GridFunction]
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gauss_newton: Optional[Callable[..., np.ndarray]] = None
+
+    @property
+    def apply_values(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _array_form(self.apply, self.x_grid)
+
+    def apply_at(self, x: GridFunction) -> np.ndarray:
+        """F(x) as a plain array: ``apply_values(x.values)``, or ``apply(x)`` itself when it is no GridMap."""
+        own = getattr(self.apply, "on_values", None)
+        return own(x.values) if own is not None else self.apply(x).values
+
+    @property
+    def adjoint_values(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        return _array_form(self.adjoint_derivative, self.x_grid, self.y_grid)
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -72,24 +128,10 @@ def fredholm_model(n: int) -> ForwardModel:
     # another order than a row-major one, and the shipped outputs depend on
     # the adjoint's order, so the adjoint keeps its own column-major copy.
     adjoint_mat = np.asfortranarray(apply_mat)
-
-    def apply(x: GridFunction) -> GridFunction:
-        if x.grid != grid:
-            raise ValueError("input lives on the wrong grid")
-        return grid.function(apply_mat @ x.values)
-
-    def derivative(x: GridFunction, h: GridFunction) -> GridFunction:
-        return apply(h)
-
-    def adjoint_derivative(x: GridFunction, v: GridFunction) -> GridFunction:
-        if v.grid != grid:
-            raise ValueError("data-space input lives on the wrong grid")
-        return grid.function(adjoint_mat @ v.values)
-
     root_w = np.sqrt(w)
     diagonal = np.arange(n)
 
-    def gauss_newton(x, free, diag, sub, rhs):
+    def gauss_newton(v, free, diag, sub, rhs):
         # 2 (W^(1/2) K D_f)^T (W^(1/2) K D_f) by one dsyrk into the lower
         # triangle, then B added in place and a Cholesky solve
         scaled = (root_w[:, None] * apply_mat) * free
@@ -105,9 +147,9 @@ def fredholm_model(n: int) -> ForwardModel:
         name="fredholm",
         x_grid=grid,
         y_grid=grid,
-        apply=apply,
-        derivative=derivative,
-        adjoint_derivative=adjoint_derivative,
+        apply=GridMap(lambda x: apply_mat @ x, grid, grid),
+        derivative=GridMap(lambda x, h: apply_mat @ h, grid, grid, grid),
+        adjoint_derivative=GridMap(lambda x, v: adjoint_mat @ v, grid, grid, grid),
         gauss_newton=gauss_newton,
     )
 
@@ -132,43 +174,35 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     base_rhs = f.values.copy()
     base_rhs[0] += g0 * inv_h2
     base_rhs[-1] += g1 * inv_h2
-    # The last coefficient with the diagonal of A(c) (its off-diagonals are
-    # ``off``) and the state u(c), one triple per thread, so that paths solved
-    # on worker threads do not evict each other.  GridFunction values are
-    # read-only, so the coefficient object itself is the key.
+    # The last coefficient array with the diagonal of A(c) (its off-diagonals
+    # are ``off``) and the state u(c), one triple per thread, so that paths
+    # solved on worker threads do not evict each other.  The key is the array
+    # object itself, so only a read-only one (GridFunction values, the
+    # solver's iterates) can hit.
     last = threading.local()
 
-    def _solved(c: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+    def _solved(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         hit = getattr(last, "state", None)
-        if hit is not None and hit[0] is c:
+        if hit is not None and hit[0] is c and not c.flags.writeable:
             return hit[1], hit[2]
-        if not (c.values >= 0.0).all():
+        if not (c >= 0.0).all():
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
-        diag = 2.0 * inv_h2 + c.values[1:-1]
+        diag = 2.0 * inv_h2 + c[1:-1]
         u = solve_tridiagonal(off, diag, off, base_rhs)
+        u.setflags(write=False)  # apply_values hands out this array itself
         last.state = (c, diag, u)
         return diag, u
 
-    def apply(c: GridFunction) -> GridFunction:
-        if c.grid != c_grid:
-            raise ValueError("coefficient lives on the wrong grid")
-        return u_grid.function(_solved(c)[1])
-
-    def derivative(c: GridFunction, hdir: GridFunction) -> GridFunction:
-        if hdir.grid != c_grid:
-            raise ValueError("direction lives on the wrong grid")
+    def derivative(c: np.ndarray, hdir: np.ndarray) -> np.ndarray:
         diag, u = _solved(c)
-        v = solve_tridiagonal(off, diag, off, hdir.values[1:-1] * u)
-        return u_grid.function(-v)
+        return -solve_tridiagonal(off, diag, off, hdir[1:-1] * u)
 
-    def adjoint_derivative(c: GridFunction, w: GridFunction) -> GridFunction:
-        if w.grid != u_grid:
-            raise ValueError("data-space input lives on the wrong grid")
+    def adjoint_derivative(c: np.ndarray, w: np.ndarray) -> np.ndarray:
         diag, u = _solved(c)
-        v = solve_tridiagonal(off, diag, off, w.values)
+        v = solve_tridiagonal(off, diag, off, w)
         full = np.zeros(N + 1)
         full[1:-1] = -u * v
-        return c_grid.function(full)
+        return full
 
     # J = -A(c)^{-1} diag(u) on the interior coefficients, so with u_f = u on
     # the free interior nodes and 0 elsewhere the Gauss-Newton system is
@@ -210,9 +244,9 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         name="elliptic",
         x_grid=c_grid,
         y_grid=u_grid,
-        apply=apply,
-        derivative=derivative,
-        adjoint_derivative=adjoint_derivative,
+        apply=GridMap(lambda c: _solved(c)[1], u_grid, c_grid),
+        derivative=GridMap(derivative, u_grid, c_grid, c_grid),
+        adjoint_derivative=GridMap(adjoint_derivative, c_grid, c_grid, u_grid),
         project=lambda vals: np.maximum(vals, 0.0),
         gauss_newton=gauss_newton,
     )

@@ -8,9 +8,17 @@ value functional J and direction d
 
 This keeps penalty subgradients, misfit gradients and operator adjoints
 mutually consistent inside the solver.  Penalty Hessians, in contrast, are
-Euclidean: ``hessian(x)`` returns the diagonal and sub-diagonal of the
+Euclidean: ``hessian(grid, v)`` returns the diagonal and sub-diagonal of the
 symmetric tridiagonal matrix of second derivatives of R in the raw sample
 values, the form the Gauss-Newton systems of the solver add to.
+
+Each functional is implemented once, on raw sample arrays: a penalty's
+``value_on(grid, v)``, ``subgradient_on(grid, v)`` and ``hessian(grid, v)``
+take the samples v of a function on ``grid``, and the misfit's
+``value_on(v)`` and ``gradient_on(v)`` the samples of a function on its
+target's grid.  The GridFunction methods ``value``, ``subgradient`` and
+``gradient`` check the grids and wrap these; the solver calls the array
+forms directly.
 """
 
 from __future__ import annotations
@@ -20,53 +28,67 @@ from typing import Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from .grid import GridFunction, is_real, l2_inner, require
+from .grid import Grid, GridFunction, is_real, l2_inner, require
 
 
 class SubgradientError(ValueError):
     """Bregman distance came out negative: xi was not a subgradient at x."""
 
 
+class _GridFunctionForms:
+    """A penalty's ``value`` and ``subgradient``, each one wrapper over its array form."""
+
+    def value(self, x: GridFunction) -> float:
+        self._check_grid(x)
+        return self.value_on(x.grid, x.values)
+
+    def subgradient(self, x: GridFunction) -> GridFunction:
+        self._check_grid(x)
+        return x.with_values(self.subgradient_on(x.grid, x.values))
+
+    def _check_grid(self, x: GridFunction) -> None:
+        """Raise GridMismatchError when x cannot be an argument; any grid can by default."""
+
+
 @dataclass(frozen=True)
-class QuadraticPenalty:
+class QuadraticPenalty(_GridFunctionForms):
     """R(x) = ||x||^2 in the weighted L^2 norm."""
 
     kind = "quadratic"
 
-    def value(self, x: GridFunction) -> float:
-        w = x.grid.weights()
-        return float((w * x.values * x.values).sum())
+    def value_on(self, grid: Grid, v: np.ndarray) -> float:
+        return float((grid.weights() * v * v).sum())
 
-    def subgradient(self, x: GridFunction) -> GridFunction:
-        return 2.0 * x
+    def subgradient_on(self, grid: Grid, v: np.ndarray) -> np.ndarray:
+        return 2.0 * v
 
-    def hessian(self, x: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-        return 2.0 * x.grid.weights(), np.zeros(x.n - 1)
+    def hessian(self, grid: Grid, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return 2.0 * grid.weights(), np.zeros(grid.n - 1)
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedQuadraticPenalty:
+class ShiftedQuadraticPenalty(_GridFunctionForms):
     """R(x) = ||x - c0||^2 around a reference function c0."""
 
     c0: GridFunction
     kind = "shifted_quadratic"
 
-    def value(self, x: GridFunction) -> float:
+    def _check_grid(self, x: GridFunction) -> None:
         x._check_same_grid(self.c0)
-        d = x.values - self.c0.values
-        return float((x.grid.weights() * d * d).sum())
 
-    def subgradient(self, x: GridFunction) -> GridFunction:
-        x._check_same_grid(self.c0)
-        return 2.0 * (x - self.c0)
+    def value_on(self, grid: Grid, v: np.ndarray) -> float:
+        d = v - self.c0.values
+        return float((grid.weights() * d * d).sum())
 
-    def hessian(self, x: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
-        x._check_same_grid(self.c0)
-        return 2.0 * x.grid.weights(), np.zeros(x.n - 1)
+    def subgradient_on(self, grid: Grid, v: np.ndarray) -> np.ndarray:
+        return 2.0 * (v - self.c0.values)
+
+    def hessian(self, grid: Grid, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return 2.0 * grid.weights(), np.zeros(grid.n - 1)
 
 
 @dataclass(frozen=True)
-class SmoothedTVPenalty:
+class SmoothedTVPenalty(_GridFunctionForms):
     """Smoothed total variation plus a small quadratic term.
 
     R(x) = sum_i h * sqrt(d_i^2 + eps^2) - eps + mu*||x||^2
@@ -93,38 +115,35 @@ class SmoothedTVPenalty:
         if not (is_real(mu) and mu >= 0):
             yield f"mu must be nonnegative, got {mu!r}"
 
-    def value(self, x: GridFunction) -> float:
-        if x.n < 2:
+    def value_on(self, grid: Grid, v: np.ndarray) -> float:
+        if grid.n < 2:
             raise ValueError("smoothed TV needs at least two samples")
-        v = x.values
-        h = x.grid.h
+        h = grid.h
         d = (v[1:] - v[:-1]) / h
         tv = float((h * np.sqrt(d * d + self.eps**2)).sum())
         tv -= self.eps
-        w = x.grid.weights()
+        w = grid.weights()
         return tv + self.mu * float((w * v * v).sum())
 
-    def subgradient(self, x: GridFunction) -> GridFunction:
-        v = x.values
-        h = x.grid.h
+    def subgradient_on(self, grid: Grid, v: np.ndarray) -> np.ndarray:
+        h = grid.h
         d = (v[1:] - v[:-1]) / h
         s = d / np.sqrt(d * d + self.eps**2)
-        g = np.zeros(x.n)
+        g = np.zeros(grid.n)
         # exact discrete chain rule: backward difference of s, one-sided at ends
         g[0] = -s[0]
         g[1:-1] = s[:-1] - s[1:]
         g[-1] = s[-1]
-        g /= x.grid.weights()
-        return x.with_values(g + 2.0 * self.mu * v)
+        g /= grid.weights()
+        return g + 2.0 * self.mu * v
 
-    def hessian(self, x: GridFunction) -> Tuple[np.ndarray, np.ndarray]:
+    def hessian(self, grid: Grid, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # D^T diag(c) D + 2 mu W, with D the unscaled forward difference and
         # c = d(s_i)/d(v_{i+1} - v_i) = eps^2 / (h (d^2 + eps^2)^(3/2))
-        v = x.values
-        h = x.grid.h
+        h = grid.h
         d = (v[1:] - v[:-1]) / h
         c = self.eps**2 / (h * (d * d + self.eps**2) ** 1.5)
-        diag = 2.0 * self.mu * x.grid.weights()
+        diag = 2.0 * self.mu * grid.weights()
         diag[:-1] += c
         diag[1:] += c
         return diag, -c
@@ -163,18 +182,24 @@ class Fidelity:
 
     def value(self, v: GridFunction) -> float:
         v._check_same_grid(self.target)
-        d = v.values - self.target.values
-        w = v.grid.weights()
+        return self.value_on(v.values)
+
+    def value_on(self, v: np.ndarray) -> float:
+        d = v - self.target.values
+        w = self.target.grid.weights()
         if self.r == 2.0:
             return float((w * d * d).sum())
         return float((w * np.abs(d) ** self.r).sum())
 
     def gradient(self, v: GridFunction) -> GridFunction:
         v._check_same_grid(self.target)
-        d = v.values - self.target.values
+        return v.with_values(self.gradient_on(v.values))
+
+    def gradient_on(self, v: np.ndarray) -> np.ndarray:
+        d = v - self.target.values
         if self.r == 2.0:
-            return v.with_values(2.0 * d)
-        return v.with_values(self.r * np.abs(d) ** (self.r - 1.0) * np.sign(d))
+            return 2.0 * d
+        return self.r * np.abs(d) ** (self.r - 1.0) * np.sign(d)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import GridFunction, SingularSystemError, is_integer, is_real, lr_norm, require
+from .grid import Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, lr_norm, require
 from .models import ForwardModel
 from .penalties import Fidelity, Penalty
 
@@ -107,10 +107,10 @@ def alpha_grid_problems(alpha0, q, j_max) -> Iterator[str]:
         yield f"j_max must be a nonnegative integer, got {j_max!r}"
 
 
-def _gradient(model: ForwardModel, fid: Fidelity, pen: Penalty, alpha: float,
-              x: GridFunction, fx: GridFunction) -> np.ndarray:
-    """The objective's gradient F'(x)* grad fid(F x) + alpha * dR(x), as a plain array."""
-    g = model.adjoint_derivative(x, fid.gradient(fx)).values + alpha * pen.subgradient(x).values
+def _gradient(adjoint_values, fid: Fidelity, pen: Penalty, alpha: float, grid: Grid,
+              xv: np.ndarray, fxv: np.ndarray) -> np.ndarray:
+    """The objective's gradient F'(x)* grad fid(F x) + alpha * dR(x) at the samples xv of x."""
+    g = adjoint_values(xv, fid.gradient_on(fxv)) + alpha * pen.subgradient_on(grid, xv)
     if not np.isfinite(g).all():
         raise DivergenceError(f"gradient is non-finite (alpha={alpha})")
     return g
@@ -121,9 +121,9 @@ def _norm(weights: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt((weights * (g * g)).sum())
 
 
-def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, x: GridFunction,
+def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv: np.ndarray,
                             g: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The projected Gauss-Newton direction d; the step goes to P(x - t d).
+    """The projected Gauss-Newton direction d at the samples xv; the step goes to P(xv - t d).
 
     Following Bertsekas (1982), a coordinate is active when it lies within
     min(_ACTIVE_EPS, |x - P(x - g)|_inf) of the bound 0 of the model's
@@ -131,8 +131,7 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, x: 
     the free block, active ones the gradient step scaled by the penalty
     Hessian's diagonal, and a singular system falls back to d = g.
     """
-    xv = x.values
-    diag, sub = pen.hessian(x)
+    diag, sub = pen.hessian(model.x_grid, xv)
     diag, sub = alpha * diag, alpha * sub
     free = np.ones(xv.shape, dtype=bool)
     if model.project is not None:
@@ -140,7 +139,7 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, x: 
         free = (xv > eps) | (g <= 0.0)
         sub = sub * (free[1:] & free[:-1])
     try:
-        return model.gauss_newton(x, free, diag, sub, weights * g)
+        return model.gauss_newton(xv, free, diag, sub, weights * g)
     except SingularSystemError:
         return g
 
@@ -157,11 +156,13 @@ def solve_tikhonov(
 
     See SolveOptions for which problems take which method.  Returns a
     stationary-point record; ``converged`` reports whether the
-    gradient tolerance was met within max_iters.  A non-finite objective or
-    gradient at an accepted point raises DivergenceError; an initial guess
-    outside the model's admissible set raises the model's
-    InadmissibleCoefficientError.  Between calls into the model, fidelity
-    and penalty, the loop works on plain arrays.
+    gradient tolerance was met within max_iters.  A non-finite objective
+    (an overflowing F x included) or gradient at the initial point raises
+    DivergenceError, and a trial point with a non-finite objective is
+    backtracked from; an initial guess outside the model's admissible set
+    raises the model's InadmissibleCoefficientError.  The loop runs on raw
+    sample arrays through the array forms of the model, misfit and penalty,
+    and builds GridFunctions only for the record.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -170,19 +171,17 @@ def solve_tikhonov(
     x = opts.init if opts.init is not None else x_grid.zeros()
     if x.grid != x_grid:
         raise ValueError("initial guess lives on the wrong grid")
+    if fid.target.grid != model.y_grid:
+        raise GridMismatchError(f"misfit target lives on {fid.target.grid}, the model maps to {model.y_grid}")
 
     weights = x_grid.weights()
     project = model.project
-
-    def objective(point: GridFunction):
-        fx = model.apply(point)
-        return fx, fid.value(fx) + alpha * pen.value(point)
-
-    fx, obj = objective(x)
+    apply_values, adjoint_values = model.apply_values, model.adjoint_values
+    xv, fxv = x.values, model.apply_at(x)
+    obj = fid.value_on(fxv) + alpha * pen.value(x)  # ``value`` checks a reference function's grid
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
-    xv = x.values
-    g = _gradient(model, fid, pen, alpha, x, fx)
+    g = _gradient(adjoint_values, fid, pen, alpha, x_grid, xv, fxv)
     gnorm = _norm(weights, g)
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
@@ -192,9 +191,10 @@ def solve_tikhonov(
     trial = _STEP_INIT
     while iters < opts.max_iters and not converged:
         if gauss_newton:
-            direction, t = _gauss_newton_direction(model, pen, alpha, x, g, weights), 1.0
+            direction, t = _gauss_newton_direction(model, pen, alpha, xv, g, weights), 1.0
         else:
             direction, t = g, trial
+        weighted_g = weights * g
         while t >= _MIN_STEP:
             cand = xv - t * direction
             if project is not None:
@@ -202,30 +202,34 @@ def solve_tikhonov(
             if not np.isfinite(cand).all():
                 t *= _STEP_SHRINK
                 continue
-            x_new = GridFunction(x_grid, cand)
-            fx_new, obj_new = objective(x_new)
-            if math.isfinite(obj_new):
-                predicted = float((weights * g * (xv - cand)).sum())
-                if predicted > 0.0 and obj - obj_new >= _ARMIJO * predicted:
+            # a trial that does not decrease the linear model is rejected unevaluated
+            predicted = float((weighted_g * (xv - cand)).sum())
+            if predicted > 0.0:
+                cand.setflags(write=False)  # the elliptic model's state cache keys on it
+                fx_new = apply_values(cand)
+                obj_new = fid.value_on(fx_new) + alpha * pen.value_on(x_grid, cand)
+                if math.isfinite(obj_new) and obj - obj_new >= _ARMIJO * predicted:
                     break
             t *= _STEP_SHRINK
         else:
             break  # no decrease along the arc: below float precision, or the projection blocks it
-        g_new = _gradient(model, fid, pen, alpha, x_new, fx_new)
-        xv_new = x_new.values
-        s = xv_new - xv
-        d = g_new - g
-        sd = float((weights * s * d).sum())
+        g_new = _gradient(adjoint_values, fid, pen, alpha, x_grid, cand, fx_new)
+        s = cand - xv
+        weighted_s = weights * s
+        sd = float((weighted_s * (g_new - g)).sum())
         if sd > 0:
-            trial = float((weights * s * s).sum()) / sd
+            trial = float((weighted_s * s).sum()) / sd
             trial = min(max(trial, 1e-14), 1e14)
         else:
             trial = min(t * 2.0, 1e14)
-        x, xv, fx, obj, g = x_new, xv_new, fx_new, obj_new, g_new
+        xv, fxv, obj, g = cand, fx_new, obj_new, g_new
         gnorm = _norm(weights, g)
         iters += 1
         converged = gnorm <= tol
 
+    if iters:
+        x = x_grid.function(xv)
+    fx = model.y_grid.function(fxv)
     residual = lr_norm(fx - fid.target, fid.r)
     return AlphaPathRecord(
         alpha=alpha,

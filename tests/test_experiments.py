@@ -306,6 +306,7 @@ def test_seed_changes_noise_but_config_controls_everything_else():
 # Outputs pinned by sha256; a change to any of them is a change of results.
 # A bundle's digest runs over the names and bytes of its files in name order.
 PINNED_BUNDLES = {
+    "example1": (14, "142f2a420085775138d5ce0f52ac0cde0290fd9c464fe792e84ee115ccf25518"),
     "example2_smooth": (12, "8f42e8e9940dd91b4c215945c12f3cb04b4f35cd57ed01dc689027d740b2c531"),
     "example2_piecewise": (8, "6cb331e78555950a9616ae30f9096772b03cef5c004f8fbd258284dda281db6f"),
 }

@@ -230,11 +230,11 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
         x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
         for _ in range(3):
             free = rng.uniform(size=grid.n) > 0.3
-            diag, sub = penalty.hessian(x)
+            diag, sub = penalty.hessian(grid, x.values)
             diag, sub = alpha * diag, alpha * sub * (free[1:] & free[:-1])
             rhs = rng.normal(size=grid.n)
             want = dense_gauss_newton(model, x, free, diag, sub, rhs)
-            got = model.gauss_newton(x, free, diag, sub, rhs)
+            got = model.gauss_newton(x.values, free, diag, sub, rhs)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
 
 

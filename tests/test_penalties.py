@@ -112,7 +112,7 @@ def test_hessian_matches_central_differences_of_subgradient(rng, make_pen):
     g = Grid(41)
     pen = make_pen(g)
     x = _smooth_probe(g, rng)
-    diag, sub = pen.hessian(x)
+    diag, sub = pen.hessian(g, x.values)
     hess = dense_tridiagonal(sub, diag, sub)
     w = g.weights()
     step = 1e-7

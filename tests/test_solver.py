@@ -10,6 +10,8 @@ from regupath import (
     Fidelity,
     ForwardModel,
     Grid,
+    GridFunction,
+    GridMap,
     InadmissibleCoefficientError,
     NoiseSpec,
     PathAborted,
@@ -409,3 +411,98 @@ def test_non_finite_gradient_is_an_error():
     with pytest.raises(PathAborted, match="gradient is non-finite") as excinfo:
         compute_alpha_path(model, fid, QuadraticPenalty(), 1e308, 0.5, 3, opts)
     assert excinfo.value.records == []
+
+
+@pytest.mark.parametrize("case", ["fredholm_r1.01", "elliptic_shifted_quadratic_r1.01"])
+def test_array_loop_matches_gridfunction_reference_bit_for_bit(case):
+    # the same comparison through the models' own array forms, unwrapped
+    model, fid, pen, alpha = GUARD_CASES[case]()
+    opts = SolveOptions(max_iters=400, grad_tol=1e-10)
+    got = solve_tikhonov(model, fid, pen, alpha, opts)
+    want = reference_solve_tikhonov(model, fid, pen, alpha, opts)
+    assert got.iters == want.iters and got.iters > 50
+    assert got.converged == want.converged and got.objective == want.objective
+    assert np.array_equal(got.x.values, want.x.values)
+    assert np.array_equal(got.fx.values, want.fx.values)
+
+
+def _constructions_per_solve(monkeypatch, model, fid, pen, alpha, max_iters):
+    opts = SolveOptions(max_iters=max_iters, grad_tol=1e-10, init=model.x_grid.zeros())
+    built, post_init = [], GridFunction.__post_init__
+    with monkeypatch.context() as patch:
+        patch.setattr(GridFunction, "__post_init__", lambda self: built.append(1) or post_init(self))
+        rec = solve_tikhonov(model, fid, pen, alpha, opts)
+    return len(built), rec.iters
+
+
+def test_solves_build_grid_functions_only_for_their_records(monkeypatch):
+    # the record's x, fx and residual are the only GridFunctions a solve
+    # builds, however many iterations it takes
+    descent = _fredholm_outlier_case()
+    gauss_newton = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
+    for case, short, long, many in ((descent, 20, 400, 100), (gauss_newton, 1, 50, 3)):
+        built_short, iters_short = _constructions_per_solve(monkeypatch, *case, short)
+        built_long, iters_long = _constructions_per_solve(monkeypatch, *case, long)
+        assert iters_short < many <= iters_long, (iters_short, iters_long)
+        assert built_short == built_long == 3
+
+
+def _blocked_start_case(r):
+    # Data above the zero coefficient's state: at c = 0 the gradient pushes
+    # every interior coefficient below the bound, so the projection returns
+    # c = 0 for every step length and no trial predicts a decrease.
+    N = 50
+    u_grid = Grid(N - 1, convention="interior")
+    model = elliptic_model(N, 1.0, 6.0, u_grid.from_callable(lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2)))
+    zero = model.x_grid.zeros()
+    data = model.apply(zero) + u_grid.function(np.ones(N - 1))
+    return model, Fidelity(r, data), zero
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0], ids=["descent", "gauss_newton"])
+def test_blocked_trials_are_rejected_without_evaluating_the_model(r):
+    model, fid, zero = _blocked_start_case(r)
+    applied = []
+    apply = model.apply
+    model = dataclasses.replace(model, apply=lambda x: applied.append(1) or apply(x))
+    rec = solve_tikhonov(model, fid, QuadraticPenalty(), 1e-3, SolveOptions(init=zero))
+    assert rec.iters == 0 and not rec.converged
+    assert len(applied) == 1  # the start point alone
+
+
+def test_overflowing_model_output_at_the_start_is_a_divergence():
+    model = fredholm_model(101)
+    fid = Fidelity(1.01, model.x_grid.zeros())
+    opts = SolveOptions(init=model.x_grid.function(np.full(101, 1.7e308)))  # F x overflows
+    with pytest.raises(DivergenceError, match="non-finite at the initial point"):
+        solve_tikhonov(model, fid, QuadraticPenalty(), 1.0, opts)
+    with pytest.raises(PathAborted) as excinfo:
+        compute_alpha_path(model, fid, QuadraticPenalty(), 1.0, 0.5, 3, opts)
+    assert excinfo.value.records == []
+
+
+def test_overflowing_model_output_at_a_trial_point_is_backtracked():
+    # F x = exp(x): the first trial steps reach x ~ 2000, where F overflows
+    grid = Grid(21)
+    finite = []
+
+    def exp_values(v):
+        out = np.exp(v)
+        finite.append(bool(np.isfinite(out).all()))
+        return out
+
+    model = ForwardModel(
+        name="exp",
+        x_grid=grid,
+        y_grid=grid,
+        apply=GridMap(exp_values, grid, grid),
+        derivative=GridMap(lambda x, h: np.exp(x) * h, grid, grid, grid),
+        adjoint_derivative=GridMap(lambda x, w: np.exp(x) * w, grid, grid, grid),
+    )
+    fid, pen, alpha = Fidelity(1.01, grid.function(np.ones(21))), QuadraticPenalty(), 1e3
+    init = grid.function(-np.ones(21))
+    start = fid.value(model.apply(init)) + alpha * pen.value(init)
+    finite.clear()
+    rec = solve_tikhonov(model, fid, pen, alpha, SolveOptions(max_iters=20, init=init))
+    assert finite[:3] == [True, False, False]  # the start point, then two trial points
+    assert rec.iters > 0 and rec.objective < start

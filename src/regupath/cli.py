@@ -31,9 +31,17 @@ def _max_workers() -> int:
 def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {path!r}: {exc}"]) from exc
     return config_from_json(text)
+
+
+def _make_out_dir(out_dir: Path) -> Path:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create output directory {str(out_dir)!r}: {exc}"]) from exc
+    return out_dir
 
 
 def _parse_deltas(raw: str):
@@ -84,14 +92,14 @@ def main(argv=None) -> int:
             bundle = run_experiment(
                 config, apply_rules=(args.command == "run"), max_workers=_max_workers()
             )
-            created = write_bundle(bundle, out_dir)
+            created = write_bundle(bundle, _make_out_dir(out_dir))
             if args.command == "run":
                 created += emit_plots(bundle, out_dir)
             for path in created:
                 print(path)
         else:
             report = run_theory_study(config, _parse_deltas(args.deltas), _max_workers())
-            path = write_theory_report(report, out_dir / "theory.csv")
+            path = write_theory_report(report, _make_out_dir(out_dir) / "theory.csv")
             print(path)
             for row in report.convergence_table:
                 print(

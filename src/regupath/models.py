@@ -29,7 +29,8 @@ class GridMap:
     f_1, ..., f_k checks that each f_i lives on ``in_grids[i]`` and returns
     ``on_values(f_1.values, ..., f_k.values)`` as a function on ``out_grid``.
     The solver calls ``on_values`` on raw arrays and never builds the
-    GridFunctions.
+    GridFunctions; ``on_values`` returns a plain array and, unlike the call,
+    lets a non-finite output through.
     """
 
     def __init__(self, on_values: Callable[..., np.ndarray], out_grid: Grid, *in_grids: Grid):
@@ -44,37 +45,24 @@ class GridMap:
         return self.out_grid.function(self.on_values(*(arg.values for arg in args)))
 
 
-def _array_form(op: Callable[..., GridFunction], *grids: Grid) -> Callable[..., np.ndarray]:
-    """The array form of a grid-function map: its own for a GridMap, else a wrap through ``grids``."""
-    own = getattr(op, "on_values", None)
-    if own is not None:
-        return own
-    return lambda *arrays: op(*(grid.function(a) for grid, a in zip(grids, arrays))).values
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardModel:
     """Operator contract: F, its derivative action and the adjoint action.
 
-    ``apply`` maps x_grid functions to y_grid functions and raises
-    InadmissibleCoefficientError outside the model's admissible set, if it
-    has one.  ``derivative`` and ``adjoint_derivative`` evaluate F'(x)h and
-    F'(x)*w; the adjoint is taken with respect to the weighted L^2 inner
-    products of the two grids.  ``project`` (optional) maps a raw value
-    array onto the admissible set and is used by the solver after each step.
-
-    The shipped models build ``apply``, ``derivative`` and
-    ``adjoint_derivative`` as GridMaps, one wrapper each over an array-level
-    implementation.  ``apply_values(v)`` and ``adjoint_values(v, w)`` are
-    those array forms, on the raw sample arrays of x and of the data-space w;
-    they return plain arrays and, unlike the GridFunction forms, let a
-    non-finite output through.  A model whose callables are not GridMaps
-    gets array forms that wrap the arrays in GridFunctions, and ``apply_at``
-    hands such a model's ``apply`` the caller's GridFunction itself, where
-    the solver evaluates its start point.  Arrays handed to the array forms
-    must not be written to afterwards: the elliptic model keeps the state of
-    the last array it saw, keyed by the array object, and the solver marks
-    its iterates read-only.
+    ``apply``, ``derivative`` and ``adjoint_derivative`` are GridMaps (or
+    wrappers that carry a GridMap's ``on_values``, ``out_grid`` and
+    ``in_grids``), and construction raises TypeError for one without
+    ``on_values``.  ``apply`` maps x_grid functions to y_grid functions, and
+    the two grids are read from it; it raises InadmissibleCoefficientError
+    outside the model's admissible set, if it has one.  ``derivative`` and
+    ``adjoint_derivative`` evaluate F'(x)h and F'(x)*w; the adjoint is taken
+    with respect to the weighted L^2 inner products of the two grids.  The
+    solver calls the maps' ``on_values`` on raw sample arrays.  Arrays handed
+    to ``on_values`` must not be written to afterwards: the elliptic model
+    keeps the state of the last array it saw, keyed by the array object, and
+    the solver marks its iterates read-only.  ``project`` (optional) maps a
+    raw value array onto the admissible set and is used by the solver after
+    each step.
 
     ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
     misfit on raw arrays, ``gauss_newton(v, free, diag, sub, rhs)``: with
@@ -86,26 +74,25 @@ class ForwardModel:
     """
 
     name: str
-    x_grid: Grid
-    y_grid: Grid
-    apply: Callable[[GridFunction], GridFunction]
-    derivative: Callable[[GridFunction, GridFunction], GridFunction]
-    adjoint_derivative: Callable[[GridFunction, GridFunction], GridFunction]
+    apply: GridMap
+    derivative: GridMap
+    adjoint_derivative: GridMap
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gauss_newton: Optional[Callable[..., np.ndarray]] = None
 
-    @property
-    def apply_values(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _array_form(self.apply, self.x_grid)
-
-    def apply_at(self, x: GridFunction) -> np.ndarray:
-        """F(x) as a plain array: ``apply_values(x.values)``, or ``apply(x)`` itself when it is no GridMap."""
-        own = getattr(self.apply, "on_values", None)
-        return own(x.values) if own is not None else self.apply(x).values
+    def __post_init__(self):
+        for field in ("apply", "derivative", "adjoint_derivative"):
+            grid_map = getattr(self, field)
+            if not callable(getattr(grid_map, "on_values", None)):
+                raise TypeError(f"{field} must be a GridMap, got {grid_map!r}")
 
     @property
-    def adjoint_values(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return _array_form(self.adjoint_derivative, self.x_grid, self.y_grid)
+    def x_grid(self) -> Grid:
+        return self.apply.in_grids[0]
+
+    @property
+    def y_grid(self) -> Grid:
+        return self.apply.out_grid
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -145,8 +132,6 @@ def fredholm_model(n: int) -> ForwardModel:
 
     return ForwardModel(
         name="fredholm",
-        x_grid=grid,
-        y_grid=grid,
         apply=GridMap(lambda x: apply_mat @ x, grid, grid),
         derivative=GridMap(lambda x, h: apply_mat @ h, grid, grid, grid),
         adjoint_derivative=GridMap(lambda x, v: adjoint_mat @ v, grid, grid, grid),
@@ -189,7 +174,7 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
         diag = 2.0 * inv_h2 + c[1:-1]
         u = solve_tridiagonal(off, diag, off, base_rhs)
-        u.setflags(write=False)  # apply_values hands out this array itself
+        u.setflags(write=False)  # apply.on_values hands out this array itself
         last.state = (c, diag, u)
         return diag, u
 
@@ -242,8 +227,6 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
 
     return ForwardModel(
         name="elliptic",
-        x_grid=c_grid,
-        y_grid=u_grid,
         apply=GridMap(lambda c: _solved(c)[1], u_grid, c_grid),
         derivative=GridMap(derivative, u_grid, c_grid, c_grid),
         adjoint_derivative=GridMap(adjoint_derivative, c_grid, c_grid, u_grid),

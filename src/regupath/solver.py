@@ -161,8 +161,8 @@ def solve_tikhonov(
     DivergenceError, and a trial point with a non-finite objective is
     backtracked from; an initial guess outside the model's admissible set
     raises the model's InadmissibleCoefficientError.  The loop runs on raw
-    sample arrays through the array forms of the model, misfit and penalty,
-    and builds GridFunctions only for the record.
+    sample arrays through the model maps' ``on_values`` and the array forms
+    of the misfit and penalty, and builds GridFunctions only for the record.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -176,8 +176,9 @@ def solve_tikhonov(
 
     weights = x_grid.weights()
     project = model.project
-    apply_values, adjoint_values = model.apply_values, model.adjoint_values
-    xv, fxv = x.values, model.apply_at(x)
+    apply_values, adjoint_values = model.apply.on_values, model.adjoint_derivative.on_values
+    xv = x.values
+    fxv = apply_values(xv)
     obj = fid.value_on(fxv) + alpha * pen.value(x)  # ``value`` checks a reference function's grid
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
@@ -214,14 +215,15 @@ def solve_tikhonov(
         else:
             break  # no decrease along the arc: below float precision, or the projection blocks it
         g_new = _gradient(adjoint_values, fid, pen, alpha, x_grid, cand, fx_new)
-        s = cand - xv
-        weighted_s = weights * s
-        sd = float((weighted_s * (g_new - g)).sum())
-        if sd > 0:
-            trial = float((weighted_s * s).sum()) / sd
-            trial = min(max(trial, 1e-14), 1e14)
-        else:
-            trial = min(t * 2.0, 1e14)
+        if not gauss_newton:  # the Barzilai-Borwein quotient is the next descent step's first trial
+            s = cand - xv
+            weighted_s = weights * s
+            sd = float((weighted_s * (g_new - g)).sum())
+            if sd > 0:
+                trial = float((weighted_s * s).sum()) / sd
+                trial = min(max(trial, 1e-14), 1e14)
+            else:
+                trial = min(t * 2.0, 1e14)
         xv, fxv, obj, g = cand, fx_new, obj_new, g_new
         gnorm = _norm(weights, g)
         iters += 1

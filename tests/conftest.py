@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from regupath import Grid, fredholm_model
+from regupath import Grid, fredholm_model, preset, run_experiment
 
 
 @pytest.fixture
@@ -21,3 +23,9 @@ def fredholm_benchmark():
     t = model.x_grid.points()
     truth = model.x_grid.function(4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t))
     return model, truth, model.apply(truth)
+
+
+@pytest.fixture(scope="session")
+def preset_bundle():
+    """``run_experiment(preset(name))``, run once per preset for the whole session."""
+    return functools.cache(lambda name: run_experiment(preset(name)))

@@ -33,6 +33,7 @@ from regupath import (
     make_noisy,
     phi_inverse,
     power_index,
+    preset,
     run_delta_sequence,
     run_experiment,
     write_bundle,
@@ -270,9 +271,10 @@ def test_acceptance_6_shrinking_noise_convergence():
     )
 
 
-def test_acceptance_7a_outlier_study_orderings():
+def test_acceptance_7a_outlier_study_orderings(preset_bundle):
     """Theta-argmin near best-on-grid; underestimated tau is worse and rougher."""
-    bundle = run_experiment(example1_config())
+    assert preset("example1") == example1_config()  # so the shared preset run is this study
+    bundle = preset_bundle("example1")
     result = bundle.results[0]
     truth = bundle.truth
     errs = [lr_norm(rec.x - truth, 2.0) for rec in result.path]

@@ -107,6 +107,25 @@ def test_missing_config_file_exit_code_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exit_code_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert f"config error: cannot read config file {str(bad)!r}: 'utf-8' codec can't decode" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "path", "theory"])
+def test_output_directory_below_a_file_exit_code_2(config_file, tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    out = blocker / "out"
+    extra = ["--deltas", "0.1,0.05"] if command == "theory" else []
+    assert main([command, "--config", str(config_file), "--out", str(out), *extra]) == 2
+    assert f"config error: cannot create output directory {str(out)!r}: " in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
+
 @pytest.mark.parametrize("deltas", ["abc", "0.1,0.2", "-0.1", "0.1,nan", "inf,0.1"])
 def test_bad_deltas_exit_code_2(config_file, tmp_path, capsys, deltas):
     out = tmp_path / "theory_out"

@@ -323,8 +323,8 @@ def files_digest(paths) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BUNDLES))
-def test_preset_bundle_matches_pinned_digest(name, tmp_path):
-    bundle = run_experiment(preset(name))
+def test_preset_bundle_matches_pinned_digest(name, tmp_path, preset_bundle):
+    bundle = preset_bundle(name)
     files = write_bundle(bundle, tmp_path) + emit_plots(bundle, tmp_path)
     assert (len(files), files_digest(files)) == PINNED_BUNDLES[name]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,9 @@ import pytest
 
 import regupath.models
 from regupath import (
+    ForwardModel,
     Grid,
+    GridMap,
     InadmissibleCoefficientError,
     NoiseOverflowError,
     NoiseSpec,
@@ -236,6 +239,31 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
             want = dense_gauss_newton(model, x, free, diag, sub, rhs)
             got = model.gauss_newton(x.values, free, diag, sub, rhs)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
+
+
+# ---------------------------------------------------------------------------
+# the model contract
+
+@pytest.mark.parametrize("field", ["apply", "derivative", "adjoint_derivative"])
+def test_forward_model_rejects_a_map_without_array_form(field):
+    grid = Grid(11)
+    maps = {
+        "apply": GridMap(lambda x: x, grid, grid),
+        "derivative": GridMap(lambda x, h: h, grid, grid, grid),
+        "adjoint_derivative": GridMap(lambda x, w: w, grid, grid, grid),
+    }
+    ForwardModel(name="identity", **maps)
+    with pytest.raises(TypeError, match=f"^{field} must be a GridMap"):
+        ForwardModel(name="identity", **{**maps, field: lambda *fs: maps[field](*fs)})
+
+
+def test_forward_model_grids_are_read_from_apply():
+    model = _elliptic(N=20)
+    assert model.x_grid == Grid(21, convention="nodal") and model.x_grid is model.apply.in_grids[0]
+    assert model.y_grid == Grid(19, convention="interior") and model.y_grid is model.apply.out_grid
+    other = Grid(7)
+    swapped = dataclasses.replace(model, apply=GridMap(lambda v: v[:7], other, model.y_grid))
+    assert (swapped.x_grid, swapped.y_grid) == (model.y_grid, other)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -34,15 +35,18 @@ from oracles import fredholm_apply_matrix, reference_solve_tikhonov, tikhonov_no
 
 def identity_model(n=50):
     grid = Grid(n)
-    ident = lambda x: x
     return ForwardModel(
         name="identity",
-        x_grid=grid,
-        y_grid=grid,
-        apply=ident,
-        derivative=lambda x, h: h,
-        adjoint_derivative=lambda x, w: w,
+        apply=GridMap(lambda x: x, grid, grid),
+        derivative=GridMap(lambda x, h: h, grid, grid, grid),
+        adjoint_derivative=GridMap(lambda x, w: w, grid, grid, grid),
     )
+
+
+def spied(grid_map, spy):
+    """``grid_map`` with ``spy`` called first on the raw arrays of each evaluation."""
+    return GridMap(lambda *arrays: spy(*arrays) or grid_map.on_values(*arrays),
+                   grid_map.out_grid, *grid_map.in_grids)
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +290,7 @@ def test_path_evaluates_its_start_once_and_floors_later_solves_at_the_first_tol(
     opts = SolveOptions(max_iters=50, grad_tol=1e-9, grad_tol_abs=1e-12, init=init)
     starts, seen = [], []
     apply, solve = model.apply, regupath.solver.solve_tikhonov
-    model = dataclasses.replace(model, apply=lambda x: starts.append(x is init) or apply(x))
+    model = dataclasses.replace(model, apply=spied(apply, lambda v: starts.append(v is init.values)))
     monkeypatch.setattr(regupath.solver, "solve_tikhonov", lambda *args: seen.append(args[4]) or solve(*args))
     path = compute_alpha_path(model, fid, pen, alpha0, 0.6, 4, opts)
     assert sum(starts) == 1
@@ -317,17 +321,15 @@ def test_projection_keeps_iterates_admissible(rng):
     grid = Grid(30)
     seen = []
 
-    def checked_apply(x):
-        seen.append(float(np.min(x.values)))
-        return x
+    def checked_apply(v):
+        seen.append(float(np.min(v)))
+        return v
 
     model = ForwardModel(
         name="clipped-identity",
-        x_grid=grid,
-        y_grid=grid,
-        apply=checked_apply,
-        derivative=lambda x, h: h,
-        adjoint_derivative=lambda x, w: w,
+        apply=GridMap(checked_apply, grid, grid),
+        derivative=GridMap(lambda x, h: h, grid, grid, grid),
+        adjoint_derivative=GridMap(lambda x, w: w, grid, grid, grid),
         project=lambda vals: np.maximum(vals, 0.0),
     )
     data = grid.function(rng.normal(size=30))  # some negative targets
@@ -381,7 +383,7 @@ def test_solver_matches_gridfunction_reference_bit_for_bit(case):
     model, fid, pen, alpha = GUARD_CASES[case]()
     clipped, lowest = [], []
     project, apply = model.project, model.apply
-    model = dataclasses.replace(model, apply=lambda x: lowest.append(x.values.min()) or apply(x))
+    model = dataclasses.replace(model, apply=spied(apply, lambda v: lowest.append(v.min())))
     if project is not None:
         model = dataclasses.replace(model, project=lambda v: clipped.append((v < 0).any()) or project(v))
     opts = SolveOptions(max_iters=400, grad_tol=1e-10)
@@ -426,6 +428,35 @@ def test_array_loop_matches_gridfunction_reference_bit_for_bit(case):
     assert np.array_equal(got.fx.values, want.fx.values)
 
 
+def _wrapped(fn):
+    @functools.wraps(fn)
+    def shim(*args):
+        return fn(*args)
+
+    return shim
+
+
+@pytest.mark.parametrize("case", ["fredholm_r1.01", "elliptic_tv_projected"])
+def test_model_of_wrapped_maps_solves_like_the_bare_model(case):
+    # functools.wraps copies a GridMap's on_values and grids onto the wrapper,
+    # so a model of such wrappers passes the contract and solves bit for bit
+    model, fid, pen, alpha = GUARD_CASES[case]()
+    wrapped = dataclasses.replace(
+        model,
+        apply=_wrapped(model.apply),
+        derivative=_wrapped(model.derivative),
+        adjoint_derivative=_wrapped(model.adjoint_derivative),
+        project=None if model.project is None else _wrapped(model.project),
+    )
+    assert (wrapped.x_grid, wrapped.y_grid) == (model.x_grid, model.y_grid)
+    opts = SolveOptions(max_iters=400, grad_tol=1e-10)
+    got, want = (solve_tikhonov(m, fid, pen, alpha, opts) for m in (wrapped, model))
+    assert got.iters == want.iters > 0
+    assert got.converged == want.converged and got.objective == want.objective
+    assert np.array_equal(got.x.values, want.x.values)
+    assert np.array_equal(got.fx.values, want.fx.values)
+
+
 def _constructions_per_solve(monkeypatch, model, fid, pen, alpha, max_iters):
     opts = SolveOptions(max_iters=max_iters, grad_tol=1e-10, init=model.x_grid.zeros())
     built, post_init = [], GridFunction.__post_init__
@@ -464,7 +495,7 @@ def test_blocked_trials_are_rejected_without_evaluating_the_model(r):
     model, fid, zero = _blocked_start_case(r)
     applied = []
     apply = model.apply
-    model = dataclasses.replace(model, apply=lambda x: applied.append(1) or apply(x))
+    model = dataclasses.replace(model, apply=spied(apply, lambda v: applied.append(1)))
     rec = solve_tikhonov(model, fid, QuadraticPenalty(), 1e-3, SolveOptions(init=zero))
     assert rec.iters == 0 and not rec.converged
     assert len(applied) == 1  # the start point alone
@@ -493,8 +524,6 @@ def test_overflowing_model_output_at_a_trial_point_is_backtracked():
 
     model = ForwardModel(
         name="exp",
-        x_grid=grid,
-        y_grid=grid,
         apply=GridMap(exp_values, grid, grid),
         derivative=GridMap(lambda x, h: np.exp(x) * h, grid, grid, grid),
         adjoint_derivative=GridMap(lambda x, w: np.exp(x) * w, grid, grid, grid),

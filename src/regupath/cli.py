@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    PRESETS,
     ConfigError,
     config_from_json,
+    preset,
     run_experiment,
     run_theory_study,
     write_bundle,
@@ -36,6 +38,23 @@ def _load_config(path: str):
     return config_from_json(text)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Fail before any solve if ``out_dir`` cannot be made, creating nothing.
+
+    Its nearest existing ancestor (itself included) must be a writable
+    directory; ``exists`` is false below a regular file, so such a file is
+    that ancestor.
+    """
+    base = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not base.is_dir():
+        problem = "is not a directory"
+    elif not os.access(base, os.W_OK | os.X_OK):
+        problem = "is not writable"
+    else:
+        return
+    raise ConfigError([f"cannot create output directory {str(out_dir)!r}: {str(base)!r} {problem}"])
+
+
 def _make_out_dir(out_dir: Path) -> Path:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -60,33 +79,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="regupath",
         description="Variational regularization with a data-driven parameter choice rule.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    source = common.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON config file")
+    source.add_argument("--preset", choices=tuple(PRESETS), help="a shipped study")
+    common.add_argument("--seed", type=int, default=None, help="override the noise seed")
+    common.add_argument("--out", default=None, help="override the output directory")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="full experiment: path, rules, CSVs, plots")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--seed", type=int, default=None, help="override the noise seed")
-    run_p.add_argument("--out", default=None, help="override the output directory")
-
-    path_p = sub.add_parser("path", help="compute the alpha path only, no rule")
-    path_p.add_argument("--config", required=True)
-    path_p.add_argument("--seed", type=int, default=None)
-    path_p.add_argument("--out", default=None)
-
-    theory_p = sub.add_parser("theory", help="shrinking-noise convergence study")
-    theory_p.add_argument("--config", required=True)
+    sub.add_parser("run", parents=[common], help="full experiment: path, rules, CSVs, plots")
+    sub.add_parser("path", parents=[common], help="compute the alpha path only, no rule")
+    theory_p = sub.add_parser("theory", parents=[common], help="shrinking-noise convergence study")
     theory_p.add_argument("--deltas", required=True, help="comma-separated decreasing noise levels")
-    theory_p.add_argument("--seed", type=int, default=None)
-    theory_p.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = preset(args.preset) if args.preset else _load_config(args.config)
         if args.seed is not None:
             config.noise.seed = args.seed
         out_dir = Path(args.out) if args.out else Path(config.output_dir)
+        _check_out_dir(out_dir)
 
         if args.command in ("run", "path"):
             bundle = run_experiment(

@@ -41,9 +41,6 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-EXPERIMENTS = ("example1", "example2_smooth", "example2_piecewise", "custom")
-
-
 @dataclass
 class ModelSpec:
     kind: str = "fredholm"
@@ -265,6 +262,9 @@ TRUTHS = {
     "parabola_sine": lambda t: 4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t),
     "smooth_mix": lambda t: np.sin(np.pi * t) + np.sin(4.0 * np.pi * t) + 2.0 * t**3 * (1.0 - t) + t,
     "three_steps": lambda t: np.select([t < 0.3, t < 0.6], [1.0, 6.0], 3.0),
+    # x = K w with K the Fredholm operator on the nodal grid of t: a source condition
+    "range_source": lambda t: fredholm_model(t.size).apply.on_values(
+        0.1 * (np.sin(np.pi * t) + 0.5 * np.sin(3 * np.pi * t))),
 }
 SOURCES = {"gaussian_bump": lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2)}
 C0_PROFILES = {"linear_t": lambda t: t}
@@ -301,7 +301,7 @@ def build_penalty(spec: PenaltySpec, x_grid: Grid) -> Penalty:
 
 
 # ---------------------------------------------------------------------------
-# presets matching the shipped reconstruction studies
+# presets: the shipped studies, one config factory each
 
 def example1_config(seed: int = 7571) -> ExperimentConfig:
     return ExperimentConfig(
@@ -372,15 +372,38 @@ def example2_piecewise_config(seed: int = 2203) -> ExperimentConfig:
     )
 
 
+def theory_study_config(seed: int = 7) -> ExperimentConfig:
+    """The shrinking-noise study; ``regupath theory`` sets its noise levels."""
+    return ExperimentConfig(
+        experiment="theory_study",
+        model=ModelSpec(kind="fredholm", n=101),
+        truth="range_source",
+        fidelity_r=2.0,
+        penalties=[PenaltySpec(kind="quadratic")],
+        rules=[RuleSpec(kind="hanke_raus")],
+        alpha0=1.0,
+        q=0.8,
+        j_max=35,
+        noise=NoisePlan(kind="gaussian", level=0.01, seed=seed),
+        solver=SolverPlan(max_iters=3000, grad_tol=1e-9, grad_tol_abs=1e-6, init="zeros"),
+        output_dir="results/theory",
+        implementation_defaults=["model.n", "truth", "noise.seed", "j_max", "solver"],
+    )
+
+
+PRESETS = {
+    "example1": example1_config,
+    "example2_smooth": example2_smooth_config,
+    "example2_piecewise": example2_piecewise_config,
+    "theory_study": theory_study_config,
+}
+EXPERIMENTS = (*PRESETS, "custom")
+
+
 def preset(name: str, seed: Optional[int] = None) -> ExperimentConfig:
-    factories = {
-        "example1": example1_config,
-        "example2_smooth": example2_smooth_config,
-        "example2_piecewise": example2_piecewise_config,
-    }
-    if name not in factories:
-        raise ConfigError([f"unknown preset {name!r}"])
-    return factories[name]() if seed is None else factories[name](seed=seed)
+    if name not in PRESETS:
+        raise ConfigError([f"unknown preset {name!r}, known presets: {', '.join(PRESETS)}"])
+    return PRESETS[name]() if seed is None else PRESETS[name](seed=seed)
 
 
 # ---------------------------------------------------------------------------

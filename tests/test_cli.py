@@ -1,12 +1,16 @@
 import json
+import re
+import shlex
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import regupath.cli
 import regupath.experiments
 import regupath.rules
-from regupath.cli import main
+from regupath.cli import build_parser, main
+from regupath.experiments import PRESETS
 
 
 def small_config_dict(out_dir):
@@ -116,7 +120,12 @@ def test_config_file_not_utf8_exit_code_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "path", "theory"])
-def test_output_directory_below_a_file_exit_code_2(config_file, tmp_path, capsys, command):
+def test_output_directory_below_a_file_exit_code_2(config_file, tmp_path, capsys, monkeypatch, command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output directory was checked")
+
+    monkeypatch.setattr(regupath.cli, "run_experiment", no_solve)
+    monkeypatch.setattr(regupath.cli, "run_theory_study", no_solve)
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n", encoding="utf-8")
     out = blocker / "out"
@@ -225,3 +234,43 @@ def test_threads_env_does_not_change_results(tmp_path, monkeypatch, capsys):
     assert Path("run/path_shifted_quadratic.csv") in files and Path("theory/theory.csv") in files
     for name in files:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "one of the arguments --config --preset is required"),
+    (["--config", "config.json", "--preset", "example1"], "argument --preset: not allowed with argument --config"),
+])
+def test_config_and_preset_are_one_choice_exit_code_2(capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", *extra])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_preset_exit_code_2_lists_the_presets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["path", "--preset", "nope"])
+    assert exc.value.code == 2
+    assert f"invalid choice: 'nope' (choose from {', '.join(map(repr, PRESETS))})" in capsys.readouterr().err
+
+
+def test_seed_overrides_a_preset_noise_seed(tmp_path, capsys):
+    for seed in ([], ["--seed", "3"]):
+        out = tmp_path / f"seed{len(seed)}"
+        assert main(["path", "--preset", "theory_study", *seed, "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text(encoding="utf-8"))
+        assert echo["noise"]["seed"] == (3 if seed else 7)
+    capsys.readouterr()
+    assert (tmp_path / "seed0" / "data.csv").read_bytes() != (tmp_path / "seed2" / "data.csv").read_bytes()
+
+
+def test_readme_shipped_studies_parse_and_name_no_script():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert "scripts/" not in readme
+    block = re.search(r"## Shipped studies\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    presets = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "regupath", line
+        presets.append(build_parser().parse_args(argv[1:]).preset)
+    assert sorted(presets) == sorted(PRESETS)

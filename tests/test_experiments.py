@@ -32,7 +32,8 @@ from regupath import (
     write_bundle,
     write_theory_report,
 )
-from regupath.experiments import penalty_tags
+from regupath.cli import main
+from regupath.experiments import PRESETS, penalty_tags
 from regupath.rules import DeltaLevelRow, TheoryReport
 
 
@@ -149,7 +150,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def _mutated_presets(draw):
-    name = draw(st.sampled_from(["example1", "example2_smooth", "example2_piecewise"]))
+    name = draw(st.sampled_from(sorted(PRESETS)))
     data = json.loads(preset(name).to_json())
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(data))))
@@ -212,9 +213,9 @@ def test_presets_expose_published_constants():
 
 
 def test_presets_validate_clean():
-    for cfg in (example1_config(), example2_smooth_config(), example2_piecewise_config()):
-        assert validate_config(cfg) == []
-    with pytest.raises(ConfigError):
+    for name in PRESETS:
+        assert validate_config(preset(name)) == []
+    with pytest.raises(ConfigError, match="known presets: example1, example2_smooth, example2_piecewise, theory_study"):
         preset("unknown")
 
 
@@ -310,9 +311,10 @@ PINNED_BUNDLES = {
     "example2_smooth": (12, "8f42e8e9940dd91b4c215945c12f3cb04b4f35cd57ed01dc689027d740b2c531"),
     "example2_piecewise": (8, "6cb331e78555950a9616ae30f9096772b03cef5c004f8fbd258284dda281db6f"),
 }
-# scripts/theory_study.py's theory.csv, the file's own sha256, at one BLAS
-# thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
+# The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
+# at one BLAS thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
 PINNED_THEORY_CSV = "9e400392ca662e69e446eb08e851f727afd4350079e0c5e8598649aeaed4202c"
+THEORY_DELTAS = "0.2,0.1,0.05,0.025,0.0125"
 
 
 def files_digest(paths) -> str:
@@ -329,14 +331,23 @@ def test_preset_bundle_matches_pinned_digest(name, tmp_path, preset_bundle):
     assert (len(files), files_digest(files)) == PINNED_BUNDLES[name]
 
 
+@pytest.mark.parametrize("name", ["example2_smooth", "example2_piecewise"])
+def test_preset_cli_run_matches_pinned_digest(name, tmp_path, capsys):
+    # example1's CLI run takes about 20 s; its in-process pin above covers the preset
+    assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
+    files = [Path(line) for line in capsys.readouterr().out.splitlines()]
+    assert sorted(files) == sorted(tmp_path.iterdir())
+    assert (len(files), files_digest(files)) == PINNED_BUNDLES[name]
+
+
 def test_theory_study_matches_pinned_digest(tmp_path):
-    root = Path(__file__).resolve().parents[1]
     src = str(Path(regupath.__file__).resolve().parents[1])
     python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": python_path}
-    subprocess.run([sys.executable, str(root / "scripts" / "theory_study.py")],
+    subprocess.run([sys.executable, "-m", "regupath", "theory", "--preset", "theory_study",
+                    "--deltas", THEORY_DELTAS, "--out", str(tmp_path)],
                    cwd=tmp_path, env=env, check=True, capture_output=True)
-    csv_bytes = (tmp_path / "results" / "theory" / "theory.csv").read_bytes()
+    csv_bytes = (tmp_path / "theory.csv").read_bytes()
     assert hashlib.sha256(csv_bytes).hexdigest() == PINNED_THEORY_CSV
 
 

@@ -100,7 +100,9 @@ def main(argv=None) -> int:
         config = preset(args.preset) if args.preset else _load_config(args.config)
         if args.seed is not None:
             config.noise.seed = args.seed
-        out_dir = Path(args.out) if args.out else Path(config.output_dir)
+        if args.out == "":
+            raise ConfigError(["--out must be a nonempty directory path"])
+        out_dir = Path(config.output_dir if args.out is None else args.out)
         _check_out_dir(out_dir)
 
         if args.command in ("run", "path"):

@@ -110,11 +110,8 @@ def fredholm_model(n: int) -> ForwardModel:
     kernel = 40.0 * np.minimum(s, t) * (1.0 - np.maximum(s, t))
     w = grid.weights()
     apply_mat = kernel * w[None, :]
-    # The kernel is symmetric, so the adjoint for the weighted inner product
-    # has the same entries.  BLAS sums a column-major matrix-vector product in
-    # another order than a row-major one, and the shipped outputs depend on
-    # the adjoint's order, so the adjoint keeps its own column-major copy.
-    adjoint_mat = np.asfortranarray(apply_mat)
+    # The kernel is symmetric, so F' and its weighted adjoint are both apply_mat @ v.
+    linear = GridMap(lambda x, v: apply_mat @ v, grid, grid, grid)
     root_w = np.sqrt(w)
     diagonal = np.arange(n)
 
@@ -133,8 +130,8 @@ def fredholm_model(n: int) -> ForwardModel:
     return ForwardModel(
         name="fredholm",
         apply=GridMap(lambda x: apply_mat @ x, grid, grid),
-        derivative=GridMap(lambda x, h: apply_mat @ h, grid, grid, grid),
-        adjoint_derivative=GridMap(lambda x, v: adjoint_mat @ v, grid, grid, grid),
+        derivative=linear,
+        adjoint_derivative=linear,
         gauss_newton=gauss_newton,
     )
 

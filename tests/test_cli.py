@@ -135,6 +135,19 @@ def test_output_directory_below_a_file_exit_code_2(config_file, tmp_path, capsys
     assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
+@pytest.mark.parametrize("command", ["run", "path", "theory"])
+def test_empty_out_exit_code_2(config_file, tmp_path, capsys, monkeypatch, command):
+    # an empty --out is not "no --out": it must not fall back to the config's directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    extra = ["--deltas", "0.1,0.05"] if command == "theory" else []
+    assert main([command, "--config", str(config_file), "--out", "", *extra]) == 2
+    assert "config error: --out must be a nonempty directory path" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("deltas", ["abc", "0.1,0.2", "-0.1", "0.1,nan", "inf,0.1"])
 def test_bad_deltas_exit_code_2(config_file, tmp_path, capsys, deltas):
     out = tmp_path / "theory_out"

@@ -307,13 +307,13 @@ def test_seed_changes_noise_but_config_controls_everything_else():
 # Outputs pinned by sha256; a change to any of them is a change of results.
 # A bundle's digest runs over the names and bytes of its files in name order.
 PINNED_BUNDLES = {
-    "example1": (14, "142f2a420085775138d5ce0f52ac0cde0290fd9c464fe792e84ee115ccf25518"),
+    "example1": (14, "2040df42557079e6df8afffad89a524969a29a12a251b8c518a5f35492f6f3e8"),
     "example2_smooth": (12, "8f42e8e9940dd91b4c215945c12f3cb04b4f35cd57ed01dc689027d740b2c531"),
     "example2_piecewise": (8, "6cb331e78555950a9616ae30f9096772b03cef5c004f8fbd258284dda281db6f"),
 }
 # The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
 # at one BLAS thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
-PINNED_THEORY_CSV = "9e400392ca662e69e446eb08e851f727afd4350079e0c5e8598649aeaed4202c"
+PINNED_THEORY_CSV = "9f059a352985ebac243fdbbacffc191af0589a79ff13c12439c37acaf8ed3801"
 THEORY_DELTAS = "0.2,0.1,0.05,0.025,0.0125"
 
 
@@ -328,16 +328,18 @@ def files_digest(paths) -> str:
 def test_preset_bundle_matches_pinned_digest(name, tmp_path, preset_bundle):
     bundle = preset_bundle(name)
     files = write_bundle(bundle, tmp_path) + emit_plots(bundle, tmp_path)
-    assert (len(files), files_digest(files)) == PINNED_BUNDLES[name]
+    got = (len(files), files_digest(files))
+    assert got == PINNED_BUNDLES[name], f"{name} now writes {got[0]} files with digest {got[1]}"
 
 
 @pytest.mark.parametrize("name", ["example2_smooth", "example2_piecewise"])
 def test_preset_cli_run_matches_pinned_digest(name, tmp_path, capsys):
-    # example1's CLI run takes about 20 s; its in-process pin above covers the preset
+    # example1's CLI run takes about 14 s; its in-process pin above covers the preset
     assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
     files = [Path(line) for line in capsys.readouterr().out.splitlines()]
     assert sorted(files) == sorted(tmp_path.iterdir())
-    assert (len(files), files_digest(files)) == PINNED_BUNDLES[name]
+    got = (len(files), files_digest(files))
+    assert got == PINNED_BUNDLES[name], f"{name} now writes {got[0]} files with digest {got[1]}"
 
 
 def test_theory_study_matches_pinned_digest(tmp_path):
@@ -347,8 +349,8 @@ def test_theory_study_matches_pinned_digest(tmp_path):
     subprocess.run([sys.executable, "-m", "regupath", "theory", "--preset", "theory_study",
                     "--deltas", THEORY_DELTAS, "--out", str(tmp_path)],
                    cwd=tmp_path, env=env, check=True, capture_output=True)
-    csv_bytes = (tmp_path / "theory.csv").read_bytes()
-    assert hashlib.sha256(csv_bytes).hexdigest() == PINNED_THEORY_CSV
+    digest = hashlib.sha256((tmp_path / "theory.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_THEORY_CSV, f"theory.csv (1 file) now has sha256 {digest}"
 
 
 # ---------------------------------------------------------------------------

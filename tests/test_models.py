@@ -104,6 +104,8 @@ def test_fredholm_linear_derivative_is_apply(rng):
     x = g.function(rng.normal(size=41))
     h = g.function(rng.normal(size=41))
     np.testing.assert_array_equal(model.derivative(x, h).values, model.apply(h).values)
+    # self-adjoint in the weighted inner product: the adjoint is the same matrix product
+    np.testing.assert_array_equal(model.adjoint_derivative(x, h).values, model.apply(h).values)
     # exact linearity: no second-order Taylor remainder
     s = 1e-3
     lhs = model.apply(x + s * h).values - model.apply(x).values - s * model.derivative(x, h).values

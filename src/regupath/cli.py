@@ -15,6 +15,7 @@ from .experiments import (
     run_experiment,
     run_theory_study,
     write_bundle,
+    write_path,
     write_theory_report,
 )
 from .plots import emit_plots
@@ -129,6 +130,8 @@ def main(argv=None) -> int:
         return 2
     except (PathAborted, DivergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if isinstance(exc, PathAborted) and exc.records:
+            print(write_path(exc.records, _make_out_dir(out_dir) / "path_aborted.csv"))
         return 3
     return 0
 

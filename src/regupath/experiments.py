@@ -75,7 +75,7 @@ def rule_tag(kind: str, tau: Optional[float]) -> str:
 @dataclass
 class NoisePlan:
     kind: str = "gaussian"
-    level: Optional[float] = None
+    level: Optional[float] = 0.01
     fraction: Optional[float] = None
     amplitude: Optional[float] = None
     seed: int = 0
@@ -108,7 +108,7 @@ class ExperimentConfig:
     alpha0: float = 1.0
     q: float = 0.9
     j_max: int = 60
-    noise: NoisePlan = field(default_factory=lambda: NoisePlan(level=0.01))
+    noise: NoisePlan = field(default_factory=NoisePlan)
     solver: SolverPlan = field(default_factory=SolverPlan)
     output_dir: str = "results"
     implementation_defaults: List[str] = field(default_factory=list)
@@ -528,6 +528,21 @@ def _write_rows(path: Path, header: List[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+# The columns of a path CSV that need no truth, and one record's values for them.
+PATH_COLUMNS = ["j", "alpha", "residual", "penalty", "theta", "objective", "iters", "converged"]
+
+
+def _path_row(j: int, rec: AlphaPathRecord) -> tuple:
+    return (j, rec.alpha, rec.residual, rec.penalty, rec.theta, rec.objective, rec.iters, rec.converged)
+
+
+def write_path(records: List[AlphaPathRecord], path) -> Path:
+    """Write records as the truth-free path columns, one row per record in path order."""
+    path = Path(path)
+    _write_rows(path, PATH_COLUMNS, (_path_row(j, rec) for j, rec in enumerate(records)))
+    return path
+
+
 def l1_error(x: GridFunction, truth: GridFunction) -> float:
     x._check_same_grid(truth)
     return float(np.sum(x.grid.weights() * np.abs(x.values - truth.values)))
@@ -563,17 +578,9 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
         for j, rec in enumerate(result.path):
             breg = bregman_distance(result.penalty, xi, rec.x, bundle.truth)
             l2e = lr_norm(rec.x - bundle.truth, 2.0)
-            path_rows.append(
-                (j, rec.alpha, rec.residual, rec.penalty, rec.theta, rec.objective,
-                 rec.iters, rec.converged, breg, l2e)
-            )
+            path_rows.append((*_path_row(j, rec), breg, l2e))
         path_path = out / f"path_{result.tag}.csv"
-        _write_rows(
-            path_path,
-            ["j", "alpha", "residual", "penalty", "theta", "objective", "iters",
-             "converged", "bregman_to_truth", "l2_error_to_truth"],
-            path_rows,
-        )
+        _write_rows(path_path, PATH_COLUMNS + ["bregman_to_truth", "l2_error_to_truth"], path_rows)
         created.append(path_path)
 
         for outcome in result.outcomes:
@@ -592,6 +599,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
                     bregman_distance(result.penalty, xi, x_star, bundle.truth),
                     tv_roughness(x_star),
                     ";".join(outcome.flags),
+                    outcome.record.converged,
                 )
             )
             recon_path = out / f"recon_{result.tag}_{rule_tag(outcome.rule, outcome.tau)}.csv"
@@ -607,7 +615,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
         _write_rows(
             outcomes_path,
             ["penalty", "rule", "tau", "alpha_star", "delta_star", "delta", "kappa_hat",
-             "l2_error", "l1_error", "bregman", "tv_roughness", "flags"],
+             "l2_error", "l1_error", "bregman", "tv_roughness", "flags", "selected_converged"],
             outcome_rows,
         )
         created.append(outcomes_path)

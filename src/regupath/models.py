@@ -47,22 +47,21 @@ class GridMap:
 
 @dataclass(frozen=True, eq=False)
 class ForwardModel:
-    """Operator contract: F, its derivative action and the adjoint action.
+    """Operator contract: F, the adjoint action F'(x)* and a Gauss-Newton solve.
 
-    ``apply``, ``derivative`` and ``adjoint_derivative`` are GridMaps (or
-    wrappers that carry a GridMap's ``on_values``, ``out_grid`` and
-    ``in_grids``), and construction raises TypeError for one without
-    ``on_values``.  ``apply`` maps x_grid functions to y_grid functions, and
-    the two grids are read from it; it raises InadmissibleCoefficientError
-    outside the model's admissible set, if it has one.  ``derivative`` and
-    ``adjoint_derivative`` evaluate F'(x)h and F'(x)*w; the adjoint is taken
-    with respect to the weighted L^2 inner products of the two grids.  The
-    solver calls the maps' ``on_values`` on raw sample arrays.  Arrays handed
-    to ``on_values`` must not be written to afterwards: the elliptic model
-    keeps the state of the last array it saw, keyed by the array object, and
-    the solver marks its iterates read-only.  ``project`` (optional) maps a
-    raw value array onto the admissible set and is used by the solver after
-    each step.
+    ``apply`` and ``adjoint_derivative`` are GridMaps (or wrappers that carry
+    a GridMap's ``on_values``, ``out_grid`` and ``in_grids``), and
+    construction raises TypeError for one without ``on_values``.  ``apply``
+    maps x_grid functions to y_grid functions, and the two grids are read
+    from it; it raises InadmissibleCoefficientError outside the model's
+    admissible set, if it has one.  ``adjoint_derivative`` evaluates
+    F'(x)*w, the adjoint taken with respect to the weighted L^2 inner
+    products of the two grids.  The solver calls the maps' ``on_values`` on
+    raw sample arrays.  Arrays handed to ``on_values`` must not be written to
+    afterwards: the elliptic model keeps the state of the last array it saw,
+    keyed by the array object, and the solver marks its iterates read-only.
+    ``project`` (optional) maps a raw value array onto the admissible set and
+    is used by the solver after each step.
 
     ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
     misfit on raw arrays, ``gauss_newton(v, free, diag, sub, rhs)``: with
@@ -75,13 +74,12 @@ class ForwardModel:
 
     name: str
     apply: GridMap
-    derivative: GridMap
     adjoint_derivative: GridMap
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gauss_newton: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
-        for field in ("apply", "derivative", "adjoint_derivative"):
+        for field in ("apply", "adjoint_derivative"):
             grid_map = getattr(self, field)
             if not callable(getattr(grid_map, "on_values", None)):
                 raise TypeError(f"{field} must be a GridMap, got {grid_map!r}")
@@ -110,8 +108,6 @@ def fredholm_model(n: int) -> ForwardModel:
     kernel = 40.0 * np.minimum(s, t) * (1.0 - np.maximum(s, t))
     w = grid.weights()
     apply_mat = kernel * w[None, :]
-    # The kernel is symmetric, so F' and its weighted adjoint are both apply_mat @ v.
-    linear = GridMap(lambda x, v: apply_mat @ v, grid, grid, grid)
     root_w = np.sqrt(w)
     diagonal = np.arange(n)
 
@@ -130,8 +126,8 @@ def fredholm_model(n: int) -> ForwardModel:
     return ForwardModel(
         name="fredholm",
         apply=GridMap(lambda x: apply_mat @ x, grid, grid),
-        derivative=linear,
-        adjoint_derivative=linear,
+        # The kernel is symmetric, so the weighted adjoint of F' = F is apply_mat @ v.
+        adjoint_derivative=GridMap(lambda x, v: apply_mat @ v, grid, grid, grid),
         gauss_newton=gauss_newton,
     )
 
@@ -174,10 +170,6 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         u.setflags(write=False)  # apply.on_values hands out this array itself
         last.state = (c, diag, u)
         return diag, u
-
-    def derivative(c: np.ndarray, hdir: np.ndarray) -> np.ndarray:
-        diag, u = _solved(c)
-        return -solve_tridiagonal(off, diag, off, hdir[1:-1] * u)
 
     def adjoint_derivative(c: np.ndarray, w: np.ndarray) -> np.ndarray:
         diag, u = _solved(c)
@@ -225,7 +217,6 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     return ForwardModel(
         name="elliptic",
         apply=GridMap(lambda c: _solved(c)[1], u_grid, c_grid),
-        derivative=GridMap(derivative, u_grid, c_grid, c_grid),
         adjoint_derivative=GridMap(adjoint_derivative, c_grid, c_grid, u_grid),
         project=lambda vals: np.maximum(vals, 0.0),
         gauss_newton=gauss_newton,

@@ -3,7 +3,8 @@
 Everything here recomputes results through a different route than the
 implementation under test: dense linear algebra instead of iterative
 descent, explicit kernel quadrature instead of the model's cached matrix,
-high-resolution quadrature instead of the working grid.
+Jacobians assembled from the discrete equations instead of the model's
+adjoint action, high-resolution quadrature instead of the working grid.
 """
 
 import math
@@ -40,16 +41,28 @@ def dense_tridiagonal(sub, diag, sup) -> np.ndarray:
     return m
 
 
-def dense_jacobian(model: ForwardModel, x: GridFunction) -> np.ndarray:
-    """F'(x) as a matrix on the raw sample values, one derivative action per unit vector."""
-    unit = np.eye(model.x_grid.n)
-    return np.column_stack([model.derivative(x, model.x_grid.function(e)).values for e in unit])
+def elliptic_jacobian(model: ForwardModel, c: GridFunction) -> np.ndarray:
+    """F'(c) of the shipped elliptic model as a dense matrix on the raw sample values.
+
+    Differentiating A(c) u = b with A(c) = tridiag(-1/h^2, 2/h^2 + c_interior,
+    -1/h^2) gives J = -A(c)^{-1} diag(u) on the interior coefficients and zero
+    columns at the two boundary nodes.  Only the state u = F(c) comes from the
+    model; the matrix is assembled and inverted densely here.
+    """
+    N = model.x_grid.n - 1
+    h = 1.0 / N
+    u = model.apply(c).values
+    off = np.full(N - 2, -1.0 / h**2)
+    a = dense_tridiagonal(off, 2.0 / h**2 + c.values[1:-1], off)
+    jac = np.zeros((N - 1, N + 1))
+    jac[:, 1:-1] = -np.linalg.solve(a, np.diag(u))
+    return jac
 
 
-def dense_gauss_newton(model: ForwardModel, x: GridFunction, free: np.ndarray, diag: np.ndarray,
+def dense_gauss_newton(model: ForwardModel, jac: np.ndarray, free: np.ndarray, diag: np.ndarray,
                        sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (2 (J D_f)^T W_y (J D_f) + B) s = rhs with dense matrices."""
-    jf = dense_jacobian(model, x) * free
+    """Solve (2 (J D_f)^T W_y (J D_f) + B) s = rhs with dense matrices, J = ``jac``."""
+    jf = jac * free
     lhs = 2.0 * jf.T @ np.diag(model.y_grid.weights()) @ jf + dense_tridiagonal(sub, diag, sub)
     return np.linalg.solve(lhs, rhs)
 
@@ -64,6 +77,7 @@ def fredholm_kernel_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fredholm_apply_matrix(n: int) -> np.ndarray:
+    """The shipped integral operator as a matrix, which is also its Jacobian F'(x) at every x."""
     kernel, w = fredholm_kernel_matrix(n)
     return kernel * w[None, :]
 

@@ -9,6 +9,8 @@ import pytest
 import regupath.cli
 import regupath.experiments
 import regupath.rules
+import regupath.solver
+from regupath import DivergenceError
 from regupath.cli import build_parser, main
 from regupath.experiments import PRESETS
 
@@ -187,6 +189,31 @@ def test_divergent_solve_exit_code_3(tmp_path, capsys):
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path)]) == 3
     assert "gradient is non-finite" in capsys.readouterr().err
+    # both fail at j = 0, so there is no partial path to keep
+    assert not (tmp_path / "digress").exists()
+
+
+def test_aborted_path_keeps_its_records_exit_code_3(config_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = regupath.solver.solve_tikhonov
+
+    def third_call_diverges(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DivergenceError("objective is non-finite")
+        return solve(*args)
+
+    monkeypatch.setattr(regupath.solver, "solve_tikhonov", third_call_diverges)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file)]) == 3
+    captured = capsys.readouterr()
+    assert "solver failure: path aborted at alpha=" in captured.err
+    assert captured.out.splitlines() == [str(out / "path_aborted.csv")]
+    assert sorted(p.name for p in out.iterdir()) == ["path_aborted.csv"]
+    lines = (out / "path_aborted.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "j,alpha,residual,penalty,theta,objective,iters,converged"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), float(r[1])) for r in rows] == [(0, 0.5), (1, 0.5 * 0.6)]
 
 
 def test_noise_beyond_float_range_exit_code_2(tmp_path, capsys):

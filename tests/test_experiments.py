@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,7 +35,7 @@ from regupath import (
     write_theory_report,
 )
 from regupath.cli import main
-from regupath.experiments import PRESETS, penalty_tags
+from regupath.experiments import PRESETS, penalty_tags, run_theory_study
 from regupath.rules import DeltaLevelRow, TheoryReport
 
 
@@ -71,6 +73,12 @@ def test_config_from_dict_fills_defaults():
     cfg = config_from_dict({"experiment": "custom", "noise": {"kind": "gaussian", "level": 0.1}})
     assert cfg.model.kind == "fredholm"
     assert cfg.penalties[0].kind == "quadratic"
+
+
+def test_partial_noise_section_keeps_the_default_level():
+    cfg = config_from_dict({"noise": {"seed": 3}})
+    assert cfg.noise == dataclasses.replace(ExperimentConfig().noise, seed=3)
+    assert cfg.noise.level == 0.01
 
 
 def test_validation_collects_every_error():
@@ -278,6 +286,17 @@ def test_bundle_write_and_determinism(tmp_path):
     assert "recon_quadratic_discrepancy_tau1.2.csv" in names
 
 
+def test_outcomes_report_whether_each_selection_converged(tmp_path):
+    bundle = run_experiment(tiny_config())
+    write_bundle(bundle, tmp_path)
+    with open(tmp_path / "outcomes.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    outcomes = [o for result in bundle.results for o in result.outcomes]
+    assert len(rows) == len(outcomes) == 2
+    assert [row["selected_converged"] for row in rows] == [
+        "true" if o.record.converged else "false" for o in outcomes]
+
+
 def test_csv_format_lf_and_17_digits(tmp_path):
     bundle = run_experiment(tiny_config())
     files = write_bundle(bundle, tmp_path)
@@ -307,9 +326,9 @@ def test_seed_changes_noise_but_config_controls_everything_else():
 # Outputs pinned by sha256; a change to any of them is a change of results.
 # A bundle's digest runs over the names and bytes of its files in name order.
 PINNED_BUNDLES = {
-    "example1": (14, "2040df42557079e6df8afffad89a524969a29a12a251b8c518a5f35492f6f3e8"),
-    "example2_smooth": (12, "8f42e8e9940dd91b4c215945c12f3cb04b4f35cd57ed01dc689027d740b2c531"),
-    "example2_piecewise": (8, "6cb331e78555950a9616ae30f9096772b03cef5c004f8fbd258284dda281db6f"),
+    "example1": (14, "3b831dfb6a1b216022c7a099a0abb11a1893122083c897a74c7dd62816943ec7"),
+    "example2_smooth": (12, "be5f1420d3aeaefeb8e220a3f03c00e2838c3e7874137d09626598a09482ffde"),
+    "example2_piecewise": (8, "9507c0186eafd6fe2e19260cd3c63dfb57b7590ef3bd844ae456803ed417a664"),
 }
 # The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
 # at one BLAS thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
@@ -351,6 +370,33 @@ def test_theory_study_matches_pinned_digest(tmp_path):
                    cwd=tmp_path, env=env, check=True, capture_output=True)
     digest = hashlib.sha256((tmp_path / "theory.csv").read_bytes()).hexdigest()
     assert digest == PINNED_THEORY_CSV, f"theory.csv (1 file) now has sha256 {digest}"
+
+
+def _theory_csv(config, path) -> bytes:
+    deltas = [float(d) for d in THEORY_DELTAS.split(",")]
+    return write_theory_report(run_theory_study(config, deltas), path).read_bytes()
+
+
+def _impulsive_noise(cfg):
+    cfg.noise = NoisePlan(kind="impulsive_gaussian", level=0.3, fraction=0.02, amplitude=1.0,
+                          seed=cfg.noise.seed)
+
+
+def _more_rules_and_penalties(cfg):
+    cfg.rules.append(RuleSpec(kind="discrepancy", tau=1.3))
+    cfg.penalties.append(PenaltySpec(kind="smoothed_tv"))
+
+
+@pytest.mark.parametrize("change", [_impulsive_noise, _more_rules_and_penalties],
+                         ids=["impulsive_noise", "more_rules_and_penalties"])
+def test_theory_study_ignores_noise_kind_level_rules_and_later_penalties(change, tmp_path):
+    # the study draws a Gaussian direction from noise.seed alone, solves the
+    # first penalty only and always applies the theta-argmin rule
+    cfg = preset("theory_study")
+    change(cfg)
+    assert validate_config(cfg) == []
+    want = _theory_csv(preset("theory_study"), tmp_path / "preset.csv")
+    assert _theory_csv(cfg, tmp_path / "changed.csv") == want
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from regupath import (
     make_noisy,
 )
 
-from oracles import dense_gauss_newton, estimate_kappa, fredholm_apply_matrix
+from oracles import dense_gauss_newton, elliptic_jacobian, estimate_kappa, fredholm_apply_matrix
 
 
 def _elliptic(N=100, g0=1.0, g1=6.0):
@@ -103,12 +103,11 @@ def test_fredholm_linear_derivative_is_apply(rng):
     g = model.x_grid
     x = g.function(rng.normal(size=41))
     h = g.function(rng.normal(size=41))
-    np.testing.assert_array_equal(model.derivative(x, h).values, model.apply(h).values)
     # self-adjoint in the weighted inner product: the adjoint is the same matrix product
     np.testing.assert_array_equal(model.adjoint_derivative(x, h).values, model.apply(h).values)
     # exact linearity: no second-order Taylor remainder
     s = 1e-3
-    lhs = model.apply(x + s * h).values - model.apply(x).values - s * model.derivative(x, h).values
+    lhs = model.apply(x + s * h).values - model.apply(x).values - s * model.apply(h).values
     assert np.max(np.abs(lhs)) <= 1e-14
 
 
@@ -169,10 +168,11 @@ def test_elliptic_adjoint_identity(rng):
     c_grid, u_grid = model.x_grid, model.y_grid
     t = c_grid.points()
     c = c_grid.function(np.sin(np.pi * t) + t + 0.5)
+    jac = elliptic_jacobian(model, c)
     for _ in range(20):
         h = c_grid.function(rng.normal(size=c_grid.n))
         w = u_grid.function(rng.normal(size=u_grid.n))
-        lhs = l2_inner(model.derivative(c, h), w)
+        lhs = l2_inner(u_grid.function(jac @ h.values), w)
         rhs = l2_inner(h, model.adjoint_derivative(c, w))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-14)
 
@@ -182,11 +182,12 @@ def test_elliptic_derivative_matches_forward_difference(rng):
     c_grid = model.x_grid
     t = c_grid.points()
     c = c_grid.function(1.0 + t * (1 - t))
+    jac = elliptic_jacobian(model, c)
     s = 1e-6
     for _ in range(5):
         h = c_grid.function(rng.normal(size=c_grid.n))
         fd = (1.0 / s) * (model.apply(c + s * h) - model.apply(c))
-        dv = model.derivative(c, h)
+        dv = model.y_grid.function(jac @ h.values)
         denom = lr_norm(dv, 2.0)
         assert lr_norm(fd - dv, 2.0) <= 1e-5 * denom
 
@@ -197,9 +198,10 @@ def test_elliptic_taylor_remainder_second_order():
     t = c_grid.points()
     c = c_grid.function(1.0 + np.sin(np.pi * t))
     h = c_grid.function(np.cos(2.0 * np.pi * t) + 0.3)
+    dv = model.y_grid.function(elliptic_jacobian(model, c) @ h.values)
 
     def remainder(s):
-        lhs = model.apply(c + s * h) - model.apply(c) - s * model.derivative(c, h)
+        lhs = model.apply(c + s * h) - model.apply(c) - s * dv
         return lr_norm(lhs, 2.0)
 
     ratio = remainder(1e-2) / remainder(5e-3)
@@ -229,16 +231,17 @@ def test_elliptic_projection_clips_at_zero():
                          ids=["quadratic", "smoothed_tv"])
 def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
     # the elliptic banded (s, w, z) system and the Fredholm Cholesky against
-    # a dense J assembled from derivative actions, on random free masks
+    # the dense J of the oracles, on random free masks
     for model in (_elliptic(N=60), fredholm_model(41)):
         grid = model.x_grid
         x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
+        jac = fredholm_apply_matrix(grid.n) if model.name == "fredholm" else elliptic_jacobian(model, x)
         for _ in range(3):
             free = rng.uniform(size=grid.n) > 0.3
             diag, sub = penalty.hessian(grid, x.values)
             diag, sub = alpha * diag, alpha * sub * (free[1:] & free[:-1])
             rhs = rng.normal(size=grid.n)
-            want = dense_gauss_newton(model, x, free, diag, sub, rhs)
+            want = dense_gauss_newton(model, jac, free, diag, sub, rhs)
             got = model.gauss_newton(x.values, free, diag, sub, rhs)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
 
@@ -246,12 +249,13 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
 # ---------------------------------------------------------------------------
 # the model contract
 
-@pytest.mark.parametrize("field", ["apply", "derivative", "adjoint_derivative"])
+@pytest.mark.parametrize("field", ["apply", "adjoint_derivative"])
 def test_forward_model_rejects_a_map_without_array_form(field):
+    assert [f.name for f in dataclasses.fields(ForwardModel)] == [
+        "name", "apply", "adjoint_derivative", "project", "gauss_newton"]
     grid = Grid(11)
     maps = {
         "apply": GridMap(lambda x: x, grid, grid),
-        "derivative": GridMap(lambda x, h: h, grid, grid, grid),
         "adjoint_derivative": GridMap(lambda x, w: w, grid, grid, grid),
     }
     ForwardModel(name="identity", **maps)

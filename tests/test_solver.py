@@ -38,7 +38,6 @@ def identity_model(n=50):
     return ForwardModel(
         name="identity",
         apply=GridMap(lambda x: x, grid, grid),
-        derivative=GridMap(lambda x, h: h, grid, grid, grid),
         adjoint_derivative=GridMap(lambda x, w: w, grid, grid, grid),
     )
 
@@ -328,7 +327,6 @@ def test_projection_keeps_iterates_admissible(rng):
     model = ForwardModel(
         name="clipped-identity",
         apply=GridMap(checked_apply, grid, grid),
-        derivative=GridMap(lambda x, h: h, grid, grid, grid),
         adjoint_derivative=GridMap(lambda x, w: w, grid, grid, grid),
         project=lambda vals: np.maximum(vals, 0.0),
     )
@@ -444,7 +442,6 @@ def test_model_of_wrapped_maps_solves_like_the_bare_model(case):
     wrapped = dataclasses.replace(
         model,
         apply=_wrapped(model.apply),
-        derivative=_wrapped(model.derivative),
         adjoint_derivative=_wrapped(model.adjoint_derivative),
         project=None if model.project is None else _wrapped(model.project),
     )
@@ -525,7 +522,6 @@ def test_overflowing_model_output_at_a_trial_point_is_backtracked():
     model = ForwardModel(
         name="exp",
         apply=GridMap(exp_values, grid, grid),
-        derivative=GridMap(lambda x, h: np.exp(x) * h, grid, grid, grid),
         adjoint_derivative=GridMap(lambda x, w: np.exp(x) * w, grid, grid, grid),
     )
     fid, pen, alpha = Fidelity(1.01, grid.function(np.ones(21))), QuadraticPenalty(), 1e3

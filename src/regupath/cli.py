@@ -23,14 +23,6 @@ from .rules import noise_level_problems
 from .solver import DivergenceError, PathAborted
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("REGUPATH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -107,16 +99,14 @@ def main(argv=None) -> int:
         _check_out_dir(out_dir)
 
         if args.command in ("run", "path"):
-            bundle = run_experiment(
-                config, apply_rules=(args.command == "run"), max_workers=_max_workers()
-            )
+            bundle = run_experiment(config, apply_rules=(args.command == "run"))
             created = write_bundle(bundle, _make_out_dir(out_dir))
             if args.command == "run":
                 created += emit_plots(bundle, out_dir)
             for path in created:
                 print(path)
         else:
-            report = run_theory_study(config, _parse_deltas(args.deltas), _max_workers())
+            report = run_theory_study(config, _parse_deltas(args.deltas))
             path = write_theory_report(report, _make_out_dir(out_dir) / "theory.csv")
             print(path)
             for row in report.convergence_table:
@@ -130,8 +120,11 @@ def main(argv=None) -> int:
         return 2
     except (PathAborted, DivergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        if isinstance(exc, PathAborted) and exc.records:
-            print(write_path(exc.records, _make_out_dir(out_dir) / "path_aborted.csv"))
+        if isinstance(exc, PathAborted):
+            for tag, records in exc.finished:
+                print(write_path(records, _make_out_dir(out_dir) / f"path_{tag}.csv"))
+            if exc.records:
+                print(write_path(exc.records, _make_out_dir(out_dir) / "path_aborted.csv"))
         return 3
     return 0
 

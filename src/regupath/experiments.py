@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_type_hints
@@ -30,7 +29,7 @@ from .rules import (
     kappa_hat,
     run_delta_sequence,
 )
-from .solver import AlphaPathRecord, SolveOptions, alpha_grid_problems, compute_alpha_path
+from .solver import AlphaPathRecord, PathAborted, SolveOptions, alpha_grid_problems, compute_alpha_path
 
 
 class ConfigError(ValueError):
@@ -449,7 +448,7 @@ def _setup(config: ExperimentConfig):
     return model, truth, model.x_grid.from_callable(INIT_PROFILES[config.solver.init])
 
 
-def run_theory_study(config: ExperimentConfig, deltas, max_workers: int = 1) -> TheoryReport:
+def run_theory_study(config: ExperimentConfig, deltas) -> TheoryReport:
     """Shrinking-noise study of a config's model and first penalty.
 
     The noise direction comes from ``noise.seed``; see ``run_delta_sequence``.
@@ -459,8 +458,7 @@ def run_theory_study(config: ExperimentConfig, deltas, max_workers: int = 1) -> 
     pen = build_penalty(config.penalties[0], model.x_grid)
     try:
         return run_delta_sequence(model, pen, config.fidelity_r, config.alpha0, config.q, config.j_max,
-                                  deltas, config.noise.seed, truth, opts=config.solver.to_options(init),
-                                  max_workers=max_workers)
+                                  deltas, config.noise.seed, truth, opts=config.solver.to_options(init))
     except NoiseOverflowError as exc:
         raise ConfigError([f"deltas: {exc}"]) from exc
 
@@ -468,7 +466,16 @@ def run_theory_study(config: ExperimentConfig, deltas, max_workers: int = 1) -> 
 def run_experiment(
     config: ExperimentConfig, apply_rules: bool = True, max_workers: int = 1
 ) -> ResultBundle:
-    """Build model + truth + noise, solve the alpha path(s), apply the rules."""
+    """Build model + truth + noise, solve the alpha path(s), apply the rules.
+
+    The penalties' paths are solved one after another.  If one aborts, the
+    raised PathAborted names its penalty and carries the finished paths.
+    ``max_workers`` must be 1; it stays only because ``bench/run.py`` passes
+    it, and goes with that argument when the benchmark is re-baselined
+    (ROADMAP item 4).
+    """
+    if max_workers != 1:
+        raise ValueError(f"penalties are solved one after another; max_workers must be 1, got {max_workers!r}")
     model, truth, init = _setup(config)
     exact = model.apply(truth)
     try:
@@ -476,26 +483,20 @@ def run_experiment(
     except NoiseOverflowError as exc:
         raise ConfigError([f"noise: {exc}"]) from exc
     fid = Fidelity(config.fidelity_r, noisy)
-    tags = penalty_tags(config.penalties)
-
-    def one_penalty(spec_tag):
-        spec, tag = spec_tag
+    rules = config.rules if apply_rules else []
+    results: List[PenaltyResult] = []
+    for spec, tag in zip(config.penalties, penalty_tags(config.penalties)):
         pen = build_penalty(spec, model.x_grid)
-        path = compute_alpha_path(
-            model, fid, pen, config.alpha0, config.q, config.j_max,
-            config.solver.to_options(init),
-        )
-        rules = config.rules if apply_rules else []
+        try:
+            path = compute_alpha_path(
+                model, fid, pen, config.alpha0, config.q, config.j_max,
+                config.solver.to_options(init),
+            )
+        except PathAborted as exc:
+            raise PathAborted(f"{exc} (penalty {tag})", exc.records, [(r.tag, r.path) for r in results]) from exc
         outcomes = [RULE_KINDS[rule.kind](rule, path, delta) for rule in rules]
         kappa = kappa_hat(path, delta) if delta > 0 else float("nan")
-        return PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa)
-
-    jobs = list(zip(config.penalties, tags))
-    if max_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one_penalty, jobs))
-    else:
-        results = [one_penalty(job) for job in jobs]
+        results.append(PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa))
 
     return ResultBundle(
         config=config,

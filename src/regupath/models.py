@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -153,22 +152,23 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     base_rhs[0] += g0 * inv_h2
     base_rhs[-1] += g1 * inv_h2
     # The last coefficient array with the diagonal of A(c) (its off-diagonals
-    # are ``off``) and the state u(c), one triple per thread, so that paths
-    # solved on worker threads do not evict each other.  The key is the array
-    # object itself, so only a read-only one (GridFunction values, the
-    # solver's iterates) can hit.
-    last = threading.local()
+    # are ``off``) and the state u(c).  The key is the array object itself, so
+    # only a read-only one (GridFunction values, the solver's iterates) can
+    # hit.  The triple is one tuple, replaced whole and read once, so a model
+    # shared across threads may miss but never pairs c with another c's state.
+    last = (None, None, None)
 
     def _solved(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        hit = getattr(last, "state", None)
-        if hit is not None and hit[0] is c and not c.flags.writeable:
-            return hit[1], hit[2]
+        nonlocal last
+        key, diag, u = last
+        if key is c and not c.flags.writeable:
+            return diag, u
         if not (c >= 0.0).all():
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
         diag = 2.0 * inv_h2 + c[1:-1]
         u = solve_tridiagonal(off, diag, off, base_rhs)
         u.setflags(write=False)  # apply.on_values hands out this array itself
-        last.state = (c, diag, u)
+        last = (c, diag, u)
         return diag, u
 
     def adjoint_derivative(c: np.ndarray, w: np.ndarray) -> np.ndarray:

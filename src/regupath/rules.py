@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -11,7 +10,7 @@ import numpy as np
 from .grid import GridFunction, is_real, lr_norm, require
 from .models import ForwardModel, NoiseOverflowError
 from .penalties import Fidelity, IndexFunction, Penalty, bregman_distance
-from .solver import AlphaPathRecord, SolveOptions, compute_alpha_path
+from .solver import AlphaPathRecord, PathAborted, SolveOptions, compute_alpha_path
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +254,13 @@ def run_delta_sequence(
     For each level the full alpha path is solved, the theta-argmin rule
     applied, and (delta, alpha_*, theta_*, Bregman error) recorded.  A level
     whose data leave the float range raises NoiseOverflowError before any
-    path is solved.
+    path is solved; a level whose path aborts re-raises its PathAborted with
+    the level named.  ``max_workers`` must be 1; it stays only because
+    ``bench/run.py`` passes it, and goes with that argument when the
+    benchmark is re-baselined (ROADMAP item 4).
     """
+    if max_workers != 1:
+        raise ValueError(f"levels are solved one after another; max_workers must be 1, got {max_workers!r}")
     deltas = list(deltas)
     require(noise_level_problems(deltas))
 
@@ -270,19 +274,15 @@ def run_delta_sequence(
     if not np.isfinite(noisy).all():
         raise NoiseOverflowError(f"noise levels up to {deltas[0]!r} give noisy data beyond the float range")
 
-    def one_level(delta: float, values: np.ndarray):
-        fid = Fidelity(r, y.with_values(values))
-        path = compute_alpha_path(model, fid, pen, alpha0, q, j_max, opts)
+    rows = []
+    for delta, values in zip(deltas, noisy):
+        try:
+            path = compute_alpha_path(model, Fidelity(r, y.with_values(values)), pen, alpha0, q, j_max, opts)
+        except PathAborted as exc:
+            raise PathAborted(f"{exc} (delta={delta!r})", exc.records) from exc
         outcome = hanke_raus_select(path)
         breg = bregman_distance(pen, xi, outcome.record.x, x_dagger)
-        return _level_row(outcome, delta, breg, kappa_hat(path, delta)), outcome
+        rows.append(_level_row(outcome, delta, breg, kappa_hat(path, delta)))
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one_level, deltas, noisy))
-    else:
-        results = [one_level(d, values) for d, values in zip(deltas, noisy)]
-
-    rows = [row for row, _ in results]
     kappa_uniform = min(row.kappa_hat for row in rows)
-    return _bound_report(results[-1][1], kappa_uniform, deltas[-1], pen.value(x_dagger), q, r, rows)
+    return _bound_report(outcome, kappa_uniform, deltas[-1], pen.value(x_dagger), q, r, rows)

@@ -18,11 +18,13 @@ class DivergenceError(RuntimeError):
 
 
 class PathAborted(RuntimeError):
-    """A path solve failed; carries the records computed so far."""
+    """A path solve failed; carries its records so far and, in ``finished``,
+    the ``(name, records)`` pairs of the paths that were solved before it."""
 
-    def __init__(self, message: str, records: list):
+    def __init__(self, message: str, records: list, finished=()):
         super().__init__(message)
         self.records = records
+        self.finished = list(finished)
 
 
 @dataclass

@@ -1,18 +1,19 @@
+import inspect
 import json
 import re
 import shlex
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import regupath.cli
 import regupath.experiments
 import regupath.rules
 import regupath.solver
-from regupath import DivergenceError
+from regupath import DivergenceError, QuadraticPenalty, fredholm_model, run_delta_sequence
 from regupath.cli import build_parser, main
-from regupath.experiments import PRESETS
+from regupath.experiments import PRESETS, config_from_dict, run_experiment
 
 
 def small_config_dict(out_dir):
@@ -216,6 +217,59 @@ def test_aborted_path_keeps_its_records_exit_code_3(config_file, tmp_path, capsy
     assert [(int(r[0]), float(r[1])) for r in rows] == [(0, 0.5), (1, 0.5 * 0.6)]
 
 
+def test_abort_keeps_finished_penalties_and_names_its_penalty(tmp_path, capsys, monkeypatch):
+    # the quadratic path's five solves finish; the smoothed TV path's second solve diverges
+    data = small_config_dict(tmp_path / "out")
+    data["penalties"] = [{"kind": "quadratic"}, {"kind": "smoothed_tv"}]
+    cfg_path = tmp_path / "two_penalties.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    calls = []
+    solve = regupath.solver.solve_tikhonov
+
+    def seventh_call_diverges(*args):
+        calls.append(1)
+        if len(calls) == 7:
+            raise DivergenceError("objective is non-finite")
+        return solve(*args)
+
+    monkeypatch.setattr(regupath.solver, "solve_tikhonov", seventh_call_diverges)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: path aborted at alpha=0.3: objective is non-finite (penalty smoothed_tv)\n"
+    assert captured.out.splitlines() == [str(out / "path_quadratic.csv"), str(out / "path_aborted.csv")]
+    quadratic = (out / "path_quadratic.csv").read_text(encoding="utf-8").splitlines()
+    aborted = (out / "path_aborted.csv").read_text(encoding="utf-8").splitlines()
+    assert quadratic[0] == aborted[0] == "j,alpha,residual,penalty,theta,objective,iters,converged"
+    assert [int(row.split(",")[0]) for row in quadratic[1:]] == [0, 1, 2, 3, 4]
+    assert [float(row.split(",")[1]) for row in aborted[1:]] == [0.5]
+
+
+def test_theory_abort_names_its_noise_level(config_file, tmp_path, capsys, monkeypatch):
+    # the second level's third solve diverges, after two of its records
+    levels = []
+    solve_path, solve = regupath.rules.compute_alpha_path, regupath.solver.solve_tikhonov
+
+    def counting_path(*args):
+        levels.append(0)
+        return solve_path(*args)
+
+    def third_solve_of_second_level_diverges(*args):
+        levels[-1] += 1
+        if len(levels) == 2 and levels[-1] == 3:
+            raise DivergenceError("objective is non-finite")
+        return solve(*args)
+
+    monkeypatch.setattr(regupath.rules, "compute_alpha_path", counting_path)
+    monkeypatch.setattr(regupath.solver, "solve_tikhonov", third_solve_of_second_level_diverges)
+    out = tmp_path / "theory_out"
+    assert main(["theory", "--config", str(config_file), "--deltas", "0.1,0.05", "--out", str(out)]) == 3
+    assert "objective is non-finite (delta=0.05)" in capsys.readouterr().err
+    lines = (out / "path_aborted.csv").read_text(encoding="utf-8").splitlines()
+    assert [int(row.split(",")[0]) for row in lines[1:]] == [0, 1]
+    assert sorted(p.name for p in out.iterdir()) == ["path_aborted.csv"]
+
+
 def test_noise_beyond_float_range_exit_code_2(tmp_path, capsys):
     data = small_config_dict(tmp_path / "out")
     data["noise"] = {"kind": "gaussian", "level": 1e308}
@@ -247,33 +301,24 @@ def test_nonfinite_number_exit_code_2(tmp_path, capsys):
     assert "config error: noise.level must be a finite number" in capsys.readouterr().err
 
 
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch, capsys):
-    # two penalties and two noise levels, so that both thread pools start
-    data = small_config_dict(tmp_path / "out")
-    data["penalties"] = [{"kind": "quadratic"}, {"kind": "shifted_quadratic", "c0": "linear_t"}]
-    cfg_path = tmp_path / "two_penalties.json"
-    cfg_path.write_text(json.dumps(data), encoding="utf-8")
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(regupath.experiments, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(regupath.rules, "ThreadPoolExecutor", RecordingPool)
-    for threads in ("1", "4"):
-        monkeypatch.setenv("REGUPATH_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out / "run")]) == 0
-        theory = ["theory", "--config", str(cfg_path), "--deltas", "0.1,0.05", "--out", str(out / "theory")]
-        assert main(theory) == 0
-    assert pools == [4, 4]
-    capsys.readouterr()
-    files = sorted(p.relative_to(tmp_path / "t1") for p in (tmp_path / "t1").rglob("*") if p.is_file())
-    assert Path("run/path_shifted_quadratic.csv") in files and Path("theory/theory.csv") in files
-    for name in files:
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name
+def test_thread_pools_and_their_knob_are_gone(tmp_path, monkeypatch):
+    # every path is solved in the calling thread; the two max_workers left
+    # accept only 1 and refuse any other value before solving anything
+    for source in Path(regupath.cli.__file__).parent.glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        for word in ("REGUPATH_THREADS", "ThreadPoolExecutor", "concurrent.futures", "threading"):
+            assert word not in text, (source.name, word)
+    assert list(inspect.signature(regupath.experiments.run_theory_study).parameters) == ["config", "deltas"]
+    paths = []
+    for module in (regupath.experiments, regupath.rules):
+        monkeypatch.setattr(module, "compute_alpha_path", lambda *a: paths.append(1))
+    with pytest.raises(ValueError, match="max_workers must be 1, got 2"):
+        run_experiment(config_from_dict(small_config_dict(tmp_path / "out")), max_workers=2)
+    model = fredholm_model(31)
+    x = model.x_grid.from_callable(np.sin)
+    with pytest.raises(ValueError, match="max_workers must be 1, got 2"):
+        run_delta_sequence(model, QuadraticPenalty(), 2.0, 0.5, 0.6, 4, [0.1, 0.05], 9, x, max_workers=2)
+    assert paths == []
 
 
 @pytest.mark.parametrize("extra, message", [

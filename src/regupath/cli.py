@@ -121,8 +121,11 @@ def main(argv=None) -> int:
     except (PathAborted, DivergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if isinstance(exc, PathAborted):
-            for tag, records in exc.finished:
-                print(write_path(records, _make_out_dir(out_dir) / f"path_{tag}.csv"))
+            if exc.partial is not None and args.command == "theory":
+                print(write_theory_report(exc.partial, _make_out_dir(out_dir) / "theory.csv"))
+            elif exc.partial is not None:
+                for path in write_bundle(exc.partial, _make_out_dir(out_dir)):
+                    print(path)
             if exc.records:
                 print(write_path(exc.records, _make_out_dir(out_dir) / "path_aborted.csv"))
         return 3

@@ -44,16 +44,11 @@ class ConfigError(ValueError):
 class ModelSpec:
     kind: str = "fredholm"
     n: int = 401
-    subintervals: int = 400
-    g0: float = 1.0
-    g1: float = 6.0
-    source: str = "gaussian_bump"
 
 
 @dataclass
 class PenaltySpec:
     kind: str = "quadratic"
-    c0: Optional[str] = None
     eps: float = 1e-4
     mu: float = 0.0
 
@@ -87,7 +82,6 @@ class NoisePlan:
 class SolverPlan:
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    grad_tol_abs: float = 0.0
     init: str = "zeros"
 
     def to_options(self, init: GridFunction) -> SolveOptions:
@@ -183,18 +177,13 @@ def _range_problems(cfg: ExperimentConfig) -> Iterator[str]:
 
     yield from choice("experiment", cfg.experiment, EXPERIMENTS)
     yield from choice("model.kind", cfg.model.kind, MODEL_KINDS)
-    if cfg.model.kind == "fredholm" and not (is_integer(cfg.model.n) and cfg.model.n >= 3):
-        yield f"model.n must be an integer >= 3, got {cfg.model.n!r}"
-    if cfg.model.kind == "elliptic":
-        if not (is_integer(cfg.model.subintervals) and cfg.model.subintervals >= 4):
-            yield f"model.subintervals must be an integer >= 4, got {cfg.model.subintervals!r}"
-        yield from choice("model.source", cfg.model.source, SOURCES)
+    least_n = 5 if cfg.model.kind == "elliptic" else 3
+    if not (is_integer(cfg.model.n) and cfg.model.n >= least_n):
+        yield f"model.n must be an integer >= {least_n}, got {cfg.model.n!r}"
     yield from choice("truth", cfg.truth, TRUTHS)
     yield from ("fidelity_" + p for p in Fidelity.problems(cfg.fidelity_r))
     for i, pen in enumerate(cfg.penalties):
         yield from choice(f"penalties[{i}].kind", pen.kind, PENALTY_KINDS)
-        if pen.kind == "shifted_quadratic":
-            yield from choice(f"penalties[{i}].c0", pen.c0, C0_PROFILES)
         if pen.kind == "smoothed_tv":
             yield from (f"penalties[{i}].{p}" for p in SmoothedTVPenalty.problems(pen.eps, pen.mu))
     tagged = {}
@@ -209,7 +198,7 @@ def _range_problems(cfg: ExperimentConfig) -> Iterator[str]:
             tagged.setdefault(tag, i)
     yield from alpha_grid_problems(cfg.alpha0, cfg.q, cfg.j_max)
     yield from ("noise." + p for p in NoiseSpec.problems(**asdict(cfg.noise)))
-    tolerances = SolveOptions.problems(cfg.solver.max_iters, cfg.solver.grad_tol, cfg.solver.grad_tol_abs)
+    tolerances = SolveOptions.problems(cfg.solver.max_iters, cfg.solver.grad_tol, 0.0)
     yield from ("solver." + p for p in tolerances)
     yield from choice("solver.init", cfg.solver.init, INIT_PROFILES)
     if not cfg.output_dir:
@@ -265,20 +254,20 @@ TRUTHS = {
     "range_source": lambda t: fredholm_model(t.size).apply.on_values(
         0.1 * (np.sin(np.pi * t) + 0.5 * np.sin(3 * np.pi * t))),
 }
-SOURCES = {"gaussian_bump": lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2)}
-C0_PROFILES = {"linear_t": lambda t: t}
 INIT_PROFILES = {"zeros": np.zeros_like, "ones": np.ones_like}
 
 MODEL_KINDS = {
     "fredholm": lambda spec: fredholm_model(spec.n),
+    # -u'' + c u = f on n - 1 subintervals of (0, 1), u(0) = 1, u(1) = 6, f(t) = 100 exp(-10 (t - 1/2)^2)
     "elliptic": lambda spec: elliptic_model(
-        spec.subintervals, spec.g0, spec.g1,
-        Grid(spec.subintervals - 1, convention="interior").from_callable(SOURCES[spec.source]),
+        spec.n - 1, 1.0, 6.0,
+        Grid(spec.n - 2, convention="interior").from_callable(lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2)),
     ),
 }
 PENALTY_KINDS = {
     "quadratic": lambda spec, x_grid: QuadraticPenalty(),
-    "shifted_quadratic": lambda spec, x_grid: ShiftedQuadraticPenalty(x_grid.from_callable(C0_PROFILES[spec.c0])),
+    # the reference is c0(t) = t
+    "shifted_quadratic": lambda spec, x_grid: ShiftedQuadraticPenalty(x_grid.function(x_grid.points())),
     "smoothed_tv": lambda spec, x_grid: SmoothedTVPenalty(eps=spec.eps, mu=spec.mu),
 }
 RULE_KINDS = {
@@ -338,10 +327,10 @@ def example1_config(seed: int = 7571) -> ExperimentConfig:
 def example2_smooth_config(seed: int = 1009) -> ExperimentConfig:
     return ExperimentConfig(
         experiment="example2_smooth",
-        model=ModelSpec(kind="elliptic", subintervals=400, g0=1.0, g1=6.0, source="gaussian_bump"),
+        model=ModelSpec(kind="elliptic", n=401),
         truth="smooth_mix",
         fidelity_r=2.0,
-        penalties=[PenaltySpec(kind="quadratic"), PenaltySpec(kind="shifted_quadratic", c0="linear_t")],
+        penalties=[PenaltySpec(kind="quadratic"), PenaltySpec(kind="shifted_quadratic")],
         rules=[RuleSpec(kind="hanke_raus")],
         alpha0=0.005,
         q=0.8,
@@ -356,7 +345,7 @@ def example2_smooth_config(seed: int = 1009) -> ExperimentConfig:
 def example2_piecewise_config(seed: int = 2203) -> ExperimentConfig:
     return ExperimentConfig(
         experiment="example2_piecewise",
-        model=ModelSpec(kind="elliptic", subintervals=400, g0=1.0, g1=6.0, source="gaussian_bump"),
+        model=ModelSpec(kind="elliptic", n=401),
         truth="three_steps",
         fidelity_r=2.0,
         penalties=[PenaltySpec(kind="smoothed_tv", eps=0.5, mu=0.001)],
@@ -384,7 +373,7 @@ def theory_study_config(seed: int = 7) -> ExperimentConfig:
         q=0.8,
         j_max=35,
         noise=NoisePlan(kind="gaussian", level=0.01, seed=seed),
-        solver=SolverPlan(max_iters=3000, grad_tol=1e-9, grad_tol_abs=1e-6, init="zeros"),
+        solver=SolverPlan(max_iters=3000, grad_tol=1e-9, init="zeros"),
         output_dir="results/theory",
         implementation_defaults=["model.n", "truth", "noise.seed", "j_max", "solver"],
     )
@@ -469,7 +458,8 @@ def run_experiment(
     """Build model + truth + noise, solve the alpha path(s), apply the rules.
 
     The penalties' paths are solved one after another.  If one aborts, the
-    raised PathAborted names its penalty and carries the finished paths.
+    raised PathAborted names its penalty and carries, as ``partial``, the
+    ResultBundle of the penalties finished before it (None if there are none).
     ``max_workers`` must be 1; it stays only because ``bench/run.py`` passes
     it, and goes with that argument when the benchmark is re-baselined
     (ROADMAP item 4).
@@ -493,7 +483,8 @@ def run_experiment(
                 config.solver.to_options(init),
             )
         except PathAborted as exc:
-            raise PathAborted(f"{exc} (penalty {tag})", exc.records, [(r.tag, r.path) for r in results]) from exc
+            partial = ResultBundle(config, truth, exact, noisy, delta, results) if results else None
+            raise PathAborted(f"{exc} (penalty {tag})", exc.records, partial) from exc
         outcomes = [RULE_KINDS[rule.kind](rule, path, delta) for rule in rules]
         kappa = kappa_hat(path, delta) if delta > 0 else float("nan")
         results.append(PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa))

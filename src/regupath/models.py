@@ -264,6 +264,12 @@ class NoiseSpec:
             yield f"seed must be a nonnegative integer, got {seed!r}"
 
 
+def gaussian_draw(rng: np.random.Generator, grid: Grid, exponent: float) -> Tuple[np.ndarray, float]:
+    """One standard normal sample per point of ``grid`` and the weighted L^exponent norm of the draw."""
+    raw = rng.standard_normal(grid.n)
+    return raw, lr_norm(grid.function(raw), exponent)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite noisy data are a NoiseOverflowError
 def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
     """Perturb exact data; returns (noisy, delta) with delta = ||noisy - y||.
@@ -274,10 +280,8 @@ def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
     """
     rng = np.random.default_rng(spec.seed)
     n = y.n
-    w = y.grid.weights()
     if spec.kind == "gaussian":
-        raw = rng.standard_normal(n)
-        nrm = math.sqrt(float(np.sum(w * raw * raw)))
+        raw, nrm = gaussian_draw(rng, y.grid, 2.0)
         pert = (spec.level / nrm) * raw
     else:
         count = int(math.ceil(spec.fraction * n))
@@ -286,8 +290,7 @@ def make_noisy(y: GridFunction, spec: NoiseSpec, norm_exponent: float = 2.0):
         pert = np.zeros(n)
         pert[idx] = spec.amplitude * signs
         if spec.kind == "impulsive_gaussian":
-            raw = rng.standard_normal(n)
-            nrm = math.sqrt(float(np.sum(w * raw * raw)))
+            raw, nrm = gaussian_draw(rng, y.grid, 2.0)
             pert = pert + (spec.level / nrm) * raw
     values = y.values + pert
     if not np.isfinite(values).all():

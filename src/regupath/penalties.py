@@ -54,8 +54,6 @@ class _GridFunctionForms:
 class QuadraticPenalty(_GridFunctionForms):
     """R(x) = ||x||^2 in the weighted L^2 norm."""
 
-    kind = "quadratic"
-
     def value_on(self, grid: Grid, v: np.ndarray) -> float:
         return float((grid.weights() * v * v).sum())
 
@@ -71,7 +69,6 @@ class ShiftedQuadraticPenalty(_GridFunctionForms):
     """R(x) = ||x - c0||^2 around a reference function c0."""
 
     c0: GridFunction
-    kind = "shifted_quadratic"
 
     def _check_grid(self, x: GridFunction) -> None:
         x._check_same_grid(self.c0)
@@ -102,7 +99,6 @@ class SmoothedTVPenalty(_GridFunctionForms):
 
     eps: float = 1e-4
     mu: float = 0.0
-    kind = "smoothed_tv"
 
     def __post_init__(self):
         require(self.problems(self.eps, self.mu))

@@ -8,7 +8,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import GridFunction, is_real, lr_norm, require
-from .models import ForwardModel, NoiseOverflowError
+from .models import ForwardModel, NoiseOverflowError, gaussian_draw
 from .penalties import Fidelity, IndexFunction, Penalty, bregman_distance
 from .solver import AlphaPathRecord, PathAborted, SolveOptions, compute_alpha_path
 
@@ -255,9 +255,10 @@ def run_delta_sequence(
     applied, and (delta, alpha_*, theta_*, Bregman error) recorded.  A level
     whose data leave the float range raises NoiseOverflowError before any
     path is solved; a level whose path aborts re-raises its PathAborted with
-    the level named.  ``max_workers`` must be 1; it stays only because
-    ``bench/run.py`` passes it, and goes with that argument when the
-    benchmark is re-baselined (ROADMAP item 4).
+    the level named and, as ``partial``, the report of the levels finished
+    before it (None if there are none).  ``max_workers`` must be 1; it stays
+    only because ``bench/run.py`` passes it, and goes with that argument when
+    the benchmark is re-baselined (ROADMAP item 4).
     """
     if max_workers != 1:
         raise ValueError(f"levels are solved one after another; max_workers must be 1, got {max_workers!r}")
@@ -265,24 +266,27 @@ def run_delta_sequence(
     require(noise_level_problems(deltas))
 
     y = model.apply(x_dagger)
-    rng = np.random.default_rng(seed)
-    raw = y.grid.function(rng.standard_normal(y.n))
-    direction = (1.0 / lr_norm(raw, r)) * raw
+    raw, norm = gaussian_draw(np.random.default_rng(seed), y.grid, r)
+    direction = (1.0 / norm) * raw
     xi = pen.subgradient(x_dagger)
     with np.errstate(over="ignore"):
-        noisy = [y.values + delta * direction.values for delta in deltas]
+        noisy = [y.values + delta * direction for delta in deltas]
     if not np.isfinite(noisy).all():
         raise NoiseOverflowError(f"noise levels up to {deltas[0]!r} give noisy data beyond the float range")
 
-    rows = []
+    def report(outcome: RuleOutcome, rows: List[DeltaLevelRow]) -> TheoryReport:
+        # the bounds at the last level solved, with kappa uniform over the levels solved
+        kappa_uniform = min(row.kappa_hat for row in rows)
+        return _bound_report(outcome, kappa_uniform, rows[-1].delta, pen.value(x_dagger), q, r, rows)
+
+    rows: List[DeltaLevelRow] = []
     for delta, values in zip(deltas, noisy):
         try:
             path = compute_alpha_path(model, Fidelity(r, y.with_values(values)), pen, alpha0, q, j_max, opts)
         except PathAborted as exc:
-            raise PathAborted(f"{exc} (delta={delta!r})", exc.records) from exc
+            partial = report(outcome, rows) if rows else None
+            raise PathAborted(f"{exc} (delta={delta!r})", exc.records, partial) from exc
         outcome = hanke_raus_select(path)
         breg = bregman_distance(pen, xi, outcome.record.x, x_dagger)
         rows.append(_level_row(outcome, delta, breg, kappa_hat(path, delta)))
-
-    kappa_uniform = min(row.kappa_hat for row in rows)
-    return _bound_report(outcome, kappa_uniform, deltas[-1], pen.value(x_dagger), q, r, rows)
+    return report(outcome, rows)

@@ -18,13 +18,13 @@ class DivergenceError(RuntimeError):
 
 
 class PathAborted(RuntimeError):
-    """A path solve failed; carries its records so far and, in ``finished``,
-    the ``(name, records)`` pairs of the paths that were solved before it."""
+    """A path solve failed; carries its records so far and, in ``partial``,
+    the caller's result over the paths that finished before it, or None."""
 
-    def __init__(self, message: str, records: list, finished=()):
+    def __init__(self, message: str, records: list, partial=None):
         super().__init__(message)
         self.records = records
-        self.finished = list(finished)
+        self.partial = partial
 
 
 @dataclass

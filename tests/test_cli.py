@@ -28,7 +28,7 @@ def small_config_dict(out_dir):
         "q": 0.6,
         "j_max": 4,
         "noise": {"kind": "gaussian", "level": 0.05, "seed": 9},
-        "solver": {"max_iters": 500, "grad_tol": 1e-7, "grad_tol_abs": 1e-6, "init": "zeros"},
+        "solver": {"max_iters": 500, "grad_tol": 1e-7, "init": "zeros"},
         "output_dir": str(out_dir),
     }
 
@@ -237,12 +237,23 @@ def test_abort_keeps_finished_penalties_and_names_its_penalty(tmp_path, capsys, 
     assert main(["run", "--config", str(cfg_path)]) == 3
     captured = capsys.readouterr()
     assert captured.err == "solver failure: path aborted at alpha=0.3: objective is non-finite (penalty smoothed_tv)\n"
-    assert captured.out.splitlines() == [str(out / "path_quadratic.csv"), str(out / "path_aborted.csv")]
-    quadratic = (out / "path_quadratic.csv").read_text(encoding="utf-8").splitlines()
+    finished = ["config.json", "data.csv", "path_quadratic.csv", "recon_quadratic_hanke_raus.csv",
+                "recon_quadratic_discrepancy_tau1.3.csv", "outcomes.csv"]
+    assert captured.out.splitlines() == [str(out / name) for name in finished + ["path_aborted.csv"]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(finished + ["path_aborted.csv"])
     aborted = (out / "path_aborted.csv").read_text(encoding="utf-8").splitlines()
-    assert quadratic[0] == aborted[0] == "j,alpha,residual,penalty,theta,objective,iters,converged"
-    assert [int(row.split(",")[0]) for row in quadratic[1:]] == [0, 1, 2, 3, 4]
+    assert aborted[0] == "j,alpha,residual,penalty,theta,objective,iters,converged"
     assert [float(row.split(",")[1]) for row in aborted[1:]] == [0.5]
+    # the finished penalty's files are those of a completed run of that penalty alone
+    monkeypatch.undo()
+    data["penalties"], data["output_dir"] = [{"kind": "quadratic"}], str(tmp_path / "alone")
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    for name in finished[1:]:
+        assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+    quadratic = (out / "path_quadratic.csv").read_text(encoding="utf-8").splitlines()
+    assert quadratic[0].endswith(",converged,bregman_to_truth,l2_error_to_truth")
+    assert [int(row.split(",")[0]) for row in quadratic[1:]] == [0, 1, 2, 3, 4]
 
 
 def test_theory_abort_names_its_noise_level(config_file, tmp_path, capsys, monkeypatch):
@@ -264,10 +275,35 @@ def test_theory_abort_names_its_noise_level(config_file, tmp_path, capsys, monke
     monkeypatch.setattr(regupath.solver, "solve_tikhonov", third_solve_of_second_level_diverges)
     out = tmp_path / "theory_out"
     assert main(["theory", "--config", str(config_file), "--deltas", "0.1,0.05", "--out", str(out)]) == 3
-    assert "objective is non-finite (delta=0.05)" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "objective is non-finite (delta=0.05)" in captured.err
+    assert captured.out.splitlines() == [str(out / "theory.csv"), str(out / "path_aborted.csv")]
     lines = (out / "path_aborted.csv").read_text(encoding="utf-8").splitlines()
     assert [int(row.split(",")[0]) for row in lines[1:]] == [0, 1]
-    assert sorted(p.name for p in out.iterdir()) == ["path_aborted.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["path_aborted.csv", "theory.csv"]
+    # the finished level's theory.csv is that of a completed study of that level alone
+    monkeypatch.undo()
+    alone = tmp_path / "alone"
+    assert main(["theory", "--config", str(config_file), "--deltas", "0.1", "--out", str(alone)]) == 0
+    assert (out / "theory.csv").read_bytes() == (alone / "theory.csv").read_bytes()
+    assert (out / "theory.csv").read_text(encoding="utf-8").splitlines()[1].startswith("0.10000000000000001,")
+
+
+def test_removed_config_keys_exit_code_2(tmp_path, capsys):
+    # fixed facts of the shipped problems are no longer config fields
+    data = small_config_dict(tmp_path / "out")
+    data["model"] = {"kind": "elliptic", "n": 401, "subintervals": 400, "g0": 1.0, "g1": 6.0, "source": "gaussian_bump"}
+    data["penalties"] = [{"kind": "shifted_quadratic", "c0": "linear_t"}]
+    data["solver"]["grad_tol_abs"] = 1e-6
+    cfg_path = tmp_path / "old_keys.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"config error: model: unknown key {key!r}" for key in ("subintervals", "g0", "g1", "source")),
+        "config error: penalties[0]: unknown key 'c0'",
+        "config error: solver: unknown key 'grad_tol_abs'",
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_noise_beyond_float_range_exit_code_2(tmp_path, capsys):

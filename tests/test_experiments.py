@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ import regupath
 from regupath import (
     ConfigError,
     ExperimentConfig,
+    Grid,
     ModelSpec,
     NoisePlan,
     PenaltySpec,
@@ -24,6 +26,7 @@ from regupath import (
     SolverPlan,
     config_from_dict,
     config_from_json,
+    elliptic_model,
     emit_plots,
     example1_config,
     example2_piecewise_config,
@@ -35,7 +38,7 @@ from regupath import (
     write_theory_report,
 )
 from regupath.cli import main
-from regupath.experiments import PRESETS, penalty_tags, run_theory_study
+from regupath.experiments import PRESETS, build_model, build_penalty, penalty_tags, run_theory_study
 from regupath.rules import DeltaLevelRow, TheoryReport
 
 
@@ -51,7 +54,7 @@ def tiny_config(**overrides):
         q=0.7,
         j_max=6,
         noise=NoisePlan(kind="gaussian", level=0.02, seed=5),
-        solver=SolverPlan(max_iters=800, grad_tol=1e-8, grad_tol_abs=1e-7, init="zeros"),
+        solver=SolverPlan(max_iters=800, grad_tol=1e-8, init="zeros"),
         output_dir="results/tiny",
     )
     for key, value in overrides.items():
@@ -127,13 +130,23 @@ def test_invalid_json_is_a_config_error():
         ('{"fidelity_r": NaN}', "fidelity_r"),
         ('{"solver": {"max_iters": true}}', "solver.max_iters"),
         ('{"j_max": false}', "j_max"),
-        ('{"model": {"kind": "elliptic", "g0": "high"}}', "model.g0"),
+        ('{"model": {"kind": "elliptic", "n": "high"}}', "model.n"),
+        ('{"model": {"kind": "elliptic", "n": 4}}', "model.n"),
+        # keys of fixed facts that are no longer config fields
+        ('{"model": {"kind": "elliptic", "subintervals": 400}}', "model: unknown key 'subintervals'"),
+        ('{"model": {"kind": "elliptic", "g0": 1.0}}', "model: unknown key 'g0'"),
+        ('{"model": {"kind": "elliptic", "g1": 6.0}}', "model: unknown key 'g1'"),
+        ('{"model": {"kind": "elliptic", "source": "gaussian_bump"}}', "model: unknown key 'source'"),
+        ('{"penalties": [{"kind": "shifted_quadratic", "c0": "linear_t"}]}', "penalties[0]: unknown key 'c0'"),
+        ('{"solver": {"grad_tol_abs": 1e-6}}', "solver: unknown key 'grad_tol_abs'"),
     ],
 )
 def test_malformed_input_is_a_config_error(text, field):
+    # one problem, and its message starts with ``field`` followed by a space or the end
     with pytest.raises(ConfigError) as excinfo:
         config_from_json(text)
-    assert [e.split(" ", 1)[0] for e in excinfo.value.errors] == [field]
+    errors = excinfo.value.errors
+    assert len(errors) == 1 and (errors[0] + " ").startswith(field + " "), errors
 
 
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -204,14 +217,22 @@ def test_presets_expose_published_constants():
     assert ex1.noise.fraction == 0.02 and ex1.noise.amplitude == 1.0
 
     ex2 = example2_smooth_config()
-    assert ex2.model.kind == "elliptic" and ex2.model.subintervals == 400
-    assert ex2.model.g0 == 1.0 and ex2.model.g1 == 6.0
+    assert ex2.model.kind == "elliptic" and ex2.model.n == 401
+    # -u'' + c u = f with u(0) = 1, u(1) = 6 and the Gaussian bump source on 400 subintervals
+    model = build_model(ex2.model)
+    u_grid = Grid(399, convention="interior")
+    published = elliptic_model(400, 1.0, 6.0, u_grid.from_callable(lambda t: 100.0 * np.exp(-10.0 * (t - 0.5) ** 2)))
+    c = model.x_grid.from_callable(lambda t: 1.0 + np.sin(np.pi * t))
+    w = u_grid.from_callable(np.cos)
+    np.testing.assert_array_equal(model.apply(c).values, published.apply(c).values)
+    np.testing.assert_array_equal(model.adjoint_derivative(c, w).values, published.adjoint_derivative(c, w).values)
     assert ex2.fidelity_r == 2.0
     assert ex2.alpha0 == 0.005 and ex2.q == 0.8
     assert ex2.noise.level == 0.0025
     kinds = [p.kind for p in ex2.penalties]
     assert kinds == ["quadratic", "shifted_quadratic"]
-    assert ex2.penalties[1].c0 == "linear_t"
+    # the shifted penalty's reference is c0(t) = t
+    np.testing.assert_array_equal(build_penalty(ex2.penalties[1], model.x_grid).c0.values, model.x_grid.points())
 
     ex3 = example2_piecewise_config()
     assert ex3.alpha0 == 0.001 and ex3.q == 0.8
@@ -231,6 +252,25 @@ def test_implementation_defaults_flagged_in_echo():
     echo = json.loads(example1_config().to_json())
     assert "model.n" in echo["implementation_defaults"]
     assert "noise.fraction" in echo["implementation_defaults"]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_implementation_defaults_name_fields_of_their_config(name):
+    echo = json.loads(preset(name).to_json())
+    for entry in echo["implementation_defaults"]:
+        node = echo
+        for part in entry.split("."):
+            key, index = re.fullmatch(r"(\w+)(?:\[(\d+)\])?", part).groups()
+            assert isinstance(node, dict) and key in node, entry
+            node = node[key] if index is None else node[key][int(index)]
+
+
+def test_config_sections_state_only_what_a_study_can_vary():
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == ["kind", "n"]
+    assert [f.name for f in dataclasses.fields(PenaltySpec)] == ["kind", "eps", "mu"]
+    assert [f.name for f in dataclasses.fields(SolverPlan)] == ["max_iters", "grad_tol", "init"]
+    for name in PRESETS:
+        assert sorted(json.loads(preset(name).to_json())["model"]) == ["kind", "n"], name
 
 
 def test_penalty_tags_unique_for_duplicate_kinds():
@@ -326,9 +366,9 @@ def test_seed_changes_noise_but_config_controls_everything_else():
 # Outputs pinned by sha256; a change to any of them is a change of results.
 # A bundle's digest runs over the names and bytes of its files in name order.
 PINNED_BUNDLES = {
-    "example1": (14, "3b831dfb6a1b216022c7a099a0abb11a1893122083c897a74c7dd62816943ec7"),
-    "example2_smooth": (12, "be5f1420d3aeaefeb8e220a3f03c00e2838c3e7874137d09626598a09482ffde"),
-    "example2_piecewise": (8, "9507c0186eafd6fe2e19260cd3c63dfb57b7590ef3bd844ae456803ed417a664"),
+    "example1": (14, "4948d81f3502abe3318011cc7d284e8848cb062b79adec2759e914f63933b05c"),
+    "example2_smooth": (12, "984a2fc277bb3787a10c55fc6c453541ba256af2aaec757e7b01b5f2b71bc213"),
+    "example2_piecewise": (8, "435e3c4d8766692e5e1a8875a1f3954935358474b3d1fef5cafa175e1d70f14a"),
 }
 # The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
 # at one BLAS thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
@@ -343,12 +383,19 @@ def files_digest(paths) -> str:
     return h.hexdigest()
 
 
+def pin_message(name, got, paths) -> str:
+    """What a moved pin reports: the new count and digest, then each file's name and sha256 prefix."""
+    listing = "".join(f"\n  {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()[:16]}"
+                      for p in sorted(Path(p) for p in paths))
+    return f"{name} now writes {got[0]} files with digest {got[1]}:{listing}"
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_BUNDLES))
 def test_preset_bundle_matches_pinned_digest(name, tmp_path, preset_bundle):
     bundle = preset_bundle(name)
     files = write_bundle(bundle, tmp_path) + emit_plots(bundle, tmp_path)
     got = (len(files), files_digest(files))
-    assert got == PINNED_BUNDLES[name], f"{name} now writes {got[0]} files with digest {got[1]}"
+    assert got == PINNED_BUNDLES[name], pin_message(name, got, files)
 
 
 @pytest.mark.parametrize("name", ["example2_smooth", "example2_piecewise"])
@@ -358,7 +405,7 @@ def test_preset_cli_run_matches_pinned_digest(name, tmp_path, capsys):
     files = [Path(line) for line in capsys.readouterr().out.splitlines()]
     assert sorted(files) == sorted(tmp_path.iterdir())
     got = (len(files), files_digest(files))
-    assert got == PINNED_BUNDLES[name], f"{name} now writes {got[0]} files with digest {got[1]}"
+    assert got == PINNED_BUNDLES[name], pin_message(name, got, files)
 
 
 def test_theory_study_matches_pinned_digest(tmp_path):

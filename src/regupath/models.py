@@ -96,7 +96,9 @@ def fredholm_model(n: int) -> ForwardModel:
     """Linear integral operator on [0,1] with kernel 40*min(s,t)*(1-max(s,t)).
 
     The integral is discretized with composite trapezoid quadrature on an
-    n-point nodal grid shared by x and y.
+    n-point nodal grid shared by x and y.  The Gauss-Newton solve builds the
+    Gram matrix 2 (W^(1/2) K)^T (W^(1/2) K) by one dsyrk at its first call
+    and keeps it; each call then runs one dposv on a copy.
     """
     if n < 3:
         raise ValueError(f"fredholm_model needs n >= 3, got {n}")
@@ -109,15 +111,20 @@ def fredholm_model(n: int) -> ForwardModel:
     apply_mat = kernel * w[None, :]
     root_w = np.sqrt(w)
     diagonal = np.arange(n)
+    gram = None  # G = 2 (W^(1/2) K)^T (W^(1/2) K), lower triangle only
 
     def gauss_newton(v, free, diag, sub, rhs):
-        # 2 (W^(1/2) K D_f)^T (W^(1/2) K D_f) by one dsyrk into the lower
-        # triangle, then B added in place and a Cholesky solve
-        scaled = (root_w[:, None] * apply_mat) * free
-        gram = dsyrk(2.0, scaled.T, lower=1)
-        gram[diagonal, diagonal] += diag
-        gram[diagonal[1:], diagonal[:-1]] += sub
-        s, info = dposv(gram, rhs, lower=1, overwrite_a=1)[1:]
+        # D_f G D_f is a copy of G with the fixed rows and columns zeroed;
+        # then B added in place and a Cholesky solve that overwrites the copy
+        nonlocal gram
+        if gram is None:
+            gram = dsyrk(2.0, (root_w[:, None] * apply_mat).T, lower=1)
+        system = gram.copy(order="F")
+        system[~free] = 0.0
+        system[:, ~free] = 0.0
+        system[diagonal, diagonal] += diag
+        system[diagonal[1:], diagonal[:-1]] += sub
+        s, info = dposv(system, rhs, lower=1, overwrite_a=1)[1:]
         if info != 0:
             raise SingularSystemError(f"Gauss-Newton matrix is not positive definite (info={info})")
         return s

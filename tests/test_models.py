@@ -258,6 +258,24 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
 
 
+def test_fredholm_cached_gram_is_never_written_through(rng):
+    # one model solves all-free, two partial, then all-free masks with a new B
+    # each time; a write into the kept Gram or a mask left over from the last call
+    # would set these solves apart from the same call on a fresh model
+    model = fredholm_model(41)
+    grid = model.x_grid
+    x = grid.function(rng.uniform(0.0, 1.0, size=grid.n))
+    partial = rng.uniform(size=grid.n) > 0.4
+    for free in (np.ones(grid.n, dtype=bool), partial, ~partial, np.ones(grid.n, dtype=bool)):
+        diag, sub = QuadraticPenalty().hessian(grid, x.values)
+        scale = 10.0 ** rng.uniform(-6.0, -1.0)
+        diag, sub = scale * diag, scale * sub * (free[1:] & free[:-1])
+        rhs = rng.normal(size=grid.n)
+        got = model.gauss_newton(x.values, free, diag, sub, rhs)
+        want = fredholm_model(41).gauss_newton(x.values, free, diag, sub, rhs)
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # the model contract
 

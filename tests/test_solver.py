@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import regupath.models
 import regupath.solver
 from regupath import (
     DivergenceError,
@@ -99,6 +100,22 @@ def test_linear_quadratic_gauss_newton_takes_one_step(noisy_benchmark):
         assert rec.iters == 1 and rec.converged
         ref = model.x_grid.function(tikhonov_normal_equations(ref_mat, w, noisy.values, alpha))
         assert lr_norm(rec.x - ref, 2.0) <= 1e-9 * lr_norm(ref, 2.0)
+
+
+def test_fredholm_gram_is_built_once_per_model_and_only_by_gauss_newton(noisy_benchmark, monkeypatch):
+    # a 36-alpha r = 2 path on one fresh model runs one dsyrk, at its first
+    # Gauss-Newton step; an r = 1.01 path runs descent and never builds it
+    _, _, noisy, _ = noisy_benchmark
+    calls = []
+    dsyrk = regupath.models.dsyrk
+    monkeypatch.setattr(regupath.models, "dsyrk", lambda *args, **kw: calls.append(1) or dsyrk(*args, **kw))
+    path = compute_alpha_path(fredholm_model(101), Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
+    assert len(path) == 36 and all(rec.converged for rec in path)
+    assert len(calls) == 1
+    calls.clear()
+    path = compute_alpha_path(fredholm_model(101), Fidelity(1.01, noisy), QuadraticPenalty(), 1.0, 0.8, 35,
+                              SolveOptions(max_iters=20))
+    assert len(path) == 36 and len(calls) == 0
 
 
 def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):

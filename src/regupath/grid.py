@@ -146,12 +146,16 @@ def lr_norm(f: GridFunction, r: float) -> float:
 
     A sum beyond the largest float gives inf, without an overflow warning.
     """
+    return lr_norm_on(f.grid, f.values, r)
+
+
+def lr_norm_on(grid: Grid, v: np.ndarray, r: float) -> float:
+    """``lr_norm`` of the samples v of a function on ``grid``."""
     if not r > 1.0:
         raise ValueError(f"lr_norm requires r > 1, got {r}")
-    v = f.values
     if not np.isfinite(v).all():
         raise ValueError("lr_norm: non-finite input values")
-    w = f.grid.weights()
+    w = grid.weights()
     with np.errstate(over="ignore"):
         if r == 2.0:
             return float(np.sqrt((w * v * v).sum()))

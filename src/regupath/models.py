@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgbsv, dposv
+from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .grid import Grid, GridFunction, SingularSystemError, is_integer, is_real, lr_norm, require, solve_tridiagonal
 
@@ -68,7 +67,9 @@ class ForwardModel:
     weights, D_f the diagonal 0/1 matrix of the boolean mask ``free`` and B
     the symmetric tridiagonal matrix with diagonal ``diag`` and sub-diagonal
     ``sub``, it returns s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs.  It
-    raises SingularSystemError when that matrix is singular.
+    raises SingularSystemError when that matrix is singular.  Only a model
+    with a ``project`` has coordinates to fix: a model without one is always
+    called with an all-true ``free``, and may raise ValueError on any other.
     """
 
     name: str
@@ -92,13 +93,84 @@ class ForwardModel:
         return self.apply.out_grid
 
 
+def _sandwich_table(t_diag: np.ndarray, t_off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The band of T B T as fixed weights on B's diagonals, for ``_sandwich_solver``.
+
+    Entry (j + k, j) of T B T, k = 0..3, is the sum over d = -1, 0, 1 of
+
+        T[j+k, j+d] T[j+d, j] diag[j+d]
+          + (T[j+k, j+d+1] T[j+d, j] + T[j+k, j+d] T[j+d+1, j]) sub[j+d].
+
+    With ``vals = [0, diag, 0, 0, sub, 0, 0]``, ``vals[index]`` holds
+    diag[j+d] in row d + 1 and sub[j+d] in row d + 4, zero past the ends,
+    and ``weights[k]`` their factors, so the band is
+    ``(weights * vals[index]).sum(axis=1)``.  Both tables are O(n).
+    """
+    n = t_diag.size
+    padded = np.zeros((3, n + 6))  # padded[o + 1, 3 + i] = T[i, i + o], 0 off the matrix
+    padded[0, 4:n + 3] = t_off
+    padded[1, 3:n + 3] = t_diag
+    padded[2, 3:n + 2] = t_off
+
+    def t(a: int, b: int) -> np.ndarray:  # the vector j -> T[j + a, j + b]
+        return padded[b - a + 1, 3 + a:3 + a + n] if abs(b - a) <= 1 else np.zeros(n)
+
+    weights = np.array([[t(k, d) * t(d, 0) for d in (-1, 0, 1)]
+                        + [t(k, d + 1) * t(d, 0) + t(k, d) * t(d + 1, 0) for d in (-1, 0, 1)]
+                        for k in range(4)])
+    index = np.arange(n) + np.array([0, 1, 2, n + 2, n + 3, n + 4])[:, None]
+    return index, weights
+
+
+def _sandwich_solver(t_diag: np.ndarray, t_off: np.ndarray, shift: np.ndarray) -> Callable[..., np.ndarray]:
+    """``solve(diag, sub, rhs)``: one ``dpbsv`` for (T B T + diag(shift)) y = T rhs, returning s = T y.
+
+    T is symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal
+    ``t_off``, B with diagonal ``diag`` and sub-diagonal ``sub``; the system
+    has 3 sub-diagonals, and ``solve`` raises SingularSystemError unless it
+    is positive definite.  The tables of ``_sandwich_table`` are built at
+    the first call, so a solver that is never called costs nothing.
+    """
+    n = t_diag.size
+    table = None
+
+    def times_t(v: np.ndarray) -> np.ndarray:
+        out = t_diag * v
+        out[:-1] += t_off * v[1:]
+        out[1:] += t_off * v[:-1]
+        return out
+
+    def solve(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        nonlocal table
+        if table is None:
+            table = _sandwich_table(t_diag, t_off)
+        index, weights = table
+        vals = np.zeros(2 * n + 4)
+        vals[1:n + 1] = diag
+        vals[n + 3:-2] = sub
+        band = (weights * vals[index]).sum(axis=1)
+        band[0] += shift
+        y, info = dpbsv(band, times_t(rhs), lower=1, overwrite_ab=1)[1:]
+        if info != 0:
+            raise SingularSystemError(f"banded system is not positive definite (info={info})")
+        return times_t(y)
+
+    return solve
+
+
 def fredholm_model(n: int) -> ForwardModel:
     """Linear integral operator on [0,1] with kernel 40*min(s,t)*(1-max(s,t)).
 
     The integral is discretized with composite trapezoid quadrature on an
-    n-point nodal grid shared by x and y.  The Gauss-Newton solve builds the
-    Gram matrix 2 (W^(1/2) K)^T (W^(1/2) K) by one dsyrk at its first call
-    and keeps it; each call then runs one dposv on a copy.
+    n-point nodal grid shared by x and y.  The kernel is 40 times the Green's
+    function of -u'' with zero ends, which the 3-point Laplacian
+    L = h^-2 tridiag(-1, 2, -1) on the n - 2 interior nodes inverts exactly:
+    the matrix of F is 40 L^-1 on the interior and 0 in the boundary rows and
+    columns.  With T the identity on the two ends and L inside, the
+    Gauss-Newton matrix becomes T (2 K^T W K + B) T = T B T + 3200 h I_int,
+    and each step is one banded Cholesky solve in O(n).  The model has no
+    projection, so its ``gauss_newton`` takes only an all-true mask and
+    raises ValueError on any other.
     """
     if n < 3:
         raise ValueError(f"fredholm_model needs n >= 3, got {n}")
@@ -107,27 +179,21 @@ def fredholm_model(n: int) -> ForwardModel:
     s = pts[:, None]
     t = pts[None, :]
     kernel = 40.0 * np.minimum(s, t) * (1.0 - np.maximum(s, t))
-    w = grid.weights()
-    apply_mat = kernel * w[None, :]
-    root_w = np.sqrt(w)
-    diagonal = np.arange(n)
-    gram = None  # G = 2 (W^(1/2) K)^T (W^(1/2) K), lower triangle only
+    apply_mat = kernel * grid.weights()[None, :]
+    h = grid.h
+    inv_h2 = 1.0 / (h * h)
+    t_diag = np.full(n, 2.0 * inv_h2)
+    t_diag[[0, -1]] = 1.0
+    t_off = np.full(n - 1, -inv_h2)
+    t_off[[0, -1]] = 0.0
+    shift = np.full(n, 2.0 * 40.0**2 * h)  # T 2 K^T W K T = 2 (40 L^-1 L)^T h (40 L^-1 L) inside
+    shift[[0, -1]] = 0.0
+    solve = _sandwich_solver(t_diag, t_off, shift)
 
     def gauss_newton(v, free, diag, sub, rhs):
-        # D_f G D_f is a copy of G with the fixed rows and columns zeroed;
-        # then B added in place and a Cholesky solve that overwrites the copy
-        nonlocal gram
-        if gram is None:
-            gram = dsyrk(2.0, (root_w[:, None] * apply_mat).T, lower=1)
-        system = gram.copy(order="F")
-        system[~free] = 0.0
-        system[:, ~free] = 0.0
-        system[diagonal, diagonal] += diag
-        system[diagonal[1:], diagonal[:-1]] += sub
-        s, info = dposv(system, rhs, lower=1, overwrite_a=1)[1:]
-        if info != 0:
-            raise SingularSystemError(f"Gauss-Newton matrix is not positive definite (info={info})")
-        return s
+        if not free.all():
+            raise ValueError("the Fredholm model has no bound to hold coordinates at; free must be all true")
+        return solve(diag, sub, rhs)
 
     return ForwardModel(
         name="fredholm",

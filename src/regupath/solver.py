@@ -8,7 +8,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, lr_norm, require
+from .grid import Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, lr_norm_on, require
 from .models import ForwardModel
 from .penalties import Fidelity, Penalty
 
@@ -181,7 +181,8 @@ def solve_tikhonov(
     apply_values, adjoint_values = model.apply.on_values, model.adjoint_derivative.on_values
     xv = x.values
     fxv = apply_values(xv)
-    obj = fid.value_on(fxv) + alpha * pen.value(x)  # ``value`` checks a reference function's grid
+    pen_value = pen.value(x)  # ``value`` checks a reference function's grid
+    obj = fid.value_on(fxv) + alpha * pen_value
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
     g = _gradient(adjoint_values, fid, pen, alpha, x_grid, xv, fxv)
@@ -210,7 +211,8 @@ def solve_tikhonov(
             if predicted > 0.0:
                 cand.setflags(write=False)  # the elliptic model's state cache keys on it
                 fx_new = apply_values(cand)
-                obj_new = fid.value_on(fx_new) + alpha * pen.value_on(x_grid, cand)
+                pen_new = pen.value_on(x_grid, cand)
+                obj_new = fid.value_on(fx_new) + alpha * pen_new
                 if math.isfinite(obj_new) and obj - obj_new >= _ARMIJO * predicted:
                     break
             t *= _STEP_SHRINK
@@ -226,21 +228,20 @@ def solve_tikhonov(
                 trial = min(max(trial, 1e-14), 1e14)
             else:
                 trial = min(t * 2.0, 1e14)
-        xv, fxv, obj, g = cand, fx_new, obj_new, g_new
+        xv, fxv, obj, pen_value, g = cand, fx_new, obj_new, pen_new, g_new
         gnorm = _norm(weights, g)
         iters += 1
         converged = gnorm <= tol
 
     if iters:
         x = x_grid.function(xv)
-    fx = model.y_grid.function(fxv)
-    residual = lr_norm(fx - fid.target, fid.r)
+    residual = lr_norm_on(model.y_grid, fxv - fid.target.values, fid.r)
     return AlphaPathRecord(
         alpha=alpha,
         x=x,
-        fx=fx,
+        fx=model.y_grid.function(fxv),
         residual=residual,
-        penalty=pen.value(x),
+        penalty=pen_value,
         theta=residual**fid.r / alpha,
         objective=obj,
         iters=iters,

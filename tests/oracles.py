@@ -59,12 +59,17 @@ def elliptic_jacobian(model: ForwardModel, c: GridFunction) -> np.ndarray:
     return jac
 
 
+def gauss_newton_matrix(model: ForwardModel, jac: np.ndarray, free: np.ndarray, diag: np.ndarray,
+                        sub: np.ndarray) -> np.ndarray:
+    """The dense matrix 2 (J D_f)^T W_y (J D_f) + B, J = ``jac``."""
+    jf = jac * free
+    return 2.0 * jf.T @ np.diag(model.y_grid.weights()) @ jf + dense_tridiagonal(sub, diag, sub)
+
+
 def dense_gauss_newton(model: ForwardModel, jac: np.ndarray, free: np.ndarray, diag: np.ndarray,
                        sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (2 (J D_f)^T W_y (J D_f) + B) s = rhs with dense matrices, J = ``jac``."""
-    jf = jac * free
-    lhs = 2.0 * jf.T @ np.diag(model.y_grid.weights()) @ jf + dense_tridiagonal(sub, diag, sub)
-    return np.linalg.solve(lhs, rhs)
+    return np.linalg.solve(gauss_newton_matrix(model, jac, free, diag, sub), rhs)
 
 
 def fredholm_kernel_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -371,8 +371,8 @@ PINNED_BUNDLES = {
     "example2_piecewise": (8, "435e3c4d8766692e5e1a8875a1f3954935358474b3d1fef5cafa175e1d70f14a"),
 }
 # The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
-# at one BLAS thread: the dense Gauss-Newton step's dsyrk and dposv thread their sums.
-PINNED_THEORY_CSV = "9f059a352985ebac243fdbbacffc191af0589a79ff13c12439c37acaf8ed3801"
+# the same at one and at two BLAS threads.
+PINNED_THEORY_CSV = "babf099c7dafd7b3c080f31946c1dcd60d0c7e60776d209cc90db721e3cef98e"
 THEORY_DELTAS = "0.2,0.1,0.05,0.025,0.0125"
 
 
@@ -411,12 +411,14 @@ def test_preset_cli_run_matches_pinned_digest(name, tmp_path, capsys):
 def test_theory_study_matches_pinned_digest(tmp_path):
     src = str(Path(regupath.__file__).resolve().parents[1])
     python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": python_path}
-    subprocess.run([sys.executable, "-m", "regupath", "theory", "--preset", "theory_study",
-                    "--deltas", THEORY_DELTAS, "--out", str(tmp_path)],
-                   cwd=tmp_path, env=env, check=True, capture_output=True)
-    digest = hashlib.sha256((tmp_path / "theory.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_THEORY_CSV, f"theory.csv (1 file) now has sha256 {digest}"
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": python_path}
+        subprocess.run([sys.executable, "-m", "regupath", "theory", "--preset", "theory_study",
+                        "--deltas", THEORY_DELTAS, "--out", str(out)],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        digest = hashlib.sha256((out / "theory.csv").read_bytes()).hexdigest()
+        assert digest == PINNED_THEORY_CSV, f"theory.csv (1 file) at {threads} BLAS threads now has sha256 {digest}"
 
 
 def _theory_csv(config, path) -> bytes:

@@ -23,7 +23,8 @@ from regupath import (
     make_noisy,
 )
 
-from oracles import dense_gauss_newton, elliptic_jacobian, estimate_kappa, fredholm_apply_matrix
+from oracles import (dense_gauss_newton, dense_tridiagonal, elliptic_jacobian, estimate_kappa,
+                     fredholm_apply_matrix, gauss_newton_matrix)
 
 
 def _elliptic(N=100, g0=1.0, g1=6.0):
@@ -242,14 +243,15 @@ def test_elliptic_projection_clips_at_zero():
 @pytest.mark.parametrize("penalty", [QuadraticPenalty(), SmoothedTVPenalty(eps=0.5, mu=1e-3)],
                          ids=["quadratic", "smoothed_tv"])
 def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
-    # the elliptic banded (s, w, z) system and the Fredholm Cholesky against
-    # the dense J of the oracles, on random free masks
+    # the elliptic banded (s, w, z) system on random free masks and the
+    # Fredholm band solve on all-true ones (the model has no bound) against
+    # the dense J of the oracles
     for model in (_elliptic(N=60), fredholm_model(41)):
         grid = model.x_grid
         x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
         jac = fredholm_apply_matrix(grid.n) if model.name == "fredholm" else elliptic_jacobian(model, x)
         for _ in range(3):
-            free = rng.uniform(size=grid.n) > 0.3
+            free = rng.uniform(size=grid.n) > 0.3 if model.project is not None else np.ones(grid.n, dtype=bool)
             diag, sub = penalty.hessian(grid, x.values)
             diag, sub = alpha * diag, alpha * sub * (free[1:] & free[:-1])
             rhs = rng.normal(size=grid.n)
@@ -257,23 +259,46 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
             got = model.gauss_newton(x.values, free, diag, sub, rhs)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
 
+    # At n = 401 the Fredholm step is held to a backward-error bound.  It
+    # solves M y = T rhs, M = T A T with A = 2 K^T W K + B and T the identity
+    # on the ends and h^-2 tridiag(-1, 2, -1) inside, and returns s = T y.
+    # Backward stability gives (M + E) y = T rhs with ||E|| <= c u ||T||^2 ||A||,
+    # as ||M|| <= ||T||^2 ||A||, ||B|| <= ||A|| and || |T| || = ||T||: the band
+    # Cholesky and its two triangular solves (kd = 3) give 3 (kd + 2) (kd + 1)
+    # = 60, forming M (6 terms of 3 factors per entry, || |B| || <= 3 ||B||)
+    # 3 * 9 = 27, so c = 87 < 100.  Then s solves (A + T^-1 E T^-1) s = rhs,
+    # and ||A s - rhs|| <= c u cond(T)^2 ||A|| ||s||.
+    model = fredholm_model(401)
+    grid = model.x_grid
+    x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
+    off = np.full(grid.n - 1, -1.0 / grid.h**2)
+    off[[0, -1]] = 0.0
+    t_diag = np.full(grid.n, 2.0 / grid.h**2)
+    t_diag[[0, -1]] = 1.0
+    bound = 100 * (np.finfo(float).eps / 2) * np.linalg.cond(dense_tridiagonal(off, t_diag, off)) ** 2
+    free = np.ones(grid.n, dtype=bool)
+    diag, sub = penalty.hessian(grid, x.values)
+    lhs = gauss_newton_matrix(model, fredholm_apply_matrix(grid.n), free, alpha * diag, alpha * sub)
+    for _ in range(3):
+        rhs = rng.normal(size=grid.n)
+        got = model.gauss_newton(x.values, free, alpha * diag, alpha * sub, rhs)
+        backward = np.linalg.norm(lhs @ got - rhs) / (np.linalg.norm(lhs, 2) * np.linalg.norm(got))
+        assert backward <= bound
 
-def test_fredholm_cached_gram_is_never_written_through(rng):
-    # one model solves all-free, two partial, then all-free masks with a new B
-    # each time; a write into the kept Gram or a mask left over from the last call
-    # would set these solves apart from the same call on a fresh model
+
+def test_fredholm_gauss_newton_takes_only_an_all_true_mask(rng):
+    # the model has no projection, so the solver never fixes a coordinate; a
+    # partial mask is a caller's fault, not a system to solve
     model = fredholm_model(41)
     grid = model.x_grid
-    x = grid.function(rng.uniform(0.0, 1.0, size=grid.n))
-    partial = rng.uniform(size=grid.n) > 0.4
-    for free in (np.ones(grid.n, dtype=bool), partial, ~partial, np.ones(grid.n, dtype=bool)):
-        diag, sub = QuadraticPenalty().hessian(grid, x.values)
-        scale = 10.0 ** rng.uniform(-6.0, -1.0)
-        diag, sub = scale * diag, scale * sub * (free[1:] & free[:-1])
-        rhs = rng.normal(size=grid.n)
-        got = model.gauss_newton(x.values, free, diag, sub, rhs)
-        want = fredholm_model(41).gauss_newton(x.values, free, diag, sub, rhs)
-        np.testing.assert_array_equal(got, want)
+    diag, sub = QuadraticPenalty().hessian(grid, grid.zeros().values)
+    rhs = rng.normal(size=grid.n)
+    model.gauss_newton(grid.zeros().values, np.ones(grid.n, dtype=bool), diag, sub, rhs)
+    for fixed in (0, 20, 40):
+        free = np.ones(grid.n, dtype=bool)
+        free[fixed] = False
+        with pytest.raises(ValueError, match="free must be all true"):
+            model.gauss_newton(grid.zeros().values, free, diag, sub, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -102,20 +102,24 @@ def test_linear_quadratic_gauss_newton_takes_one_step(noisy_benchmark):
         assert lr_norm(rec.x - ref, 2.0) <= 1e-9 * lr_norm(ref, 2.0)
 
 
-def test_fredholm_gram_is_built_once_per_model_and_only_by_gauss_newton(noisy_benchmark, monkeypatch):
-    # a 36-alpha r = 2 path on one fresh model runs one dsyrk, at its first
-    # Gauss-Newton step; an r = 1.01 path runs descent and never builds it
+def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy_benchmark, monkeypatch):
+    # a 36-alpha r = 2 path on one fresh model runs one dpbsv per Gauss-Newton
+    # step and builds its band tables once; an r = 1.01 path runs descent and
+    # never solves or builds them
     _, _, noisy, _ = noisy_benchmark
-    calls = []
-    dsyrk = regupath.models.dsyrk
-    monkeypatch.setattr(regupath.models, "dsyrk", lambda *args, **kw: calls.append(1) or dsyrk(*args, **kw))
+    solves, tables = [], []
+    dpbsv, table = regupath.models.dpbsv, regupath.models._sandwich_table
+    monkeypatch.setattr(regupath.models, "dpbsv", lambda *args, **kw: solves.append(1) or dpbsv(*args, **kw))
+    monkeypatch.setattr(regupath.models, "_sandwich_table", lambda *args: tables.append(1) or table(*args))
     path = compute_alpha_path(fredholm_model(101), Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
     assert len(path) == 36 and all(rec.converged for rec in path)
-    assert len(calls) == 1
-    calls.clear()
+    assert sum(rec.iters for rec in path) == 36
+    assert len(solves) == 36 and len(tables) == 1
+    solves.clear()
+    tables.clear()
     path = compute_alpha_path(fredholm_model(101), Fidelity(1.01, noisy), QuadraticPenalty(), 1.0, 0.8, 35,
                               SolveOptions(max_iters=20))
-    assert len(path) == 36 and len(calls) == 0
+    assert len(path) == 36 and len(solves) == 0 and len(tables) == 0
 
 
 def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):
@@ -481,15 +485,15 @@ def _constructions_per_solve(monkeypatch, model, fid, pen, alpha, max_iters):
 
 
 def test_solves_build_grid_functions_only_for_their_records(monkeypatch):
-    # the record's x, fx and residual are the only GridFunctions a solve
-    # builds, however many iterations it takes
+    # the record's x and fx are the only GridFunctions a solve builds, however
+    # many iterations it takes; its residual is taken on the arrays
     descent = _fredholm_outlier_case()
     gauss_newton = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
     for case, short, long, many in ((descent, 20, 400, 100), (gauss_newton, 1, 50, 3)):
         built_short, iters_short = _constructions_per_solve(monkeypatch, *case, short)
         built_long, iters_long = _constructions_per_solve(monkeypatch, *case, long)
         assert iters_short < many <= iters_long, (iters_short, iters_long)
-        assert built_short == built_long == 3
+        assert built_short == built_long == 2
 
 
 def _blocked_start_case(r):

@@ -37,8 +37,6 @@ from .penalties import (
     SmoothedTVPenalty,
     SubgradientError,
     bregman_distance,
-    phi,
-    phi_inverse,
     power_index,
 )
 from .rules import (
@@ -128,8 +126,6 @@ __all__ = [
     "l2_inner",
     "lr_norm",
     "make_noisy",
-    "phi",
-    "phi_inverse",
     "power_index",
     "preset",
     "run_delta_sequence",

@@ -19,6 +19,7 @@ from .penalties import (
     ShiftedQuadraticPenalty,
     SmoothedTVPenalty,
     bregman_distance,
+    power_index,
 )
 from .rules import (
     DeltaLevelRow,
@@ -246,13 +247,17 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
 # factories and the rules up in this module when called, so that replacing
 # those names here (as the benchmark's tracing shims do) reaches every run.
 
+def range_source_w(t: np.ndarray) -> np.ndarray:
+    """The source element w of the ``range_source`` truth x = K w."""
+    return 0.1 * (np.sin(np.pi * t) + 0.5 * np.sin(3 * np.pi * t))
+
+
 TRUTHS = {
     "parabola_sine": lambda t: 4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t),
     "smooth_mix": lambda t: np.sin(np.pi * t) + np.sin(4.0 * np.pi * t) + 2.0 * t**3 * (1.0 - t) + t,
     "three_steps": lambda t: np.select([t < 0.3, t < 0.6], [1.0, 6.0], 3.0),
     # x = K w with K the Fredholm operator on the nodal grid of t: a source condition
-    "range_source": lambda t: fredholm_model(t.size).apply.on_values(
-        0.1 * (np.sin(np.pi * t) + 0.5 * np.sin(3 * np.pi * t))),
+    "range_source": lambda t: fredholm_model(t.size).apply.on_values(range_source_w(t)),
 }
 INIT_PROFILES = {"zeros": np.zeros_like, "ones": np.ones_like}
 
@@ -441,13 +446,22 @@ def run_theory_study(config: ExperimentConfig, deltas) -> TheoryReport:
     """Shrinking-noise study of a config's model and first penalty.
 
     The noise direction comes from ``noise.seed``; see ``run_delta_sequence``.
-    Noise levels whose data leave the float range are a ConfigError.
+    Noise levels whose data leave the float range are a ConfigError.  The
+    Bregman error's bound ratio needs the index function of a variational
+    source condition, known here for one case: the Fredholm model, the
+    ``range_source`` truth x = K w and the quadratic penalty, whose
+    subgradient 2x = K*(2w) gives phi(t) = 2 ||w|| t.  Every other study
+    reports the ratio as NaN.
     """
     model, truth, init = _setup(config)
     pen = build_penalty(config.penalties[0], model.x_grid)
+    index_fn = None
+    if (config.model.kind, config.truth, config.penalties[0].kind) == ("fredholm", "range_source", "quadratic"):
+        index_fn = power_index(2.0 * lr_norm(model.x_grid.from_callable(range_source_w), 2.0), 1.0)
     try:
         return run_delta_sequence(model, pen, config.fidelity_r, config.alpha0, config.q, config.j_max,
-                                  deltas, config.noise.seed, truth, opts=config.solver.to_options(init))
+                                  deltas, config.noise.seed, truth, opts=config.solver.to_options(init),
+                                  index_fn=index_fn)
     except NoiseOverflowError as exc:
         raise ConfigError([f"deltas: {exc}"]) from exc
 
@@ -461,8 +475,8 @@ def run_experiment(
     raised PathAborted names its penalty and carries, as ``partial``, the
     ResultBundle of the penalties finished before it (None if there are none).
     ``max_workers`` must be 1; it stays only because ``bench/run.py`` passes
-    it, and goes with that argument when the benchmark is re-baselined
-    (ROADMAP item 4).
+    it, and goes with that argument in the benchmark-only change that
+    re-baselines the benchmark (ROADMAP).
     """
     if max_workers != 1:
         raise ValueError(f"penalties are solved one after another; max_workers must be 1, got {max_workers!r}")

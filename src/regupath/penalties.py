@@ -216,49 +216,3 @@ def power_index(scale: float, exponent: float = 1.0) -> IndexFunction:
     if not 0 < exponent <= 1:
         raise ValueError("index function exponent must lie in (0, 1]")
     return IndexFunction(lambda t: scale * t**exponent, label=f"{scale:g}*t^{exponent:g}")
-
-
-def phi(index_fn: IndexFunction, r: float, t: float) -> float:
-    """The transformed index function t -> t**r / phi(t), defined for t > 0."""
-    if not t > 0:
-        raise ValueError(f"phi is defined for t > 0, got {t}")
-    return t**r / index_fn(t)
-
-
-def phi_inverse(index_fn: IndexFunction, r: float, s: float) -> float:
-    """Invert t -> t**r/phi(t) by bracketing bisection, to a relative tolerance of 1e-10.
-
-    The bracket is grown geometrically from t = 1; more than 1000 doublings
-    (or halvings) without enclosing s raises a ValueError.
-    """
-    if not s > 0:
-        raise ValueError(f"phi_inverse is defined for s > 0, got {s}")
-    lo = hi = 1.0
-    val = phi(index_fn, r, 1.0)
-    if val < s:
-        for _ in range(1000):
-            lo, hi = hi, hi * 2.0
-            if phi(index_fn, r, hi) >= s:
-                break
-        else:
-            raise ValueError(f"phi_inverse bracket grew past 2^1000 without reaching {s}")
-    elif val > s:
-        for _ in range(1000):
-            hi, lo = lo, lo / 2.0
-            if phi(index_fn, r, lo) <= s:
-                break
-        else:
-            raise ValueError(f"phi_inverse bracket shrank past 2^-1000 without reaching {s}")
-    else:
-        return 1.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = phi(index_fn, r, mid)
-        if abs(val - s) <= 1e-10 * s:
-            return mid
-        if val < s:
-            lo = mid
-        else:
-            hi = mid
-    raise ArithmeticError("phi_inverse bisection failed to meet its tolerance")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,32 +40,46 @@ class RuleOutcome:
         return self.record.residual
 
 
-@dataclass
-class TheoryReport:
-    """Computable quantities behind the a-posteriori bounds and limit studies."""
-
-    kappa_estimate: float
-    delta: float
-    delta_star: float
-    alpha_star: float
-    lower_bound_alpha: float
-    bound_ratio: float
-    convergence_table: List["DeltaLevelRow"] = field(default_factory=list)
-    precondition_holds: bool = False
-    delta_bound_ok: bool = False
-    alpha_bound_ok: bool = False
-    flags: Tuple[str, ...] = ()
-
-
 @dataclass(frozen=True)
 class DeltaLevelRow:
-    """One noise level of a shrinking-noise study."""
+    """One noise level: its selection, the Bregman error, kappa-hat and the error's bound ratio."""
 
     delta: float
     alpha_star: float
     theta_star: float
     bregman: float
     kappa_hat: float
+    bound_ratio: float
+
+
+@dataclass
+class TheoryReport:
+    """Computable quantities behind the a-posteriori bounds and limit studies.
+
+    ``delta``, ``alpha_star`` and ``bound_ratio`` are those of the last row of
+    ``convergence_table``, the level the bounds are evaluated at.
+    """
+
+    kappa_estimate: float
+    delta_star: float
+    lower_bound_alpha: float
+    convergence_table: List[DeltaLevelRow]
+    precondition_holds: bool
+    delta_bound_ok: bool
+    alpha_bound_ok: bool
+    flags: Tuple[str, ...] = ()
+
+    @property
+    def delta(self) -> float:
+        return self.convergence_table[-1].delta
+
+    @property
+    def alpha_star(self) -> float:
+        return self.convergence_table[-1].alpha_star
+
+    @property
+    def bound_ratio(self) -> float:
+        return self.convergence_table[-1].bound_ratio
 
 
 def _small_delta_flag(path: Sequence[AlphaPathRecord], delta_star: float) -> bool:
@@ -136,36 +150,47 @@ def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
     return min(1.0, min(rec.residual for rec in path) / delta)
 
 
-def _level_row(outcome: RuleOutcome, delta: float, bregman: float, kappa: float) -> DeltaLevelRow:
-    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, bregman, kappa)
+def _evaluate_level(
+    outcome: RuleOutcome, delta: float, kappa: float, x_dagger: GridFunction, pen: Penalty, r: float,
+    index_fn: Optional[IndexFunction],
+) -> DeltaLevelRow:
+    """The row of one selection at noise level delta, with its Bregman error to x_dagger.
+
+    ``bound_ratio`` is the Bregman error over its a-posteriori bound
+    (1 + delta^r/delta_*^r) * (delta^r + phi(delta + delta_*)); it is NaN
+    without an index function phi or when delta_* = 0.
+    """
+    breg = bregman_distance(pen, pen.subgradient(x_dagger), outcome.record.x, x_dagger)
+    ratio = float("nan")
+    if index_fn is not None and outcome.delta_star > 0.0:
+        ds = outcome.delta_star
+        ratio = breg / ((1.0 + delta**r / ds**r) * (delta**r + index_fn(delta + ds)))
+    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, breg, kappa, ratio)
 
 
 def _bound_report(
-    outcome: RuleOutcome, kappa: float, delta: float, r_dagger: float, q: float, r: float,
-    rows: List[DeltaLevelRow], bound_ratio: float = float("nan"), flags: Sequence[str] = (),
+    outcome: RuleOutcome, kappa: float, r_dagger: float, q: float, r: float, rows: List[DeltaLevelRow],
 ) -> TheoryReport:
-    """The a-posteriori bound fields of a theta-argmin selection.
+    """The a-posteriori bound fields of a theta-argmin selection at the last row's level.
 
     delta_* >= kappa * delta and alpha_* >= q kappa^r delta^r / ((q+1) R(x_dagger)),
     under the small-noise precondition delta^r <= alpha_0 * R(x_dagger).
     """
+    delta = rows[-1].delta
     alpha0 = max(rec.alpha for rec in outcome.path)
     precondition = delta**r <= alpha0 * r_dagger
     lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
-    lead = ("kappa_condition_failed",) if kappa == 0.0 else ()
-    lead += () if precondition else ("precondition_violated",)
+    flags = ("kappa_condition_failed",) if kappa == 0.0 else ()
+    flags += () if precondition else ("precondition_violated",)
     return TheoryReport(
         kappa_estimate=kappa,
-        delta=delta,
         delta_star=outcome.delta_star,
-        alpha_star=outcome.alpha_star,
         lower_bound_alpha=lower_bound,
-        bound_ratio=bound_ratio,
         convergence_table=rows,
         precondition_holds=precondition,
         delta_bound_ok=outcome.delta_star >= kappa * delta - 1e-10,
         alpha_bound_ok=outcome.alpha_star >= lower_bound - 1e-10,
-        flags=lead + tuple(flags),
+        flags=flags,
     )
 
 
@@ -178,49 +203,31 @@ def check_corollary_bounds(
     r: float,
     index_fn: Optional[IndexFunction] = None,
 ) -> TheoryReport:
-    """Evaluate the a-posteriori lower bounds for a theta-argmin selection.
+    """Evaluate the a-posteriori bounds for a theta-argmin selection.
 
     The noise irregularity constant is estimated from the path itself (see
-    ``kappa_hat``).  Both bounds then hold by construction whenever the
+    ``kappa_hat``).  Both lower bounds then hold by construction whenever the
     small-noise precondition ||noise||^r <= alpha_0 * R(x_dagger) does; the
     report records the precondition rather than failing when it is violated.
-
-    When an index function is supplied, the report carries the quotient of
-    the measured Bregman error by its a-posteriori bound
-    (1 + delta^r/delta_*^r) * (delta^r + phi(delta + delta_*)).
+    The report's one row carries the Bregman error and, when an index
+    function is supplied, its bound ratio (see ``_evaluate_level``).  Noise
+    of norm zero gives the flag ``degenerate_zero_noise`` and a NaN kappa.
     """
-    flags: List[str] = []
-    r_dagger = pen.value(x_dagger)
-
-    if float(np.max(np.abs(noise.values))) == 0.0:
+    delta = lr_norm(noise, r)
+    kappa = kappa_hat(outcome.path, delta) if delta > 0.0 else float("nan")
+    rows = [_evaluate_level(outcome, delta, kappa, x_dagger, pen, r, index_fn)]
+    if delta == 0.0:
         return TheoryReport(
-            kappa_estimate=float("nan"),
-            delta=0.0,
+            kappa_estimate=kappa,
             delta_star=outcome.delta_star,
-            alpha_star=outcome.alpha_star,
             lower_bound_alpha=0.0,
-            bound_ratio=float("nan"),
+            convergence_table=rows,
             precondition_holds=True,
             delta_bound_ok=True,
             alpha_bound_ok=True,
             flags=("degenerate_zero_noise",),
         )
-
-    delta = lr_norm(noise, r)
-    kappa = kappa_hat(outcome.path, delta)
-    bound_ratio = float("nan")
-    rows: List[DeltaLevelRow] = []
-    if index_fn is not None:
-        if outcome.delta_star == 0.0:
-            flags.append("degenerate_zero_residual")
-        else:
-            breg = bregman_distance(pen, pen.subgradient(x_dagger), outcome.record.x, x_dagger)
-            denom = (1.0 + delta**r / outcome.delta_star**r) * (
-                delta**r + index_fn(delta + outcome.delta_star)
-            )
-            bound_ratio = breg / denom
-            rows.append(_level_row(outcome, delta, breg, kappa))
-    return _bound_report(outcome, kappa, delta, r_dagger, q, r, rows, bound_ratio, flags)
+    return _bound_report(outcome, kappa, pen.value(x_dagger), q, r, rows)
 
 
 def noise_level_problems(deltas: Sequence[float]) -> Iterator[str]:
@@ -244,6 +251,7 @@ def run_delta_sequence(
     seed: int,
     x_dagger: GridFunction,
     opts: Optional[SolveOptions] = None,
+    index_fn: Optional[IndexFunction] = None,
     max_workers: int = 1,
 ) -> TheoryReport:
     """Shrinking-noise study: one fixed unit noise direction, scaled levels.
@@ -252,13 +260,14 @@ def run_delta_sequence(
     shared across all levels, so the data at level delta_k is exactly
     y + delta_k * e and the irregularity constant is level-independent.
     For each level the full alpha path is solved, the theta-argmin rule
-    applied, and (delta, alpha_*, theta_*, Bregman error) recorded.  A level
+    applied, and its row evaluated as ``check_corollary_bounds`` evaluates
+    one selection, with ``index_fn`` giving the bound ratio.  A level
     whose data leave the float range raises NoiseOverflowError before any
     path is solved; a level whose path aborts re-raises its PathAborted with
     the level named and, as ``partial``, the report of the levels finished
     before it (None if there are none).  ``max_workers`` must be 1; it stays
-    only because ``bench/run.py`` passes it, and goes with that argument when
-    the benchmark is re-baselined (ROADMAP item 4).
+    only because ``bench/run.py`` passes it, and goes with that argument in
+    the benchmark-only change that re-baselines the benchmark (ROADMAP).
     """
     if max_workers != 1:
         raise ValueError(f"levels are solved one after another; max_workers must be 1, got {max_workers!r}")
@@ -268,7 +277,6 @@ def run_delta_sequence(
     y = model.apply(x_dagger)
     raw, norm = gaussian_draw(np.random.default_rng(seed), y.grid, r)
     direction = (1.0 / norm) * raw
-    xi = pen.subgradient(x_dagger)
     with np.errstate(over="ignore"):
         noisy = [y.values + delta * direction for delta in deltas]
     if not np.isfinite(noisy).all():
@@ -277,7 +285,7 @@ def run_delta_sequence(
     def report(outcome: RuleOutcome, rows: List[DeltaLevelRow]) -> TheoryReport:
         # the bounds at the last level solved, with kappa uniform over the levels solved
         kappa_uniform = min(row.kappa_hat for row in rows)
-        return _bound_report(outcome, kappa_uniform, rows[-1].delta, pen.value(x_dagger), q, r, rows)
+        return _bound_report(outcome, kappa_uniform, pen.value(x_dagger), q, r, rows)
 
     rows: List[DeltaLevelRow] = []
     for delta, values in zip(deltas, noisy):
@@ -287,6 +295,5 @@ def run_delta_sequence(
             partial = report(outcome, rows) if rows else None
             raise PathAborted(f"{exc} (delta={delta!r})", exc.records, partial) from exc
         outcome = hanke_raus_select(path)
-        breg = bregman_distance(pen, xi, outcome.record.x, x_dagger)
-        rows.append(_level_row(outcome, delta, breg, kappa_hat(path, delta)))
+        rows.append(_evaluate_level(outcome, delta, kappa_hat(path, delta), x_dagger, pen, r, index_fn))
     return report(outcome, rows)

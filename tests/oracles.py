@@ -5,6 +5,8 @@ implementation under test: dense linear algebra instead of iterative
 descent, explicit kernel quadrature instead of the model's cached matrix,
 Jacobians assembled from the discrete equations instead of the model's
 adjoint action, high-resolution quadrature instead of the working grid.
+The transformed index function t**r / phi(t) and its inverse, which only
+the tests' bound checks use, live here too.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from regupath import (AlphaPathRecord, DivergenceError, Fidelity, ForwardModel, GridFunction,
                       SolveOptions, l2_inner, lr_norm)
-from regupath.penalties import Penalty
+from regupath.penalties import IndexFunction, Penalty
 
 
 def trapezoid_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
@@ -230,3 +232,49 @@ def reference_solve_tikhonov(
         converged=converged,
         tol=tol,
     )
+
+
+def phi(index_fn: IndexFunction, r: float, t: float) -> float:
+    """The transformed index function t -> t**r / phi(t), defined for t > 0."""
+    if not t > 0:
+        raise ValueError(f"phi is defined for t > 0, got {t}")
+    return t**r / index_fn(t)
+
+
+def phi_inverse(index_fn: IndexFunction, r: float, s: float) -> float:
+    """Invert t -> t**r/phi(t) by bracketing bisection, to a relative tolerance of 1e-10.
+
+    The bracket is grown geometrically from t = 1; more than 1000 doublings
+    (or halvings) without enclosing s raises a ValueError.
+    """
+    if not s > 0:
+        raise ValueError(f"phi_inverse is defined for s > 0, got {s}")
+    lo = hi = 1.0
+    val = phi(index_fn, r, 1.0)
+    if val < s:
+        for _ in range(1000):
+            lo, hi = hi, hi * 2.0
+            if phi(index_fn, r, hi) >= s:
+                break
+        else:
+            raise ValueError(f"phi_inverse bracket grew past 2^1000 without reaching {s}")
+    elif val > s:
+        for _ in range(1000):
+            hi, lo = lo, lo / 2.0
+            if phi(index_fn, r, lo) <= s:
+                break
+        else:
+            raise ValueError(f"phi_inverse bracket shrank past 2^-1000 without reaching {s}")
+    else:
+        return 1.0
+    mid = 0.5 * (lo + hi)
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        val = phi(index_fn, r, mid)
+        if abs(val - s) <= 1e-10 * s:
+            return mid
+        if val < s:
+            lo = mid
+        else:
+            hi = mid
+    raise ArithmeticError("phi_inverse bisection failed to meet its tolerance")

@@ -31,7 +31,6 @@ from regupath import (
     l2_inner,
     lr_norm,
     make_noisy,
-    phi_inverse,
     power_index,
     preset,
     run_delta_sequence,
@@ -46,6 +45,7 @@ from oracles import (
     elliptic_jacobian,
     fredholm_apply_matrix,
     oracle_theta_table,
+    phi_inverse,
     tikhonov_normal_equations,
 )
 

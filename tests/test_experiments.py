@@ -17,6 +17,7 @@ from hypothesis import given, settings
 import regupath
 from regupath import (
     ConfigError,
+    DeltaLevelRow,
     ExperimentConfig,
     Grid,
     ModelSpec,
@@ -24,6 +25,8 @@ from regupath import (
     PenaltySpec,
     RuleSpec,
     SolverPlan,
+    TheoryReport,
+    check_corollary_bounds,
     config_from_dict,
     config_from_json,
     elliptic_model,
@@ -31,6 +34,8 @@ from regupath import (
     example1_config,
     example2_piecewise_config,
     example2_smooth_config,
+    lr_norm,
+    power_index,
     preset,
     run_experiment,
     validate_config,
@@ -38,8 +43,10 @@ from regupath import (
     write_theory_report,
 )
 from regupath.cli import main
-from regupath.experiments import PRESETS, build_model, build_penalty, penalty_tags, run_theory_study
-from regupath.rules import DeltaLevelRow, TheoryReport
+from regupath.experiments import (PRESETS, build_model, build_penalty, penalty_tags, run_theory_study,
+                                  truth_function)
+from regupath.models import gaussian_draw
+from regupath.rules import hanke_raus_select
 
 
 def tiny_config(**overrides):
@@ -372,7 +379,7 @@ PINNED_BUNDLES = {
 }
 # The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
 # the same at one and at two BLAS threads.
-PINNED_THEORY_CSV = "babf099c7dafd7b3c080f31946c1dcd60d0c7e60776d209cc90db721e3cef98e"
+PINNED_THEORY_CSV = "6d33754516fa61c203dfffad7f6920afe7c84732f4d97fae16254c1c78780728"
 THEORY_DELTAS = "0.2,0.1,0.05,0.025,0.0125"
 
 
@@ -448,6 +455,79 @@ def test_theory_study_ignores_noise_kind_level_rules_and_later_penalties(change,
     assert _theory_csv(cfg, tmp_path / "changed.csv") == want
 
 
+# The shipped study over seven halving noise levels, 0.2 down to 0.003125.
+STUDY_DELTAS = [0.2 * 2.0**-k for k in range(7)]
+
+
+@pytest.fixture(scope="module")
+def shipped_study():
+    """The theory_study preset's report over STUDY_DELTAS, and the selection made at each level."""
+    outcomes = []
+
+    def recording_select(path):
+        outcomes.append(hanke_raus_select(path))
+        return outcomes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regupath.rules, "hanke_raus_select", recording_select)
+        report = run_theory_study(preset("theory_study"), STUDY_DELTAS)
+    return report, outcomes
+
+
+def test_theory_study_bounds_the_bregman_error_at_every_level(shipped_study):
+    # the paper's a-posteriori estimate, with the checks of acceptance test 5
+    report, _ = shipped_study
+    table = report.convergence_table
+    ratios = [row.bound_ratio for row in table]
+    assert [row.delta for row in table] == STUDY_DELTAS
+    assert all(np.isfinite(ratio) and ratio <= 10.0 for ratio in ratios), ratios
+    assert ratios[-1] <= 2.0 * max(ratios[:3]), ratios
+    assert table[-1].bregman < table[0].bregman
+    assert table[-1].alpha_star < table[0].alpha_star
+    assert report.delta_bound_ok and report.alpha_bound_ok
+
+
+def test_theory_study_rows_match_check_corollary_bounds(shipped_study):
+    # each level's row is the one check_corollary_bounds gives its selection
+    # under the noise delta * e, with phi(t) = 2 ||w|| t for the source x = K w
+    report, outcomes = shipped_study
+    config = preset("theory_study")
+    model = build_model(config.model)
+    truth = truth_function(config.truth, model.x_grid)
+    pen = build_penalty(config.penalties[0], model.x_grid)
+    y = model.apply(truth)
+    raw, norm = gaussian_draw(np.random.default_rng(config.noise.seed), y.grid, config.fidelity_r)
+    e = y.with_values((1.0 / norm) * raw)
+    t = model.x_grid.points()
+    w_src = model.x_grid.function(0.1 * (np.sin(np.pi * t) + 0.5 * np.sin(3.0 * np.pi * t)))
+    index = power_index(2.0 * lr_norm(w_src, 2.0), 1.0)
+    assert len(outcomes) == len(report.convergence_table) == len(STUDY_DELTAS)
+    for row, outcome in zip(report.convergence_table, outcomes):
+        (want,) = check_corollary_bounds(outcome, row.delta * e, truth, pen, config.q, config.fidelity_r,
+                                         index_fn=index).convergence_table
+        assert (row.alpha_star, row.theta_star) == (want.alpha_star, want.theta_star)
+        for name in ("delta", "bregman", "kappa_hat", "bound_ratio"):
+            assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+
+
+def _other_truth(cfg):
+    cfg.truth = "parabola_sine"
+
+
+def _other_penalty(cfg):
+    cfg.penalties[0] = PenaltySpec(kind="shifted_quadratic")
+
+
+@pytest.mark.parametrize("change", [_other_truth, _other_penalty], ids=["truth", "penalty"])
+def test_theory_study_without_a_known_index_function_reports_nan_ratios(change):
+    cfg = preset("theory_study")
+    change(cfg)
+    report = run_theory_study(cfg, [0.2, 0.1])
+    assert len(report.convergence_table) == 2
+    assert all(np.isnan(row.bound_ratio) for row in report.convergence_table)
+    assert all(np.isfinite(row.bregman) for row in report.convergence_table)
+
+
 # ---------------------------------------------------------------------------
 # plots
 
@@ -485,14 +565,11 @@ def test_emit_plots_warns_on_empty_path(tmp_path):
 def test_write_theory_report_layout(tmp_path):
     report = TheoryReport(
         kappa_estimate=0.8,
-        delta=0.1,
         delta_star=0.12,
-        alpha_star=0.3,
         lower_bound_alpha=0.001,
-        bound_ratio=0.5,
         convergence_table=[
-            DeltaLevelRow(0.1, 0.3, 0.04, 0.02, 0.8),
-            DeltaLevelRow(0.05, 0.2, 0.02, 0.01, 0.82),
+            DeltaLevelRow(0.1, 0.3, 0.04, 0.02, 0.8, 0.4),
+            DeltaLevelRow(0.05, 0.2, 0.02, 0.01, 0.82, 0.5),
         ],
         precondition_holds=True,
         delta_bound_ok=True,
@@ -500,7 +577,9 @@ def test_write_theory_report_layout(tmp_path):
     )
     path = write_theory_report(report, tmp_path / "theory.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "delta,alpha_star,theta_star,bregman,kappa_hat"
+    assert lines[0] == "delta,alpha_star,theta_star,bregman,kappa_hat,bound_ratio"
+    # the summary's delta, alpha_star and bound_ratio are the last row's
+    assert {"delta,0.050000000000000003", "alpha_star,0.20000000000000001", "bound_ratio,0.5"} <= set(lines)
     assert len([l for l in lines if l and not l.startswith(("delta,", "key,"))]) >= 2
     assert any(l.startswith("kappa_estimate,") for l in lines)
     assert any(l == "precondition_holds,true" for l in lines)

@@ -14,12 +14,10 @@ from regupath import (
     bregman_distance,
     l2_inner,
     lr_norm,
-    phi,
-    phi_inverse,
     power_index,
 )
 
-from oracles import dense_tridiagonal, directional_derivative
+from oracles import dense_tridiagonal, directional_derivative, phi, phi_inverse
 
 
 def _smooth_probe(grid, gen, slope=2.0):

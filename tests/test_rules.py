@@ -15,13 +15,13 @@ from regupath import (
     hanke_raus_select,
     l2_inner,
     lr_norm,
-    phi_inverse,
     power_index,
     run_delta_sequence,
 )
 from regupath.solver import AlphaPathRecord
 
-from oracles import estimate_kappa, fredholm_apply_matrix, oracle_theta_table, tikhonov_normal_equations
+from oracles import (estimate_kappa, fredholm_apply_matrix, oracle_theta_table, phi_inverse,
+                     tikhonov_normal_equations)
 
 
 def synthetic_path(alphas, residuals, r=2.0, grid=None):
@@ -229,9 +229,15 @@ def test_corollary_report_degenerate_zero_noise(fredholm_benchmark):
     model, truth, y = fredholm_benchmark
     path = synthetic_path([1.0, 0.5], [0.4, 0.3], grid=model.x_grid)
     out = hanke_raus_select(path)
-    rep = check_corollary_bounds(out, model.y_grid.zeros(), truth, QuadraticPenalty(), 0.5, 2.0)
-    assert "degenerate_zero_noise" in rep.flags
-    assert np.isnan(rep.kappa_estimate)
+    # noise whose L^2 norm underflows to 0 is zero noise too
+    for level in (0.0, 1e-200):
+        noise = model.y_grid.function(np.full(model.y_grid.n, level))
+        rep = check_corollary_bounds(out, noise, truth, QuadraticPenalty(), 0.5, 2.0)
+        assert "degenerate_zero_noise" in rep.flags
+        assert np.isnan(rep.kappa_estimate)
+        (row,) = rep.convergence_table
+        assert rep.delta == row.delta == 0.0 and rep.alpha_star == out.alpha_star
+        assert np.isnan(rep.bound_ratio) and row.bregman == QuadraticPenalty().value(truth)
 
 
 def test_corollary_flags_precondition_violation(fredholm_benchmark):

@@ -122,23 +122,69 @@ def _sandwich_table(t_diag: np.ndarray, t_off: np.ndarray) -> Tuple[np.ndarray, 
     return index, weights
 
 
-def _sandwich_solver(t_diag: np.ndarray, t_off: np.ndarray, shift: np.ndarray) -> Callable[..., np.ndarray]:
-    """``solve(diag, sub, rhs)``: one ``dpbsv`` for (T B T + diag(shift)) y = T rhs, returning s = T y.
+def _sandwich_band(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The band of T B T in closed form, O(n), in ``dpbsv``'s lower layout: ``band[k, j]`` = (T B T)[j + k, j].
+
+    T and B are symmetric tridiagonal, T with diagonal a = ``t_diag`` and
+    off-diagonal o = ``t_off``, B with diagonal d = ``diag`` and off-diagonal
+    e = ``sub``.  With p_i = o_i e_i, q_i = a_i e_i + o_i d_{i+1} and every
+    index outside its vector read as 0:
+
+        band[0, i] = a_i^2 d_i + 2 a_i (p_{i-1} + p_i) + o_{i-1}^2 d_{i-1} + o_i^2 d_{i+1}
+        band[1, i] = o_i (p_{i-1} + a_i d_i + p_i + p_{i+1}) + a_{i+1} q_i
+        band[2, i] = o_{i+1} q_i + a_{i+2} o_i e_{i+1}
+        band[3, i] = o_i o_{i+2} e_{i+1}
+    """
+    a, o, d, e = t_diag, t_off, diag, sub
+    n = a.size
+    p = np.zeros(n + 1)  # p[i + 1] = p_i, so p_{-1} = p_{n-1} = 0
+    np.multiply(o, e, out=p[1:-1])
+    pp = p[:-1] + p[1:]  # p_{i-1} + p_i
+    ad = a * d
+    q = a[:-1] * e + o * d[1:]
+    r = o * o
+    band = np.zeros((4, n))
+    np.multiply(a, ad + 2.0 * pp, out=band[0])
+    band[0, :-1] += r * d[1:]
+    band[0, 1:] += r * d[:-1]
+    band[1, :-1] = o * (ad[:-1] + pp[:-1] + p[2:]) + a[1:] * q
+    band[2, :-2] = o[1:] * q[:-1] + a[2:] * o[:-1] * e[1:]
+    band[3, :-3] = o[:-2] * o[2:] * e[1:-1]
+    return band
+
+
+def _times_tridiagonal(t_diag: np.ndarray, t_off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v, T symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal ``t_off``."""
+    out = t_diag * v
+    out[:-1] += t_off * v[1:]
+    out[1:] += t_off * v[:-1]
+    return out
+
+
+def _sandwich_solve(band: np.ndarray, t_diag: np.ndarray, t_off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """T y for the y with M y = T rhs, by one ``dpbsv`` on the lower band of M (3 sub-diagonals).
 
     T is symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal
-    ``t_off``, B with diagonal ``diag`` and sub-diagonal ``sub``; the system
-    has 3 sub-diagonals, and ``solve`` raises SingularSystemError unless it
-    is positive definite.  The tables of ``_sandwich_table`` are built at
+    ``t_off``; ``band`` is overwritten, and SingularSystemError is raised
+    unless M is positive definite.  Both Gauss-Newton steps end here: with
+    H s = rhs and M = T H T, the solution is s = T y.
+    """
+    y, info = dpbsv(band, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_ab=1)[1:]
+    if info != 0:
+        raise SingularSystemError(f"banded system is not positive definite (info={info})")
+    return _times_tridiagonal(t_diag, t_off, y)
+
+
+def _sandwich_solver(t_diag: np.ndarray, t_off: np.ndarray, shift: np.ndarray) -> Callable[..., np.ndarray]:
+    """``solve(diag, sub, rhs)``: s = T y for (T B T + diag(shift)) y = T rhs, with T fixed.
+
+    T is symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal
+    ``t_off``, B with diagonal ``diag`` and sub-diagonal ``sub``; see
+    ``_sandwich_solve``.  The tables of ``_sandwich_table`` are built at
     the first call, so a solver that is never called costs nothing.
     """
     n = t_diag.size
     table = None
-
-    def times_t(v: np.ndarray) -> np.ndarray:
-        out = t_diag * v
-        out[:-1] += t_off * v[1:]
-        out[1:] += t_off * v[:-1]
-        return out
 
     def solve(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         nonlocal table
@@ -150,10 +196,7 @@ def _sandwich_solver(t_diag: np.ndarray, t_off: np.ndarray, shift: np.ndarray) -
         vals[n + 3:-2] = sub
         band = (weights * vals[index]).sum(axis=1)
         band[0] += shift
-        y, info = dpbsv(band, times_t(rhs), lower=1, overwrite_ab=1)[1:]
-        if info != 0:
-            raise SingularSystemError(f"banded system is not positive definite (info={info})")
-        return times_t(y)
+        return _sandwich_solve(band, t_diag, t_off, rhs)
 
     return solve
 
@@ -210,7 +253,16 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     Standard 3-point finite differences on N equal subintervals: the state u
     lives on the N-1 interior nodes, the coefficient c on all N+1 nodes.
     Admissible coefficients are pointwise nonnegative, which keeps the
-    tridiagonal operator an M-matrix.
+    tridiagonal operator A(c) an M-matrix.
+
+    The Jacobian is J = -A(c)^-1 diag(u) on the interior coefficients.  When
+    every interior coefficient is free and u has no zero, the Gauss-Newton
+    step is the Fredholm model's band solve with a congruence that changes
+    with c: P = diag(sigma) T, sigma = (1, 1/u, 1) and T = [1; A(c); 1], so
+    that P^T H P = T (sigma B sigma) T + 2h I_int and each step is one
+    ``dpbsv`` of size N + 1 with 3 sub-diagonals.  A step that holds an
+    interior coefficient, or meets a zero of u, solves a banded saddle
+    system of size 3(N - 1) + 2 by one ``dgbsv`` instead.
     """
     if N < 4:
         raise ValueError(f"elliptic_model needs N >= 4, got {N}")
@@ -251,11 +303,28 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         full[1:-1] = -u * v
         return full
 
-    # J = -A(c)^{-1} diag(u) on the interior coefficients, so with u_f = u on
-    # the free interior nodes and 0 elsewhere the Gauss-Newton system is
-    #   B s + diag(u_f) z = rhs,   A w - diag(u_f) s = 0,   A z - 2h w = 0
-    # (W_y = h I).  Ordered s_0, (s_k, w_k, z_k) for k = 1..N-1, s_N, every
-    # coupling lies within three places of the diagonal.
+    # J = -A(c)^{-1} diag(u) and W_y = h I give H = B + 2h U_f A^-2 U_f on
+    # the interior block, U_f = diag(u_f) with u_f = u on the free interior
+    # nodes and 0 elsewhere.  With no zero in u_f, P = diag(sigma) T as in the
+    # docstring gives P^T H P = T (sigma B sigma) T + 2h I_int; T has no
+    # coupling to the two ends, and its band is built in closed form.
+    t_off = np.zeros(N)
+    t_off[1:-1] = -inv_h2
+
+    def congruent_step(a_diag, u, diag, sub, rhs):
+        t_diag = np.ones(N + 1)
+        t_diag[1:-1] = a_diag
+        sigma = np.ones(N + 1)
+        sigma[1:-1] = 1.0 / u
+        band = _sandwich_band(t_diag, t_off, sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub)
+        band[0, 1:-1] += 2.0 * h
+        return sigma * _sandwich_solve(band, t_diag, t_off, sigma * rhs)
+
+    # A fixed interior coordinate or a zero of u leaves U_f singular, and no
+    # congruence makes the masked A^-2 block banded.  Such a step solves
+    #   B s + diag(u_f) z = rhs,   A w - diag(u_f) s = 0,   A z - 2h w = 0.
+    # Ordered s_0, (s_k, w_k, z_k) for k = 1..N-1, s_N, every coupling lies
+    # within three places of the diagonal: one dgbsv of size 3(N-1)+2.
     size = 3 * (N - 1) + 2
     s_at = np.arange(N + 1) * 3 - 2
     s_at[0] = 0
@@ -266,6 +335,8 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     def gauss_newton(c, free, diag, sub, rhs):
         a_diag, u = _solved(c)
         u_f = u * free[1:-1]
+        if u_f.all():  # tested first: 1/u must not meet a zero
+            return congruent_step(a_diag, u, diag, sub, rhs)
         band = np.zeros((2 * kl + ku + 1, size))
 
         def put(rows, cols, values):

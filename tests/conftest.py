@@ -29,3 +29,17 @@ def fredholm_benchmark():
 def preset_bundle():
     """``run_experiment(preset(name))``, run once per preset for the whole session."""
     return functools.cache(lambda name: run_experiment(preset(name)))
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """``call_log(module, *names)`` wraps each named function of ``module`` for the test and
+    returns ``{name: calls}``, each list growing by one entry per call."""
+    def log(module, *names):
+        calls = {name: [] for name in names}
+        for name, seen in calls.items():
+            wrapped = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, wrapped=wrapped, seen=seen, **kw: seen.append(1) or wrapped(*args, **kw))
+        return calls
+    return log

@@ -42,7 +42,6 @@ from regupath import (
     write_bundle,
     write_theory_report,
 )
-from regupath.cli import main
 from regupath.experiments import (PRESETS, build_model, build_penalty, penalty_tags, run_theory_study,
                                   truth_function)
 from regupath.models import gaussian_draw
@@ -374,8 +373,8 @@ def test_seed_changes_noise_but_config_controls_everything_else():
 # A bundle's digest runs over the names and bytes of its files in name order.
 PINNED_BUNDLES = {
     "example1": (14, "4948d81f3502abe3318011cc7d284e8848cb062b79adec2759e914f63933b05c"),
-    "example2_smooth": (12, "984a2fc277bb3787a10c55fc6c453541ba256af2aaec757e7b01b5f2b71bc213"),
-    "example2_piecewise": (8, "435e3c4d8766692e5e1a8875a1f3954935358474b3d1fef5cafa175e1d70f14a"),
+    "example2_smooth": (12, "14308ed16c0d8beff9671c1c4fa2c92d4233bf27882f43ff8119bab1ddde1ae9"),
+    "example2_piecewise": (8, "1ea946d56f511db3398bea71a02056c672b77ca8bab55c12b8cb1ef3044d95c8"),
 }
 # The theory_study preset's theory.csv over THEORY_DELTAS, the file's own sha256,
 # the same at one and at two BLAS threads.
@@ -397,6 +396,15 @@ def pin_message(name, got, paths) -> str:
     return f"{name} now writes {got[0]} files with digest {got[1]}:{listing}"
 
 
+def run_cli_at_blas_threads(threads: str, cwd, *args: str) -> str:
+    """The standard output of ``python -m regupath *args`` in a subprocess with ``OPENBLAS_NUM_THREADS=threads``."""
+    src = str(Path(regupath.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": python_path}
+    return subprocess.run([sys.executable, "-m", "regupath", *args], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_BUNDLES))
 def test_preset_bundle_matches_pinned_digest(name, tmp_path, preset_bundle):
     bundle = preset_bundle(name)
@@ -406,24 +414,23 @@ def test_preset_bundle_matches_pinned_digest(name, tmp_path, preset_bundle):
 
 
 @pytest.mark.parametrize("name", ["example2_smooth", "example2_piecewise"])
-def test_preset_cli_run_matches_pinned_digest(name, tmp_path, capsys):
-    # example1's CLI run takes about 14 s; its in-process pin above covers the preset
-    assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
-    files = [Path(line) for line in capsys.readouterr().out.splitlines()]
-    assert sorted(files) == sorted(tmp_path.iterdir())
-    got = (len(files), files_digest(files))
-    assert got == PINNED_BUNDLES[name], pin_message(name, got, files)
+def test_preset_cli_run_matches_pinned_digest(name, tmp_path):
+    # the pins hold at one and at two BLAS threads; example1's CLI run takes
+    # about 14 s, and its in-process pin above covers the preset
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        listed = run_cli_at_blas_threads(threads, tmp_path, "run", "--preset", name, "--out", str(out))
+        files = [Path(line) for line in listed.splitlines()]
+        assert sorted(files) == sorted(out.iterdir())
+        got = (len(files), files_digest(files))
+        assert got == PINNED_BUNDLES[name], f"at {threads} BLAS threads " + pin_message(name, got, files)
 
 
 def test_theory_study_matches_pinned_digest(tmp_path):
-    src = str(Path(regupath.__file__).resolve().parents[1])
-    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": python_path}
-        subprocess.run([sys.executable, "-m", "regupath", "theory", "--preset", "theory_study",
-                        "--deltas", THEORY_DELTAS, "--out", str(out)],
-                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        run_cli_at_blas_threads(threads, tmp_path, "theory", "--preset", "theory_study",
+                                "--deltas", THEORY_DELTAS, "--out", str(out))
         digest = hashlib.sha256((out / "theory.csv").read_bytes()).hexdigest()
         assert digest == PINNED_THEORY_CSV, f"theory.csv (1 file) at {threads} BLAS threads now has sha256 {digest}"
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -243,15 +244,18 @@ def test_elliptic_projection_clips_at_zero():
 @pytest.mark.parametrize("penalty", [QuadraticPenalty(), SmoothedTVPenalty(eps=0.5, mu=1e-3)],
                          ids=["quadratic", "smoothed_tv"])
 def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
-    # the elliptic banded (s, w, z) system on random free masks and the
-    # Fredholm band solve on all-true ones (the model has no bound) against
-    # the dense J of the oracles
+    # the elliptic model on random free masks (the banded (s, w, z) system)
+    # and on an all-true one (the congruent band solve), and the Fredholm
+    # band solve on all-true masks (the model has no bound), against the
+    # dense J of the oracles
     for model in (_elliptic(N=60), fredholm_model(41)):
         grid = model.x_grid
         x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
         jac = fredholm_apply_matrix(grid.n) if model.name == "fredholm" else elliptic_jacobian(model, x)
-        for _ in range(3):
-            free = rng.uniform(size=grid.n) > 0.3 if model.project is not None else np.ones(grid.n, dtype=bool)
+        masks = [np.ones(grid.n, dtype=bool)] * 3
+        if model.project is not None:
+            masks = [rng.uniform(size=grid.n) > 0.3 for _ in range(3)] + [np.ones(grid.n, dtype=bool)]
+        for free in masks:
             diag, sub = penalty.hessian(grid, x.values)
             diag, sub = alpha * diag, alpha * sub * (free[1:] & free[:-1])
             rhs = rng.normal(size=grid.n)
@@ -259,31 +263,64 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
             got = model.gauss_newton(x.values, free, diag, sub, rhs)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
 
-    # At n = 401 the Fredholm step is held to a backward-error bound.  It
-    # solves M y = T rhs, M = T A T with A = 2 K^T W K + B and T the identity
-    # on the ends and h^-2 tridiag(-1, 2, -1) inside, and returns s = T y.
-    # Backward stability gives (M + E) y = T rhs with ||E|| <= c u ||T||^2 ||A||,
-    # as ||M|| <= ||T||^2 ||A||, ||B|| <= ||A|| and || |T| || = ||T||: the band
+    # At n = 401 both band solves are held to a backward-error bound.  Each
+    # solves M y = P^T rhs, M = P^T A P with A = 2 (J D_f)^T W (J D_f) + B,
+    # and returns s = P y.  For the Fredholm step P = T, the identity on the
+    # ends and h^-2 tridiag(-1, 2, -1) inside; for the all-free elliptic step
+    # P = diag(sigma) T, sigma = (1, 1/u, 1) and T = [1; A(c); 1].  Backward
+    # stability gives (M + E) y = P^T rhs with ||E|| <= c u ||P||^2 ||A||, as
+    # ||M|| <= ||P||^2 ||A||, ||B|| <= ||A|| and || |P| || = ||P||: the band
     # Cholesky and its two triangular solves (kd = 3) give 3 (kd + 2) (kd + 1)
-    # = 60, forming M (6 terms of 3 factors per entry, || |B| || <= 3 ||B||)
-    # 3 * 9 = 27, so c = 87 < 100.  Then s solves (A + T^-1 E T^-1) s = rhs,
-    # and ||A s - rhs|| <= c u cond(T)^2 ||A|| ||s||.
-    model = fredholm_model(401)
-    grid = model.x_grid
-    x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
-    off = np.full(grid.n - 1, -1.0 / grid.h**2)
-    off[[0, -1]] = 0.0
-    t_diag = np.full(grid.n, 2.0 / grid.h**2)
-    t_diag[[0, -1]] = 1.0
-    bound = 100 * (np.finfo(float).eps / 2) * np.linalg.cond(dense_tridiagonal(off, t_diag, off)) ** 2
-    free = np.ones(grid.n, dtype=bool)
-    diag, sub = penalty.hessian(grid, x.values)
-    lhs = gauss_newton_matrix(model, fredholm_apply_matrix(grid.n), free, alpha * diag, alpha * sub)
-    for _ in range(3):
+    # = 60, forming M (at most 7 terms of 5 factors per entry, || |B| || <=
+    # 3 ||B||) 3 * 12 = 36, so c = 96 < 100.  Then s solves
+    # (A + P^-T E P^-1) s = rhs, and ||A s - rhs|| <= c u cond(P)^2 ||A|| ||s||.
+    for model in (fredholm_model(401), _elliptic(N=400)):
+        grid = model.x_grid
+        x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
+        off = np.full(grid.n - 1, -1.0 / grid.h**2)
+        off[[0, -1]] = 0.0
+        t_diag = np.full(grid.n, 2.0 / grid.h**2)
+        sigma = np.ones(grid.n)
+        if model.name == "fredholm":
+            jac = fredholm_apply_matrix(grid.n)
+        else:
+            jac = elliptic_jacobian(model, x)
+            t_diag += x.values
+            sigma[1:-1] = 1.0 / model.apply(x).values
+        t_diag[[0, -1]] = 1.0
+        congruence = sigma[:, None] * dense_tridiagonal(off, t_diag, off)
+        bound = 100 * (np.finfo(float).eps / 2) * np.linalg.cond(congruence) ** 2
+        free = np.ones(grid.n, dtype=bool)
+        diag, sub = penalty.hessian(grid, x.values)
+        lhs = gauss_newton_matrix(model, jac, free, alpha * diag, alpha * sub)
+        for _ in range(3):
+            rhs = rng.normal(size=grid.n)
+            got = model.gauss_newton(x.values, free, alpha * diag, alpha * sub, rhs)
+            backward = np.linalg.norm(lhs @ got - rhs) / (np.linalg.norm(lhs, 2) * np.linalg.norm(got))
+            assert backward <= bound, model.name
+
+
+def test_elliptic_gauss_newton_solves_the_saddle_system_when_u_f_has_a_zero(rng, call_log):
+    # a fixed interior coordinate, or a zero state (f = 0, g0 = g1 = 0),
+    # leaves diag(u_f) singular: the step is one dgbsv on the (s, w, z)
+    # system, with no dpbsv and no warning from a division by u
+    solves = call_log(regupath.models, "dpbsv", "dgbsv")
+    zero_state = elliptic_model(60, 0.0, 0.0, Grid(59, convention="interior").zeros())
+    for model, fixed in ((_elliptic(N=60), [30]), (zero_state, [])):
+        grid = model.x_grid
+        x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
+        free = np.ones(grid.n, dtype=bool)
+        free[fixed] = False
+        diag, sub = SmoothedTVPenalty(eps=0.5, mu=1e-3).hessian(grid, x.values)
+        diag, sub = 1e-5 * diag, 1e-5 * sub * (free[1:] & free[:-1])
         rhs = rng.normal(size=grid.n)
-        got = model.gauss_newton(x.values, free, alpha * diag, alpha * sub, rhs)
-        backward = np.linalg.norm(lhs @ got - rhs) / (np.linalg.norm(lhs, 2) * np.linalg.norm(got))
-        assert backward <= bound
+        want = dense_gauss_newton(model, elliptic_jacobian(model, x), free, diag, sub, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.gauss_newton(x.values, free, diag, sub, rhs)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+        assert (len(solves["dpbsv"]), len(solves["dgbsv"])) == (0, 1)
+        solves["dgbsv"].clear()
 
 
 def test_fredholm_gauss_newton_takes_only_an_all_true_mask(rng):

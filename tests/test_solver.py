@@ -102,15 +102,13 @@ def test_linear_quadratic_gauss_newton_takes_one_step(noisy_benchmark):
         assert lr_norm(rec.x - ref, 2.0) <= 1e-9 * lr_norm(ref, 2.0)
 
 
-def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy_benchmark, monkeypatch):
+def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy_benchmark, call_log):
     # a 36-alpha r = 2 path on one fresh model runs one dpbsv per Gauss-Newton
     # step and builds its band tables once; an r = 1.01 path runs descent and
     # never solves or builds them
     _, _, noisy, _ = noisy_benchmark
-    solves, tables = [], []
-    dpbsv, table = regupath.models.dpbsv, regupath.models._sandwich_table
-    monkeypatch.setattr(regupath.models, "dpbsv", lambda *args, **kw: solves.append(1) or dpbsv(*args, **kw))
-    monkeypatch.setattr(regupath.models, "_sandwich_table", lambda *args: tables.append(1) or table(*args))
+    calls = call_log(regupath.models, "dpbsv", "_sandwich_table")
+    solves, tables = calls["dpbsv"], calls["_sandwich_table"]
     path = compute_alpha_path(fredholm_model(101), Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
     assert len(path) == 36 and all(rec.converged for rec in path)
     assert sum(rec.iters for rec in path) == 36
@@ -120,6 +118,19 @@ def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy
     path = compute_alpha_path(fredholm_model(101), Fidelity(1.01, noisy), QuadraticPenalty(), 1.0, 0.8, 35,
                               SolveOptions(max_iters=20))
     assert len(path) == 36 and len(solves) == 0 and len(tables) == 0
+
+
+def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):
+    # an r = 2 elliptic path whose iterates stay above the bound fixes no
+    # coordinate, so each Gauss-Newton step is one congruent dpbsv and none
+    # solves the saddle system by dgbsv
+    model, fid, pen, _ = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
+    solves = call_log(regupath.models, "dpbsv", "dgbsv")
+    init = model.x_grid.function(np.ones(model.x_grid.n))
+    path = compute_alpha_path(model, fid, pen, 1e-2, 0.5, 4, SolveOptions(init=init))
+    assert all(rec.converged and rec.x.values.min() > 0.0 for rec in path)
+    assert len(solves["dpbsv"]) == sum(rec.iters for rec in path) > len(path)
+    assert solves["dgbsv"] == []
 
 
 def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):

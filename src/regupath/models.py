@@ -93,42 +93,14 @@ class ForwardModel:
         return self.apply.out_grid
 
 
-def _sandwich_table(t_diag: np.ndarray, t_off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The band of T B T as fixed weights on B's diagonals, for ``_sandwich_solver``.
-
-    Entry (j + k, j) of T B T, k = 0..3, is the sum over d = -1, 0, 1 of
-
-        T[j+k, j+d] T[j+d, j] diag[j+d]
-          + (T[j+k, j+d+1] T[j+d, j] + T[j+k, j+d] T[j+d+1, j]) sub[j+d].
-
-    With ``vals = [0, diag, 0, 0, sub, 0, 0]``, ``vals[index]`` holds
-    diag[j+d] in row d + 1 and sub[j+d] in row d + 4, zero past the ends,
-    and ``weights[k]`` their factors, so the band is
-    ``(weights * vals[index]).sum(axis=1)``.  Both tables are O(n).
-    """
-    n = t_diag.size
-    padded = np.zeros((3, n + 6))  # padded[o + 1, 3 + i] = T[i, i + o], 0 off the matrix
-    padded[0, 4:n + 3] = t_off
-    padded[1, 3:n + 3] = t_diag
-    padded[2, 3:n + 2] = t_off
-
-    def t(a: int, b: int) -> np.ndarray:  # the vector j -> T[j + a, j + b]
-        return padded[b - a + 1, 3 + a:3 + a + n] if abs(b - a) <= 1 else np.zeros(n)
-
-    weights = np.array([[t(k, d) * t(d, 0) for d in (-1, 0, 1)]
-                        + [t(k, d + 1) * t(d, 0) + t(k, d) * t(d + 1, 0) for d in (-1, 0, 1)]
-                        for k in range(4)])
-    index = np.arange(n) + np.array([0, 1, 2, n + 2, n + 3, n + 4])[:, None]
-    return index, weights
-
-
 def _sandwich_band(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """The band of T B T in closed form, O(n), in ``dpbsv``'s lower layout: ``band[k, j]`` = (T B T)[j + k, j].
 
-    T and B are symmetric tridiagonal, T with diagonal a = ``t_diag`` and
-    off-diagonal o = ``t_off``, B with diagonal d = ``diag`` and off-diagonal
-    e = ``sub``.  With p_i = o_i e_i, q_i = a_i e_i + o_i d_{i+1} and every
-    index outside its vector read as 0:
+    The one band builder of both Gauss-Newton steps, called by
+    ``_sandwich_solve``.  T and B are symmetric tridiagonal, T with diagonal
+    a = ``t_diag`` and off-diagonal o = ``t_off``, B with diagonal
+    d = ``diag`` and off-diagonal e = ``sub``.  With p_i = o_i e_i,
+    q_i = a_i e_i + o_i d_{i+1} and every index outside its vector read as 0:
 
         band[0, i] = a_i^2 d_i + 2 a_i (p_{i-1} + p_i) + o_{i-1}^2 d_{i-1} + o_i^2 d_{i+1}
         band[1, i] = o_i (p_{i-1} + a_i d_i + p_i + p_{i+1}) + a_{i+1} q_i
@@ -161,44 +133,22 @@ def _times_tridiagonal(t_diag: np.ndarray, t_off: np.ndarray, v: np.ndarray) -> 
     return out
 
 
-def _sandwich_solve(band: np.ndarray, t_diag: np.ndarray, t_off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """T y for the y with M y = T rhs, by one ``dpbsv`` on the lower band of M (3 sub-diagonals).
+def _sandwich_solve(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray,
+                    shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """s = T y for the y with (T B T + diag(shift)) y = T rhs, by one ``dpbsv`` (3 sub-diagonals).
 
     T is symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal
-    ``t_off``; ``band`` is overwritten, and SingularSystemError is raised
-    unless M is positive definite.  Both Gauss-Newton steps end here: with
-    H s = rhs and M = T H T, the solution is s = T y.
+    ``t_off``, B with diagonal ``diag`` and sub-diagonal ``sub``; the band
+    of T B T comes from ``_sandwich_band``.  SingularSystemError is raised
+    unless the matrix is positive definite.  Both Gauss-Newton steps end
+    here: with H s = rhs and T H T = T B T + diag(shift), s = T y.
     """
+    band = _sandwich_band(t_diag, t_off, diag, sub)
+    band[0] += shift
     y, info = dpbsv(band, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_ab=1)[1:]
     if info != 0:
         raise SingularSystemError(f"banded system is not positive definite (info={info})")
     return _times_tridiagonal(t_diag, t_off, y)
-
-
-def _sandwich_solver(t_diag: np.ndarray, t_off: np.ndarray, shift: np.ndarray) -> Callable[..., np.ndarray]:
-    """``solve(diag, sub, rhs)``: s = T y for (T B T + diag(shift)) y = T rhs, with T fixed.
-
-    T is symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal
-    ``t_off``, B with diagonal ``diag`` and sub-diagonal ``sub``; see
-    ``_sandwich_solve``.  The tables of ``_sandwich_table`` are built at
-    the first call, so a solver that is never called costs nothing.
-    """
-    n = t_diag.size
-    table = None
-
-    def solve(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        nonlocal table
-        if table is None:
-            table = _sandwich_table(t_diag, t_off)
-        index, weights = table
-        vals = np.zeros(2 * n + 4)
-        vals[1:n + 1] = diag
-        vals[n + 3:-2] = sub
-        band = (weights * vals[index]).sum(axis=1)
-        band[0] += shift
-        return _sandwich_solve(band, t_diag, t_off, rhs)
-
-    return solve
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -211,9 +161,10 @@ def fredholm_model(n: int) -> ForwardModel:
     the matrix of F is 40 L^-1 on the interior and 0 in the boundary rows and
     columns.  With T the identity on the two ends and L inside, the
     Gauss-Newton matrix becomes T (2 K^T W K + B) T = T B T + 3200 h I_int,
-    and each step is one banded Cholesky solve in O(n).  The model has no
-    projection, so its ``gauss_newton`` takes only an all-true mask and
-    raises ValueError on any other.
+    and each step is one ``_sandwich_solve``: the band of T B T in closed
+    form and one banded Cholesky solve, O(n).  The model has no projection,
+    so its ``gauss_newton`` takes only an all-true mask and raises
+    ValueError on any other.
     """
     if n < 3:
         raise ValueError(f"fredholm_model needs n >= 3, got {n}")
@@ -231,12 +182,11 @@ def fredholm_model(n: int) -> ForwardModel:
     t_off[[0, -1]] = 0.0
     shift = np.full(n, 2.0 * 40.0**2 * h)  # T 2 K^T W K T = 2 (40 L^-1 L)^T h (40 L^-1 L) inside
     shift[[0, -1]] = 0.0
-    solve = _sandwich_solver(t_diag, t_off, shift)
 
     def gauss_newton(v, free, diag, sub, rhs):
         if not free.all():
             raise ValueError("the Fredholm model has no bound to hold coordinates at; free must be all true")
-        return solve(diag, sub, rhs)
+        return _sandwich_solve(t_diag, t_off, diag, sub, shift, rhs)
 
     return ForwardModel(
         name="fredholm",
@@ -257,12 +207,13 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
 
     The Jacobian is J = -A(c)^-1 diag(u) on the interior coefficients.  When
     every interior coefficient is free and u has no zero, the Gauss-Newton
-    step is the Fredholm model's band solve with a congruence that changes
-    with c: P = diag(sigma) T, sigma = (1, 1/u, 1) and T = [1; A(c); 1], so
-    that P^T H P = T (sigma B sigma) T + 2h I_int and each step is one
-    ``dpbsv`` of size N + 1 with 3 sub-diagonals.  A step that holds an
-    interior coefficient, or meets a zero of u, solves a banded saddle
-    system of size 3(N - 1) + 2 by one ``dgbsv`` instead.
+    step is the Fredholm model's transform ``_sandwich_solve`` with a
+    congruence that changes with c: P = diag(sigma) T, sigma = (1, 1/u, 1)
+    and T = [1; A(c); 1], so that P^T H P = T (sigma B sigma) T + 2h I_int
+    and each step is one ``dpbsv`` of size N + 1 with 3 sub-diagonals, on a
+    band built in closed form.  A step that holds an interior coefficient,
+    or meets a zero of u, solves a banded saddle system of size 3(N - 1) + 2
+    by one ``dgbsv`` instead.
     """
     if N < 4:
         raise ValueError(f"elliptic_model needs N >= 4, got {N}")
@@ -306,19 +257,21 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     # J = -A(c)^{-1} diag(u) and W_y = h I give H = B + 2h U_f A^-2 U_f on
     # the interior block, U_f = diag(u_f) with u_f = u on the free interior
     # nodes and 0 elsewhere.  With no zero in u_f, P = diag(sigma) T as in the
-    # docstring gives P^T H P = T (sigma B sigma) T + 2h I_int; T has no
-    # coupling to the two ends, and its band is built in closed form.
+    # docstring gives P^T H P = T (sigma B sigma) T + 2h I_int, the Fredholm
+    # step's transform with t_diag = [1; A(c); 1] and the fixed shift below;
+    # T has no coupling to the two ends.
     t_off = np.zeros(N)
     t_off[1:-1] = -inv_h2
+    shift = np.full(N + 1, 2.0 * h)
+    shift[[0, -1]] = 0.0
 
     def congruent_step(a_diag, u, diag, sub, rhs):
         t_diag = np.ones(N + 1)
         t_diag[1:-1] = a_diag
         sigma = np.ones(N + 1)
         sigma[1:-1] = 1.0 / u
-        band = _sandwich_band(t_diag, t_off, sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub)
-        band[0, 1:-1] += 2.0 * h
-        return sigma * _sandwich_solve(band, t_diag, t_off, sigma * rhs)
+        return sigma * _sandwich_solve(t_diag, t_off, sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub,
+                                       shift, sigma * rhs)
 
     # A fixed interior coordinate or a zero of u leaves U_f singular, and no
     # congruence makes the masked A^-2 block banded.  Such a step solves

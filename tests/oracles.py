@@ -4,7 +4,8 @@ Everything here recomputes results through a different route than the
 implementation under test: dense linear algebra instead of iterative
 descent, explicit kernel quadrature instead of the model's cached matrix,
 Jacobians assembled from the discrete equations instead of the model's
-adjoint action, high-resolution quadrature instead of the working grid.
+adjoint action, high-resolution quadrature instead of the working grid, a
+sine transform instead of a linear solve.
 The transformed index function t**r / phi(t) and its inverse, which only
 the tests' bound checks use, live here too.
 """
@@ -13,6 +14,7 @@ import math
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
 from regupath import (AlphaPathRecord, DivergenceError, Fidelity, ForwardModel, GridFunction,
                       SolveOptions, l2_inner, lr_norm)
@@ -87,6 +89,28 @@ def fredholm_apply_matrix(n: int) -> np.ndarray:
     """The shipped integral operator as a matrix, which is also its Jacobian F'(x) at every x."""
     kernel, w = fredholm_kernel_matrix(n)
     return kernel * w[None, :]
+
+
+def laplacian_eigenvalues(n: int) -> np.ndarray:
+    """lambda_k = (4/h^2) sin^2(k pi / (2(n-1))), k = 1..n-2: the eigenvalues of the interior 3-point Laplacian."""
+    h = 1.0 / (n - 1)
+    return (4.0 / h**2) * np.sin(np.arange(1, n - 1) * np.pi / (2 * (n - 1))) ** 2
+
+
+def spectral_tikhonov(y: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact minimizer of ||K x - y||_W^2 + alpha ||x||_W^2 for the shipped integral operator on n = y.size nodes.
+
+    K is 40 L^-1 on the interior and 0 in the boundary rows and columns (see
+    ``fredholm_model``), so the normal equations read (1600 + alpha L^2) x =
+    40 L y inside and x = 0 at the two ends.  The orthonormal DST-I
+    diagonalizes L with eigenvalues ``laplacian_eigenvalues(n)``, and in its
+    basis x_k = 40 lambda_k y_k / (1600 + alpha lambda_k^2): no linear solve.
+    """
+    lam = laplacian_eigenvalues(y.size)
+    y_hat = scipy.fft.dst(y[1:-1], type=1, norm="ortho")
+    x = np.zeros(y.size)
+    x[1:-1] = scipy.fft.dst(40.0 * lam * y_hat / (1600.0 + alpha * lam**2), type=1, norm="ortho")
+    return x
 
 
 def tikhonov_normal_equations(

@@ -4,8 +4,10 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import regupath.models
 from regupath import (
@@ -247,8 +249,9 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
     # the elliptic model on random free masks (the banded (s, w, z) system)
     # and on an all-true one (the congruent band solve), and the Fredholm
     # band solve on all-true masks (the model has no bound), against the
-    # dense J of the oracles
-    for model in (_elliptic(N=60), fredholm_model(41)):
+    # dense J of the oracles; the smallest legal sizes leave band rows 2 and
+    # 3 short or empty
+    for model in (_elliptic(N=60), fredholm_model(41), _elliptic(N=4), fredholm_model(3), fredholm_model(4)):
         grid = model.x_grid
         x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
         jac = fredholm_apply_matrix(grid.n) if model.name == "fredholm" else elliptic_jacobian(model, x)
@@ -298,6 +301,35 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
             got = model.gauss_newton(x.values, free, alpha * diag, alpha * sub, rhs)
             backward = np.linalg.norm(lhs @ got - rhs) / (np.linalg.norm(lhs, 2) * np.linalg.norm(got))
             assert backward <= bound, model.name
+
+
+_band_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(*(st.lists(_band_entries, min_size=size, max_size=size)
+                                                        for size in (n, n - 1, n, n - 1)))))
+def test_sandwich_band_is_the_lower_band_of_t_b_t(vectors):
+    # a general T, its end off-diagonals nonzero too, against the dense
+    # product.  Each entry of T B T sums at most 7 terms of 3 factors, so any
+    # evaluation order rounds each term at most 2 + 6 times: both the closed
+    # form and the dense product lie within gamma_8 |T| |B| |T| of the exact
+    # entry, and the computed |T| |B| |T| (nonnegative terms) is at least
+    # 1 - gamma_6 times its own.  Entries far from zero keep every product off
+    # the subnormals.
+    t_diag, t_off, diag, sub = (np.array(v) for v in vectors)
+    n = t_diag.size
+    t = dense_tridiagonal(t_off, t_diag, t_off)
+    b = dense_tridiagonal(sub, diag, sub)
+    want = t @ b @ t
+    scale = np.abs(t) @ np.abs(b) @ np.abs(t)
+    band = regupath.models._sandwich_band(t_diag, t_off, diag, sub)
+    u = np.finfo(float).eps / 2
+    gamma_8, gamma_6 = 8 * u / (1 - 8 * u), 6 * u / (1 - 6 * u)
+    for k in range(4):
+        got, ref, tol = band[k, :n - k], np.diag(want, -k), 2 * gamma_8 / (1 - gamma_6) * np.diag(scale, -k)
+        assert (np.abs(got - ref) <= tol).all(), k
+        assert (band[k, n - k:] == 0.0).all()
 
 
 def test_elliptic_gauss_newton_solves_the_saddle_system_when_u_f_has_a_zero(rng, call_log):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import regupath.models
 import regupath.solver
@@ -31,7 +32,8 @@ from regupath import (
     solve_tikhonov,
 )
 
-from oracles import fredholm_apply_matrix, reference_solve_tikhonov, tikhonov_normal_equations
+from oracles import (fredholm_apply_matrix, laplacian_eigenvalues, reference_solve_tikhonov, spectral_tikhonov,
+                     tikhonov_normal_equations)
 
 
 def identity_model(n=50):
@@ -102,22 +104,68 @@ def test_linear_quadratic_gauss_newton_takes_one_step(noisy_benchmark):
         assert lr_norm(rec.x - ref, 2.0) <= 1e-9 * lr_norm(ref, 2.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6])
+@pytest.mark.parametrize("n", [101, 401, 1601])
+def test_fredholm_gauss_newton_matches_the_spectral_oracle(rng, n, alpha):
+    # One r = 2 solve against the exact sine-transform minimizer.  n = 6401
+    # waits for a model without a dense kernel: fredholm_model(6401) builds
+    # several ~330 MB arrays.
+    #
+    # The bound, to first order.  In the orthonormal sine basis of the
+    # interior, T = L has eigenvalues lambda_k, the Hessian A = 2 K^T W K +
+    # 2 alpha W has a_k = 2h (1600 / lambda_k^2 + alpha) and M = T A T has
+    # lambda_k^2 a_k.  K vanishes at both ends, so x and x* are 0 there and
+    # W = h I on what remains.  From x = 0 the solver takes one step x = -s:
+    # rhs = W g with g = K (-2 data) a dense matvec, (M + E) y = T rhs + f and
+    # s = T y + e, so  x - x* = A^-1 d + T M^-1 (f - E y*) + e  with
+    #   |d| <= (n + 1) u W K |2 data|, as K >= 0, ||K|| = 40 / lambda_1 and
+    #     ||A^-1|| = 1 / min a_k;
+    #   |f| <= 3u |T| |rhs| and |e| <= 3u |T| |y*|, || |T| || <= 4 / h^2,
+    #     rhs = A x* and y* = T^-1 x*;
+    #   ||E|| <= 100 u ||M|| as in the n = 401 bound of
+    #     test_gauss_newton_solve_matches_dense_oracle, here with forming M
+    #     at 8 u || |T| B |T| || <= 8.01 u ||M||, as B = 2 alpha W is diagonal;
+    #   ||T M^-1|| = max 1 / (lambda_k a_k).
+    # The normwise product 100 u cond(T)^2 cond(A) exceeds 1 from n = 401 on.
+    model = fredholm_model(n)
+    grid = model.x_grid
+    t = grid.points()
+    data = model.apply(grid.function(4.0 * t * (1.0 - t) + np.sin(2.0 * np.pi * t)))
+    data = data.with_values(data.values + 0.01 * rng.standard_normal(n))
+    rec = solve_tikhonov(model, Fidelity(2.0, data), QuadraticPenalty(), alpha)
+    assert rec.iters == 1 and rec.converged
+    want = spectral_tikhonov(data.values, alpha)
+    err = lr_norm(rec.x - grid.function(want), 2.0) / lr_norm(grid.function(want), 2.0)
+
+    u, h, lam = np.finfo(float).eps / 2, grid.h, laplacian_eigenvalues(n)
+    a = 2.0 * h * (1600.0 / lam**2 + alpha)
+    x_hat = scipy.fft.dst(want[1:-1], type=1, norm="ortho")
+    y_norm = np.linalg.norm(x_hat / lam)
+    t_m_inv = (1.0 / (lam * a)).max()
+    bound = ((n + 1) * u / a.min() * h * (40.0 / lam[0]) * 2.0 * np.linalg.norm(data.values)
+             + t_m_inv * 3 * u * (4.0 / h**2) * np.linalg.norm(a * x_hat)
+             + t_m_inv * 100 * u * (lam**2 * a).max() * y_norm
+             + 3 * u * (4.0 / h**2) * y_norm) / np.linalg.norm(x_hat)
+    assert bound < 1e-3
+    assert err <= bound
+
+
 def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy_benchmark, call_log):
     # a 36-alpha r = 2 path on one fresh model runs one dpbsv per Gauss-Newton
-    # step and builds its band tables once; an r = 1.01 path runs descent and
-    # never solves or builds them
+    # step, each on one band built by the closed form; an r = 1.01 path runs
+    # descent and never solves or builds a band
     _, _, noisy, _ = noisy_benchmark
-    calls = call_log(regupath.models, "dpbsv", "_sandwich_table")
-    solves, tables = calls["dpbsv"], calls["_sandwich_table"]
+    calls = call_log(regupath.models, "dpbsv", "_sandwich_band")
+    solves, bands = calls["dpbsv"], calls["_sandwich_band"]
     path = compute_alpha_path(fredholm_model(101), Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
     assert len(path) == 36 and all(rec.converged for rec in path)
     assert sum(rec.iters for rec in path) == 36
-    assert len(solves) == 36 and len(tables) == 1
+    assert len(solves) == 36 and len(bands) == 36
     solves.clear()
-    tables.clear()
+    bands.clear()
     path = compute_alpha_path(fredholm_model(101), Fidelity(1.01, noisy), QuadraticPenalty(), 1.0, 0.8, 35,
                               SolveOptions(max_iters=20))
-    assert len(path) == 36 and len(solves) == 0 and len(tables) == 0
+    assert len(path) == 36 and len(solves) == 0 and len(bands) == 0
 
 
 def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):

@@ -20,7 +20,7 @@ from .experiments import (
 )
 from .plots import emit_plots
 from .rules import noise_level_problems
-from .solver import DivergenceError, PathAborted
+from .solver import PathAborted
 
 
 def _load_config(path: str):
@@ -118,16 +118,15 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (PathAborted, DivergenceError) as exc:
+    except PathAborted as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        if isinstance(exc, PathAborted):
-            if exc.partial is not None and args.command == "theory":
-                print(write_theory_report(exc.partial, _make_out_dir(out_dir) / "theory.csv"))
-            elif exc.partial is not None:
-                for path in write_bundle(exc.partial, _make_out_dir(out_dir)):
-                    print(path)
-            if exc.records:
-                print(write_path(exc.records, _make_out_dir(out_dir) / "path_aborted.csv"))
+        if exc.partial is not None and args.command == "theory":
+            print(write_theory_report(exc.partial, _make_out_dir(out_dir) / "theory.csv"))
+        elif exc.partial is not None:
+            for path in write_bundle(exc.partial, _make_out_dir(out_dir)):
+                print(path)
+        if exc.records:
+            print(write_path(exc.records, _make_out_dir(out_dir) / "path_aborted.csv"))
         return 3
     return 0
 

@@ -11,7 +11,8 @@ from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_ty
 import numpy as np
 
 from .grid import Grid, GridFunction, is_integer, is_real, lr_norm
-from .models import ForwardModel, NoiseOverflowError, NoiseSpec, elliptic_model, fredholm_model, make_noisy
+from .models import (ForwardModel, InadmissibleCoefficientError, NoiseOverflowError, NoiseSpec, elliptic_model,
+                     fredholm_model, make_noisy)
 from .penalties import (
     Fidelity,
     Penalty,
@@ -404,7 +405,6 @@ def preset(name: str, seed: Optional[int] = None) -> ExperimentConfig:
 
 @dataclass
 class PenaltyResult:
-    spec: PenaltySpec
     tag: str
     penalty: Penalty
     path: List[AlphaPathRecord]
@@ -433,13 +433,18 @@ def penalty_tags(specs: List[PenaltySpec]) -> List[str]:
 
 
 def _setup(config: ExperimentConfig):
-    """Validate a config and build its model, truth and solver initial guess."""
+    """Validate a config; build its model, truth, exact data (ConfigError if inadmissible) and initial guess."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
     model = build_model(config.model)
     truth = truth_function(config.truth, model.x_grid)
-    return model, truth, model.x_grid.from_callable(INIT_PROFILES[config.solver.init])
+    try:
+        exact = model.apply(truth)
+    except InadmissibleCoefficientError as exc:
+        problem = f"truth: {config.truth!r} is not admissible for model.kind {config.model.kind!r}: {exc}"
+        raise ConfigError([problem]) from exc
+    return model, truth, exact, model.x_grid.from_callable(INIT_PROFILES[config.solver.init])
 
 
 def run_theory_study(config: ExperimentConfig, deltas) -> TheoryReport:
@@ -453,7 +458,7 @@ def run_theory_study(config: ExperimentConfig, deltas) -> TheoryReport:
     subgradient 2x = K*(2w) gives phi(t) = 2 ||w|| t.  Every other study
     reports the ratio as NaN.
     """
-    model, truth, init = _setup(config)
+    model, truth, _, init = _setup(config)
     pen = build_penalty(config.penalties[0], model.x_grid)
     index_fn = None
     if (config.model.kind, config.truth, config.penalties[0].kind) == ("fredholm", "range_source", "quadratic"):
@@ -480,8 +485,7 @@ def run_experiment(
     """
     if max_workers != 1:
         raise ValueError(f"penalties are solved one after another; max_workers must be 1, got {max_workers!r}")
-    model, truth, init = _setup(config)
-    exact = model.apply(truth)
+    model, truth, exact, init = _setup(config)
     try:
         noisy, delta = make_noisy(exact, config.noise.to_spec(), norm_exponent=config.fidelity_r)
     except NoiseOverflowError as exc:
@@ -500,8 +504,7 @@ def run_experiment(
             partial = ResultBundle(config, truth, exact, noisy, delta, results) if results else None
             raise PathAborted(f"{exc} (penalty {tag})", exc.records, partial) from exc
         outcomes = [RULE_KINDS[rule.kind](rule, path, delta) for rule in rules]
-        kappa = kappa_hat(path, delta) if delta > 0 else float("nan")
-        results.append(PenaltyResult(spec=spec, tag=tag, penalty=pen, path=path, outcomes=outcomes, kappa_hat=kappa))
+        results.append(PenaltyResult(tag, pen, path, outcomes, kappa_hat(path, delta)))
 
     return ResultBundle(
         config=config,
@@ -632,17 +635,12 @@ def write_theory_report(report: TheoryReport, path) -> Path:
     """One CSV row per noise level, then a key/value summary block."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f.name for f in fields(DeltaLevelRow)])
-        for row in report.convergence_table:
-            writer.writerow([_fmt(value) for value in astuple(row)])
-        writer.writerow([])
-        writer.writerow(["key", "value"])
-        for key in (
-            "kappa_estimate", "delta", "delta_star", "alpha_star", "lower_bound_alpha", "bound_ratio",
-            "precondition_holds", "delta_bound_ok", "alpha_bound_ok",
-        ):
-            writer.writerow([key, _fmt(getattr(report, key))])
-        writer.writerow(["flags", ";".join(report.flags)])
+    keys = (
+        "kappa_estimate", "delta", "delta_star", "alpha_star", "lower_bound_alpha", "bound_ratio",
+        "precondition_holds", "delta_bound_ok", "alpha_bound_ok",
+    )
+    _write_rows(path, [f.name for f in fields(DeltaLevelRow)], [
+        *map(astuple, report.convergence_table), (), ("key", "value"),
+        *((key, getattr(report, key)) for key in keys), ("flags", ";".join(report.flags)),
+    ])
     return path

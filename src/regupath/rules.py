@@ -56,18 +56,19 @@ class DeltaLevelRow:
 class TheoryReport:
     """Computable quantities behind the a-posteriori bounds and limit studies.
 
-    ``delta``, ``alpha_star`` and ``bound_ratio`` are those of the last row of
-    ``convergence_table``, the level the bounds are evaluated at.
+    Only what was measured is stored.  ``delta``, ``alpha_star`` and
+    ``bound_ratio`` are those of the last row of ``convergence_table``, the
+    level the bounds are evaluated at, and ``kappa_estimate`` is the smallest
+    kappa-hat over the rows.  The two bound checks and ``flags`` follow from
+    these: at zero noise both checks hold and the only flag is
+    ``degenerate_zero_noise``; otherwise ``kappa_condition_failed`` marks a
+    zero kappa and ``precondition_violated`` a failed precondition.
     """
 
-    kappa_estimate: float
     delta_star: float
     lower_bound_alpha: float
     convergence_table: List[DeltaLevelRow]
     precondition_holds: bool
-    delta_bound_ok: bool
-    alpha_bound_ok: bool
-    flags: Tuple[str, ...] = ()
 
     @property
     def delta(self) -> float:
@@ -80,6 +81,25 @@ class TheoryReport:
     @property
     def bound_ratio(self) -> float:
         return self.convergence_table[-1].bound_ratio
+
+    @property
+    def kappa_estimate(self) -> float:
+        return min(row.kappa_hat for row in self.convergence_table)
+
+    @property
+    def delta_bound_ok(self) -> bool:
+        return self.delta == 0.0 or self.delta_star >= self.kappa_estimate * self.delta - 1e-10
+
+    @property
+    def alpha_bound_ok(self) -> bool:
+        return self.alpha_star >= self.lower_bound_alpha - 1e-10
+
+    @property
+    def flags(self) -> Tuple[str, ...]:
+        if self.delta == 0.0:
+            return ("degenerate_zero_noise",)
+        flags = ("kappa_condition_failed",) if self.kappa_estimate == 0.0 else ()
+        return flags + (() if self.precondition_holds else ("precondition_violated",))
 
 
 def _small_delta_flag(path: Sequence[AlphaPathRecord], delta_star: float) -> bool:
@@ -141,22 +161,25 @@ def discrepancy_select(path: Sequence[AlphaPathRecord], tau: float, delta: float
 
 
 def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
-    """Noise irregularity estimate min(1, min_j residual_j / delta) of a path.
+    """Noise irregularity estimate min(1, min_j residual_j / delta) of a path; NaN at delta = 0.
 
     For a record with minimizer x the residual image F(x) - y_exact differs
     from the noise by exactly F(x) - data, so ||noise - v|| equals the
     stored residual and this is the empirical kappa over the path's images.
     """
+    if delta == 0.0:
+        return float("nan")
     return min(1.0, min(rec.residual for rec in path) / delta)
 
 
 def _evaluate_level(
-    outcome: RuleOutcome, delta: float, kappa: float, x_dagger: GridFunction, pen: Penalty, r: float,
+    outcome: RuleOutcome, delta: float, x_dagger: GridFunction, pen: Penalty, r: float,
     index_fn: Optional[IndexFunction],
 ) -> DeltaLevelRow:
     """The row of one selection at noise level delta, with its Bregman error to x_dagger.
 
-    ``bound_ratio`` is the Bregman error over its a-posteriori bound
+    ``kappa_hat`` is that of the selection's path.  ``bound_ratio`` is the
+    Bregman error over its a-posteriori bound
     (1 + delta^r/delta_*^r) * (delta^r + phi(delta + delta_*)); it is NaN
     without an index function phi or when delta_* = 0.
     """
@@ -165,33 +188,23 @@ def _evaluate_level(
     if index_fn is not None and outcome.delta_star > 0.0:
         ds = outcome.delta_star
         ratio = breg / ((1.0 + delta**r / ds**r) * (delta**r + index_fn(delta + ds)))
-    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, breg, kappa, ratio)
+    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, breg, kappa_hat(outcome.path, delta), ratio)
 
 
 def _bound_report(
-    outcome: RuleOutcome, kappa: float, r_dagger: float, q: float, r: float, rows: List[DeltaLevelRow],
+    outcome: RuleOutcome, r_dagger: float, q: float, r: float, rows: List[DeltaLevelRow],
 ) -> TheoryReport:
-    """The a-posteriori bound fields of a theta-argmin selection at the last row's level.
+    """The report of a theta-argmin selection at the last row's level, with kappa uniform over the rows.
 
     delta_* >= kappa * delta and alpha_* >= q kappa^r delta^r / ((q+1) R(x_dagger)),
     under the small-noise precondition delta^r <= alpha_0 * R(x_dagger).
+    The alpha lower bound is 0 when R(x_dagger) = 0 or delta = 0.
     """
     delta = rows[-1].delta
+    kappa = min(row.kappa_hat for row in rows)
     alpha0 = max(rec.alpha for rec in outcome.path)
-    precondition = delta**r <= alpha0 * r_dagger
-    lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
-    flags = ("kappa_condition_failed",) if kappa == 0.0 else ()
-    flags += () if precondition else ("precondition_violated",)
-    return TheoryReport(
-        kappa_estimate=kappa,
-        delta_star=outcome.delta_star,
-        lower_bound_alpha=lower_bound,
-        convergence_table=rows,
-        precondition_holds=precondition,
-        delta_bound_ok=outcome.delta_star >= kappa * delta - 1e-10,
-        alpha_bound_ok=outcome.alpha_star >= lower_bound - 1e-10,
-        flags=flags,
-    )
+    lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 and delta > 0 else 0.0
+    return TheoryReport(outcome.delta_star, lower_bound, rows, delta**r <= alpha0 * r_dagger)
 
 
 def check_corollary_bounds(
@@ -211,23 +224,11 @@ def check_corollary_bounds(
     report records the precondition rather than failing when it is violated.
     The report's one row carries the Bregman error and, when an index
     function is supplied, its bound ratio (see ``_evaluate_level``).  Noise
-    of norm zero gives the flag ``degenerate_zero_noise`` and a NaN kappa.
+    of norm zero gives a NaN kappa, a zero alpha lower bound and the flag
+    ``degenerate_zero_noise`` (see ``TheoryReport``).
     """
-    delta = lr_norm(noise, r)
-    kappa = kappa_hat(outcome.path, delta) if delta > 0.0 else float("nan")
-    rows = [_evaluate_level(outcome, delta, kappa, x_dagger, pen, r, index_fn)]
-    if delta == 0.0:
-        return TheoryReport(
-            kappa_estimate=kappa,
-            delta_star=outcome.delta_star,
-            lower_bound_alpha=0.0,
-            convergence_table=rows,
-            precondition_holds=True,
-            delta_bound_ok=True,
-            alpha_bound_ok=True,
-            flags=("degenerate_zero_noise",),
-        )
-    return _bound_report(outcome, kappa, pen.value(x_dagger), q, r, rows)
+    rows = [_evaluate_level(outcome, lr_norm(noise, r), x_dagger, pen, r, index_fn)]
+    return _bound_report(outcome, pen.value(x_dagger), q, r, rows)
 
 
 def noise_level_problems(deltas: Sequence[float]) -> Iterator[str]:
@@ -261,11 +262,13 @@ def run_delta_sequence(
     y + delta_k * e and the irregularity constant is level-independent.
     For each level the full alpha path is solved, the theta-argmin rule
     applied, and its row evaluated as ``check_corollary_bounds`` evaluates
-    one selection, with ``index_fn`` giving the bound ratio.  A level
-    whose data leave the float range raises NoiseOverflowError before any
-    path is solved; a level whose path aborts re-raises its PathAborted with
-    the level named and, as ``partial``, the report of the levels finished
-    before it (None if there are none).  ``max_workers`` must be 1; it stays
+    one selection, with ``index_fn`` giving the bound ratio.  The report's
+    bounds are those of the last level, with kappa the smallest kappa-hat
+    over the levels (see ``_bound_report``).  A level whose data leave the
+    float range raises NoiseOverflowError before any path is solved; a level
+    whose path aborts re-raises its PathAborted with the level named and, as
+    ``partial``, the report of the levels finished before it (None if there
+    are none).  ``max_workers`` must be 1; it stays
     only because ``bench/run.py`` passes it, and goes with that argument in
     the benchmark-only change that re-baselines the benchmark (ROADMAP).
     """
@@ -282,18 +285,14 @@ def run_delta_sequence(
     if not np.isfinite(noisy).all():
         raise NoiseOverflowError(f"noise levels up to {deltas[0]!r} give noisy data beyond the float range")
 
-    def report(outcome: RuleOutcome, rows: List[DeltaLevelRow]) -> TheoryReport:
-        # the bounds at the last level solved, with kappa uniform over the levels solved
-        kappa_uniform = min(row.kappa_hat for row in rows)
-        return _bound_report(outcome, kappa_uniform, pen.value(x_dagger), q, r, rows)
-
+    r_dagger = pen.value(x_dagger)
     rows: List[DeltaLevelRow] = []
     for delta, values in zip(deltas, noisy):
         try:
             path = compute_alpha_path(model, Fidelity(r, y.with_values(values)), pen, alpha0, q, j_max, opts)
         except PathAborted as exc:
-            partial = report(outcome, rows) if rows else None
+            partial = _bound_report(outcome, r_dagger, q, r, rows) if rows else None
             raise PathAborted(f"{exc} (delta={delta!r})", exc.records, partial) from exc
         outcome = hanke_raus_select(path)
-        rows.append(_evaluate_level(outcome, delta, kappa_hat(path, delta), x_dagger, pen, r, index_fn))
-    return report(outcome, rows)
+        rows.append(_evaluate_level(outcome, delta, x_dagger, pen, r, index_fn))
+    return _bound_report(outcome, r_dagger, q, r, rows)

@@ -13,7 +13,7 @@ import regupath.rules
 import regupath.solver
 from regupath import DivergenceError, QuadraticPenalty, fredholm_model, run_delta_sequence
 from regupath.cli import build_parser, main
-from regupath.experiments import PRESETS, config_from_dict, run_experiment
+from regupath.experiments import MODEL_KINDS, PRESETS, TRUTHS, config_from_dict, run_experiment
 
 
 def small_config_dict(out_dir):
@@ -96,6 +96,24 @@ def test_config_error_exit_code_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error: rules[1] writes the files of rules[0]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["path"], ["theory", "--deltas", "0.1"]])
+@pytest.mark.parametrize("model_kind", sorted(MODEL_KINDS))
+@pytest.mark.parametrize("truth", sorted(TRUTHS))
+def test_every_truth_and_model_exits_cleanly(tmp_path, capsys, command, model_kind, truth):
+    data = small_config_dict(tmp_path / "out")
+    data.update(model={"kind": model_kind, "n": 21}, truth=truth, j_max=0)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    rc = main([command[0], "--config", str(cfg_path), *command[1:]])
+    if (model_kind, truth) == ("elliptic", "parabola_sine"):
+        # the truth dips below 0, outside the elliptic model's admissible coefficients
+        assert rc == 2
+        assert "config error: truth: 'parabola_sine' is not admissible" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert rc == 0
 
 
 def test_alpha0_below_path_floor_exit_code_2(tmp_path, capsys):

@@ -571,7 +571,6 @@ def test_emit_plots_warns_on_empty_path(tmp_path):
 
 def test_write_theory_report_layout(tmp_path):
     report = TheoryReport(
-        kappa_estimate=0.8,
         delta_star=0.12,
         lower_bound_alpha=0.001,
         convergence_table=[
@@ -579,8 +578,6 @@ def test_write_theory_report_layout(tmp_path):
             DeltaLevelRow(0.05, 0.2, 0.02, 0.01, 0.82, 0.5),
         ],
         precondition_holds=True,
-        delta_bound_ok=True,
-        alpha_bound_ok=True,
     )
     path = write_theory_report(report, tmp_path / "theory.csv")
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -7,7 +7,9 @@ from regupath import (
     Fidelity,
     Grid,
     QuadraticPenalty,
+    DeltaLevelRow,
     SolveOptions,
+    TheoryReport,
     check_corollary_bounds,
     compute_alpha_path,
     discrepancy_select,
@@ -250,6 +252,25 @@ def test_corollary_flags_precondition_violation(fredholm_benchmark):
     rep = check_corollary_bounds(out, noisy - y2, truth2, QuadraticPenalty(), 0.5, 2.0)
     assert not rep.precondition_holds
     assert "precondition_violated" in rep.flags
+
+
+def test_theory_report_derives_its_checks_and_flags():
+    def report(delta, kappa, delta_star=0.1, precondition=True):
+        row = DeltaLevelRow(delta, 0.3, 0.04, 0.02, kappa, float("nan"))
+        return TheoryReport(delta_star, 0.001, [row], precondition)
+
+    zero_kappa = report(0.1, 0.0)
+    assert zero_kappa.kappa_estimate == 0.0
+    assert zero_kappa.flags == ("kappa_condition_failed",)
+    assert report(0.1, 0.0, precondition=False).flags == ("kappa_condition_failed", "precondition_violated")
+    assert report(0.1, 0.5, precondition=False).flags == ("precondition_violated",)
+    zero_noise = report(0.0, float("nan"), precondition=False)
+    assert zero_noise.flags == ("degenerate_zero_noise",)
+    assert zero_noise.delta_bound_ok and zero_noise.alpha_bound_ok
+    # kappa * delta = 0.05: a residual just below it by more than 1e-10 fails the check
+    assert report(0.1, 0.5, delta_star=0.05 - 2e-10).delta_bound_ok is False
+    assert report(0.1, 0.5, delta_star=0.05).delta_bound_ok
+    assert report(0.1, 0.5).flags == ()
 
 
 def test_theta_lower_bound_forces_blowup_at_small_alpha(fredholm_benchmark):

@@ -30,7 +30,6 @@ from .models import (
 )
 from .penalties import (
     Fidelity,
-    IndexFunction,
     Penalty,
     QuadraticPenalty,
     ShiftedQuadraticPenalty,
@@ -90,7 +89,6 @@ __all__ = [
     "GridFunction",
     "GridMap",
     "GridMismatchError",
-    "IndexFunction",
     "InadmissibleCoefficientError",
     "ModelSpec",
     "NoiseOverflowError",

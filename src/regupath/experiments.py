@@ -297,7 +297,7 @@ def build_penalty(spec: PenaltySpec, x_grid: Grid) -> Penalty:
 # ---------------------------------------------------------------------------
 # presets: the shipped studies, one config factory each
 
-def example1_config(seed: int = 7571) -> ExperimentConfig:
+def example1_config() -> ExperimentConfig:
     return ExperimentConfig(
         experiment="example1",
         model=ModelSpec(kind="fredholm", n=401),
@@ -314,7 +314,7 @@ def example1_config(seed: int = 7571) -> ExperimentConfig:
         q=0.95,
         j_max=120,
         noise=NoisePlan(kind="impulsive_gaussian", fraction=0.02, amplitude=1.0,
-                        level=0.01, seed=seed),
+                        level=0.01, seed=7571),
         solver=SolverPlan(max_iters=2000, grad_tol=1e-7, init="zeros"),
         output_dir="results/example1",
         implementation_defaults=[
@@ -330,7 +330,7 @@ def example1_config(seed: int = 7571) -> ExperimentConfig:
     )
 
 
-def example2_smooth_config(seed: int = 1009) -> ExperimentConfig:
+def example2_smooth_config() -> ExperimentConfig:
     return ExperimentConfig(
         experiment="example2_smooth",
         model=ModelSpec(kind="elliptic", n=401),
@@ -341,14 +341,14 @@ def example2_smooth_config(seed: int = 1009) -> ExperimentConfig:
         alpha0=0.005,
         q=0.8,
         j_max=38,
-        noise=NoisePlan(kind="gaussian", level=0.0025, seed=seed),
+        noise=NoisePlan(kind="gaussian", level=0.0025, seed=1009),
         solver=SolverPlan(max_iters=3000, grad_tol=1e-7, init="ones"),
         output_dir="results/example2_smooth",
         implementation_defaults=["noise.seed", "j_max", "solver"],
     )
 
 
-def example2_piecewise_config(seed: int = 2203) -> ExperimentConfig:
+def example2_piecewise_config() -> ExperimentConfig:
     return ExperimentConfig(
         experiment="example2_piecewise",
         model=ModelSpec(kind="elliptic", n=401),
@@ -359,14 +359,14 @@ def example2_piecewise_config(seed: int = 2203) -> ExperimentConfig:
         alpha0=0.001,
         q=0.8,
         j_max=42,
-        noise=NoisePlan(kind="gaussian", level=0.001, seed=seed),
+        noise=NoisePlan(kind="gaussian", level=0.001, seed=2203),
         solver=SolverPlan(max_iters=6000, grad_tol=1e-7, init="ones"),
         output_dir="results/example2_piecewise",
         implementation_defaults=["truth", "noise.seed", "j_max", "solver", "penalties[0].eps"],
     )
 
 
-def theory_study_config(seed: int = 7) -> ExperimentConfig:
+def theory_study_config() -> ExperimentConfig:
     """The shrinking-noise study; ``regupath theory`` sets its noise levels."""
     return ExperimentConfig(
         experiment="theory_study",
@@ -378,7 +378,7 @@ def theory_study_config(seed: int = 7) -> ExperimentConfig:
         alpha0=1.0,
         q=0.8,
         j_max=35,
-        noise=NoisePlan(kind="gaussian", level=0.01, seed=seed),
+        noise=NoisePlan(kind="gaussian", level=0.01, seed=7),
         solver=SolverPlan(max_iters=3000, grad_tol=1e-9, init="zeros"),
         output_dir="results/theory",
         implementation_defaults=["model.n", "truth", "noise.seed", "j_max", "solver"],
@@ -395,9 +395,13 @@ EXPERIMENTS = (*PRESETS, "custom")
 
 
 def preset(name: str, seed: Optional[int] = None) -> ExperimentConfig:
+    """A fresh copy of the named preset; a ``seed`` replaces its ``noise.seed``, as ``regupath --seed`` does."""
     if name not in PRESETS:
         raise ConfigError([f"unknown preset {name!r}, known presets: {', '.join(PRESETS)}"])
-    return PRESETS[name]() if seed is None else PRESETS[name](seed=seed)
+    config = PRESETS[name]()
+    if seed is not None:
+        config.noise.seed = seed
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,6 @@ class PenaltyResult:
     penalty: Penalty
     path: List[AlphaPathRecord]
     outcomes: List[RuleOutcome]
-    kappa_hat: float
 
 
 @dataclass
@@ -504,7 +507,7 @@ def run_experiment(
             partial = ResultBundle(config, truth, exact, noisy, delta, results) if results else None
             raise PathAborted(f"{exc} (penalty {tag})", exc.records, partial) from exc
         outcomes = [RULE_KINDS[rule.kind](rule, path, delta) for rule in rules]
-        results.append(PenaltyResult(tag, pen, path, outcomes, kappa_hat(path, delta)))
+        results.append(PenaltyResult(tag, pen, path, outcomes))
 
     return ResultBundle(
         config=config,
@@ -583,6 +586,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
     outcome_rows = []
     for result in bundle.results:
         xi = result.penalty.subgradient(bundle.truth)
+        kappa = kappa_hat(result.path, bundle.delta)
         path_rows = []
         for j, rec in enumerate(result.path):
             breg = bregman_distance(result.penalty, xi, rec.x, bundle.truth)
@@ -602,7 +606,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
                     outcome.alpha_star,
                     outcome.delta_star,
                     bundle.delta,
-                    result.kappa_hat,
+                    kappa,
                     lr_norm(x_star - bundle.truth, 2.0),
                     l1_error(x_star, bundle.truth),
                     bregman_distance(result.penalty, xi, x_star, bundle.truth),

@@ -55,11 +55,11 @@ class ForwardModel:
     admissible set, if it has one.  ``adjoint_derivative`` evaluates
     F'(x)*w, the adjoint taken with respect to the weighted L^2 inner
     products of the two grids.  The solver calls the maps' ``on_values`` on
-    raw sample arrays.  Arrays handed to ``on_values`` must not be written to
-    afterwards: the elliptic model keeps the state of the last array it saw,
-    keyed by the array object, and the solver marks its iterates read-only.
-    ``project`` (optional) maps a raw value array onto the admissible set and
-    is used by the solver after each step.
+    raw sample arrays, which it may write to afterwards; a map that reuses
+    work from an earlier call (the elliptic model keeps the state of its last
+    coefficient) compares values, not array objects.  ``project`` (optional)
+    maps a raw value array onto the admissible set and is used by the solver
+    after each step.
 
     ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
     misfit on raw arrays, ``gauss_newton(v, free, diag, sub, rhs)``: with
@@ -227,24 +227,27 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     base_rhs = f.values.copy()
     base_rhs[0] += g0 * inv_h2
     base_rhs[-1] += g1 * inv_h2
-    # The last coefficient array with the diagonal of A(c) (its off-diagonals
-    # are ``off``) and the state u(c).  The key is the array object itself, so
-    # only a read-only one (GridFunction values, the solver's iterates) can
-    # hit.  The triple is one tuple, replaced whole and read once, so a model
-    # shared across threads may miss but never pairs c with another c's state.
+    # The bytes of the last coefficient, a private copy of its values, with
+    # the diagonal of A(c) (its off-diagonals are ``off``) and the state u(c).
+    # Any array with the same values bit for bit reuses the state, so callers
+    # may write to their arrays; comparing bytes costs a tenth of
+    # ``np.array_equal``.  The triple is one tuple, replaced whole and read
+    # once, so a model shared across threads may miss but never pairs c with
+    # another c's state.
     last = (None, None, None)
 
     def _solved(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         nonlocal last
-        key, diag, u = last
-        if key is c and not c.flags.writeable:
+        key = c.tobytes()
+        seen, diag, u = last
+        if key == seen:
             return diag, u
         if not (c >= 0.0).all():
             raise InadmissibleCoefficientError("coefficient must be nonnegative pointwise")
         diag = 2.0 * inv_h2 + c[1:-1]
         u = solve_tridiagonal(off, diag, off, base_rhs)
         u.setflags(write=False)  # apply.on_values hands out this array itself
-        last = (c, diag, u)
+        last = (key, diag, u)
         return diag, u
 
     def adjoint_derivative(c: np.ndarray, w: np.ndarray) -> np.ndarray:

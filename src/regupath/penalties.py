@@ -198,21 +198,10 @@ class Fidelity:
         return self.r * np.abs(d) ** (self.r - 1.0) * np.sign(d)
 
 
-@dataclass(frozen=True)
-class IndexFunction:
-    """Concave index function phi: [0, inf) -> [0, inf), phi(0) = 0."""
-
-    fn: Callable[[float], float]
-    label: str = "custom"
-
-    def __call__(self, t: float) -> float:
-        return float(self.fn(t))
-
-
-def power_index(scale: float, exponent: float = 1.0) -> IndexFunction:
-    """phi(t) = scale * t**exponent with 0 < exponent <= 1, scale > 0."""
+def power_index(scale: float, exponent: float = 1.0) -> Callable[[float], float]:
+    """The concave index function phi(t) = scale * t**exponent, phi(0) = 0, with 0 < exponent <= 1, scale > 0."""
     if not scale > 0:
         raise ValueError("index function scale must be positive")
     if not 0 < exponent <= 1:
         raise ValueError("index function exponent must lie in (0, 1]")
-    return IndexFunction(lambda t: scale * t**exponent, label=f"{scale:g}*t^{exponent:g}")
+    return lambda t: float(scale * t**exponent)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .grid import GridFunction, is_real, lr_norm, require
 from .models import ForwardModel, NoiseOverflowError, gaussian_draw
-from .penalties import Fidelity, IndexFunction, Penalty, bregman_distance
+from .penalties import Fidelity, Penalty, bregman_distance
 from .solver import AlphaPathRecord, PathAborted, SolveOptions, compute_alpha_path
 
 
@@ -174,7 +174,7 @@ def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
 
 def _evaluate_level(
     outcome: RuleOutcome, delta: float, x_dagger: GridFunction, pen: Penalty, r: float,
-    index_fn: Optional[IndexFunction],
+    index_fn: Optional[Callable[[float], float]],
 ) -> DeltaLevelRow:
     """The row of one selection at noise level delta, with its Bregman error to x_dagger.
 
@@ -214,7 +214,7 @@ def check_corollary_bounds(
     pen: Penalty,
     q: float,
     r: float,
-    index_fn: Optional[IndexFunction] = None,
+    index_fn: Optional[Callable[[float], float]] = None,
 ) -> TheoryReport:
     """Evaluate the a-posteriori bounds for a theta-argmin selection.
 
@@ -252,7 +252,7 @@ def run_delta_sequence(
     seed: int,
     x_dagger: GridFunction,
     opts: Optional[SolveOptions] = None,
-    index_fn: Optional[IndexFunction] = None,
+    index_fn: Optional[Callable[[float], float]] = None,
     max_workers: int = 1,
 ) -> TheoryReport:
     """Shrinking-noise study: one fixed unit noise direction, scaled levels.

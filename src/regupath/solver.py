@@ -209,7 +209,6 @@ def solve_tikhonov(
             # a trial that does not decrease the linear model is rejected unevaluated
             predicted = float((weighted_g * (xv - cand)).sum())
             if predicted > 0.0:
-                cand.setflags(write=False)  # the elliptic model's state cache keys on it
                 fx_new = apply_values(cand)
                 pen_new = pen.value_on(x_grid, cand)
                 obj_new = fid.value_on(fx_new) + alpha * pen_new

@@ -11,14 +11,14 @@ the tests' bound checks use, live here too.
 """
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.fft
 
 from regupath import (AlphaPathRecord, DivergenceError, Fidelity, ForwardModel, GridFunction,
                       SolveOptions, l2_inner, lr_norm)
-from regupath.penalties import IndexFunction, Penalty
+from regupath.penalties import Penalty
 
 
 def trapezoid_weights(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
@@ -258,14 +258,14 @@ def reference_solve_tikhonov(
     )
 
 
-def phi(index_fn: IndexFunction, r: float, t: float) -> float:
+def phi(index_fn: Callable[[float], float], r: float, t: float) -> float:
     """The transformed index function t -> t**r / phi(t), defined for t > 0."""
     if not t > 0:
         raise ValueError(f"phi is defined for t > 0, got {t}")
     return t**r / index_fn(t)
 
 
-def phi_inverse(index_fn: IndexFunction, r: float, s: float) -> float:
+def phi_inverse(index_fn: Callable[[float], float], r: float, s: float) -> float:
     """Invert t -> t**r/phi(t) by bracketing bisection, to a relative tolerance of 1e-10.
 
     The bracket is grown geometrically from t = 1; more than 1000 doublings

@@ -340,12 +340,13 @@ def test_acceptance_8_preset_runs_are_bit_identical(tmp_path):
 def test_acceptance_9_inverse_transform_ratio_ladder():
     """[PhiInverse(s)]^r / s strictly decreasing over s = 1e-1 .. 1e-6."""
     ladder = [10.0**-k for k in range(1, 7)]
-    for index, r in (
-        (power_index(1.0, 1.0), 2.0),     # linear family
-        (power_index(2.0, 1.0), 2.0),
-        (power_index(1.0, 0.5), 2.0),     # fractional-power family
-        (power_index(3.0, 0.6), 1.5),
+    for scale, exponent, r in (
+        (1.0, 1.0, 2.0),     # linear family
+        (2.0, 1.0, 2.0),
+        (1.0, 0.5, 2.0),     # fractional-power family
+        (3.0, 0.6, 1.5),
     ):
+        index = power_index(scale, exponent)
         ratios = [phi_inverse(index, r, s) ** r / s for s in ladder]
-        assert all(b < a for a, b in zip(ratios, ratios[1:])), (index.label, ratios)
+        assert all(b < a for a, b in zip(ratios, ratios[1:])), (f"{scale:g}*t^{exponent:g}", ratios)
     print("\nACCEPTANCE 9 (inverse-transform ladder): PASS strict decrease, both families")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,10 +20,12 @@ from regupath import (
     ConfigError,
     DeltaLevelRow,
     ExperimentConfig,
+    Fidelity,
     Grid,
     ModelSpec,
     NoisePlan,
     PenaltySpec,
+    QuadraticPenalty,
     RuleSpec,
     SolverPlan,
     TheoryReport,
@@ -45,7 +48,9 @@ from regupath import (
 from regupath.experiments import (PRESETS, build_model, build_penalty, penalty_tags, run_theory_study,
                                   truth_function)
 from regupath.models import gaussian_draw
-from regupath.rules import hanke_raus_select
+from regupath.rules import hanke_raus_select, kappa_hat
+
+from oracles import fredholm_apply_matrix, laplacian_eigenvalues, spectral_tikhonov
 
 
 def tiny_config(**overrides):
@@ -250,6 +255,11 @@ def test_presets_expose_published_constants():
 def test_presets_validate_clean():
     for name in PRESETS:
         assert validate_config(preset(name)) == []
+        # a seed replaces noise.seed and nothing else
+        reseeded = preset(name, seed=3)
+        assert reseeded.noise.seed == 3
+        reseeded.noise.seed = preset(name).noise.seed
+        assert reseeded == preset(name)
     with pytest.raises(ConfigError, match="known presets: example1, example2_smooth, example2_piecewise, theory_study"):
         preset("unknown")
 
@@ -297,7 +307,7 @@ def test_run_experiment_bundle_contents():
     assert len(result.outcomes) == 2
     assert result.outcomes[0].rule == "hanke_raus"
     assert result.outcomes[1].rule == "discrepancy"
-    assert 0 < result.kappa_hat <= 1.0
+    assert 0 < kappa_hat(result.path, bundle.delta) <= 1.0
 
 
 def test_run_experiment_rejects_invalid_config():
@@ -466,9 +476,8 @@ def test_theory_study_ignores_noise_kind_level_rules_and_later_penalties(change,
 STUDY_DELTAS = [0.2 * 2.0**-k for k in range(7)]
 
 
-@pytest.fixture(scope="module")
-def shipped_study():
-    """The theory_study preset's report over STUDY_DELTAS, and the selection made at each level."""
+def _study_and_selections(config, deltas):
+    """``run_theory_study(config, deltas)``, and the selection made at each level."""
     outcomes = []
 
     def recording_select(path):
@@ -477,8 +486,14 @@ def shipped_study():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regupath.rules, "hanke_raus_select", recording_select)
-        report = run_theory_study(preset("theory_study"), STUDY_DELTAS)
+        report = run_theory_study(config, deltas)
     return report, outcomes
+
+
+@pytest.fixture(scope="module")
+def shipped_study():
+    """The theory_study preset's report over STUDY_DELTAS, and the selection made at each level."""
+    return _study_and_selections(preset("theory_study"), STUDY_DELTAS)
 
 
 def test_theory_study_bounds_the_bregman_error_at_every_level(shipped_study):
@@ -515,6 +530,91 @@ def test_theory_study_rows_match_check_corollary_bounds(shipped_study):
         assert (row.alpha_star, row.theta_star) == (want.alpha_star, want.theta_star)
         for name in ("delta", "bregman", "kappa_hat", "bound_ratio"):
             assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+
+
+def test_theta_of_the_study_on_smooth_mix_has_two_minima_and_its_argmin_jumps():
+    # The theory_study config with truth smooth_mix, outside the range of K.
+    # Between delta = 0.05 and 0.025 its selection jumps from alpha 0.33 to
+    # 0.014.  The exact theta from the sine-transform oracle shows why: on a
+    # 10x finer alpha grid theta has one interior local minimum while
+    # delta >= 0.05 and a second, lower one at small alpha from 0.025 on.
+    # The jump is a property of theta, not of the solves.
+    config = preset("theory_study")
+    config.truth = "smooth_mix"
+    report, outcomes = _study_and_selections(config, STUDY_DELTAS)
+    model = build_model(config.model)
+    y = model.apply(truth_function(config.truth, model.x_grid))
+    raw, norm = gaussian_draw(np.random.default_rng(config.noise.seed), y.grid, 2.0)
+    direction = (1.0 / norm) * raw  # the study's noise direction, so data below are its data bit for bit
+    n, weights, pen = y.n, y.grid.weights(), QuadraticPenalty()
+    apply_mat = fredholm_apply_matrix(n)
+
+    def oracle(data, alpha):
+        x = spectral_tikhonov(data, alpha)
+        return x, math.sqrt((weights * (apply_mat @ x - data) ** 2).sum())
+
+    # Solver against oracle on the shipped grid at the two levels of the jump.
+    # J(x) = ||K x - y||_W^2 + alpha ||x||_W^2 is 2 alpha-strongly convex in
+    # the W-norm, so ||x - x_alpha||_W <= (||g~||_W + rho) / (2 alpha), with
+    # g~ the gradient evaluated at the record's x and rho a bound on the
+    # rounding of that evaluation.  Let u be the unit roundoff, g = (n + 5) u
+    # (the dot product constant gamma_n plus the few roundings in each entry
+    # of K) and k = ||K||_W = 40 / lambda_1; K >= 0 entrywise, so
+    # ||K |v| ||_W <= k ||v||_W.  Then
+    #   fl(K x) = K x + e1 with |e1| <= g K |x|, fl(. - y) adds at most u |r~|,
+    #   fl(K 2 r~) adds at most g K |2 r~|, the product alpha (2 x) adds at
+    #   most 2 alpha u |x| and the sum at most u |g~|, so
+    #   rho = 2 g k (k ||x|| + 2 ||r~||) + u (||g~|| + 2 alpha ||x||).
+    # The oracle's x* comes from two orthonormal DST-Is, each with normwise
+    # error at most 10 u log2(n) (Higham, Accuracy and Stability, Thm 24.2,
+    # with margin), around the scaling s_k = 40 lambda_k / (1600 + alpha
+    # lambda_k^2) <= 1 / (2 sqrt(alpha)), so ||x* - x_alpha||_W <= eta =
+    # sqrt(h) u (20 log2(n) + 1) ||y_int||_2 / (2 sqrt(alpha)).  Each side
+    # evaluates its residual to within g k ||x||_W + g res.  So the two
+    # residuals differ by at most
+    #   E = k ((||g~|| + rho) / (2 alpha) + eta) + g k (||x|| + ||x*||) + g (res + res*),
+    # and the two thetas by |res^2 - res*^2| / alpha <= E (2 res* + E) / alpha.
+    u = np.finfo(float).eps / 2
+    g = (n + 5) * u
+    k = 40.0 / laplacian_eigenvalues(n)[0]
+    for level in (2, 3):  # delta = 0.05 and 0.025
+        data = y.values + STUDY_DELTAS[level] * direction
+        fid = Fidelity(2.0, y.with_values(data))
+        path = outcomes[level].path
+        assert len(path) == 36 and all(rec.converged for rec in path)
+        thetas = []
+        for rec in path:
+            alpha = rec.alpha
+            gradient = model.adjoint_derivative(rec.x, fid.gradient(rec.fx)) + alpha * pen.subgradient(rec.x)
+            grad, x_norm = lr_norm(gradient, 2.0), lr_norm(rec.x, 2.0)
+            rho = 2 * g * k * (k * x_norm + 2 * rec.residual) + u * (grad + 2 * alpha * x_norm)
+            x_star, res_star = oracle(data, alpha)
+            eta = (math.sqrt(y.grid.h) * u * (20 * math.log2(n) + 1) * np.linalg.norm(data[1:-1])
+                   / (2 * math.sqrt(alpha)))
+            err = (k * ((grad + rho) / (2 * alpha) + eta) + g * k * (x_norm + lr_norm(y.grid.function(x_star), 2.0))
+                   + g * (rec.residual + res_star))
+            assert abs(rec.theta - res_star**2 / alpha) <= err * (2 * res_star + err) / alpha, (level, alpha)
+            thetas.append(res_star**2 / alpha)
+        # the selection is the oracle's argmin on the same grid
+        assert outcomes[level].alpha_star == path[int(np.argmin(thetas))].alpha
+
+    # theta on the 10x finer grid alpha0 q^(j/10), which spans the shipped one
+    fine = config.alpha0 * config.q ** (np.arange(10 * config.j_max + 1) / 10)
+    minima = []
+    for delta in STUDY_DELTAS:
+        data = y.values + delta * direction
+        theta = np.array([oracle(data, alpha)[1] ** 2 / alpha for alpha in fine])
+        inner = np.flatnonzero((theta[1:-1] < theta[:-2]) & (theta[1:-1] < theta[2:])) + 1
+        minima.append((fine[inner], fine[np.argmin(theta)]))
+    assert [len(at) for at, _ in minima] == [1, 1, 1, 2, 2, 2, 2]
+    assert [argmin for _, argmin in minima] == [at[-1] for at, _ in minima]  # the smallest-alpha minimum wins
+    above, below = minima[2][1], minima[3][1]
+    assert 0.3 < above < 0.4 and 0.01 < below < 0.02
+    assert 0.25 < min(at[0] for at, _ in minima[3:])  # the upper minimum stays, no longer the lowest
+    # and the study's own selections jump with it
+    star = [row.alpha_star for row in report.convergence_table]
+    assert star[2] / star[3] > 10.0 and abs(math.log(star[2] / above)) < math.log(1.0 / config.q)
+    assert abs(math.log(star[3] / below)) < math.log(1.0 / config.q)
 
 
 def _other_truth(cfg):

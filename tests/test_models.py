@@ -135,9 +135,11 @@ def test_elliptic_rejects_negative_coefficient():
 
 
 def test_elliptic_state_is_reused_and_never_mixed(monkeypatch):
-    # In one thread, an adjoint after an apply at the same read-only
-    # coefficient reuses its state: one solve for u(c), one for the adjoint.
-    # A writable array is never a hit, since it may have changed in place.
+    # In one thread, an adjoint after an apply at the same coefficient reuses
+    # its state: one solve for u(c), one for the adjoint.  The state is keyed
+    # on a private copy of the coefficient's values: a writable array equal
+    # to the last coefficient is a hit and solves nothing, and the same array
+    # changed in place is a miss and solves once.
     model = _elliptic(N=60)
     t = model.x_grid.points()
     coeffs = [model.x_grid.function(1.0 + t), model.x_grid.function(2.0 + np.sin(3.0 * t))]
@@ -152,9 +154,10 @@ def test_elliptic_state_is_reused_and_never_mixed(monkeypatch):
     assert len(solves) == 2
     v = c.values.copy()
     assert np.array_equal(model.apply.on_values(v), fresh[0][0])
+    assert len(solves) == 2
     v[:] = coeffs[1].values
     assert np.array_equal(model.apply.on_values(v), fresh[1][0])
-    assert len(solves) == 4
+    assert len(solves) == 3
 
     # Two threads share the model and alternate apply and adjoint on their own
     # coefficient, so each call finds the other thread's state: it may solve

@@ -181,6 +181,27 @@ def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):
     assert solves["dgbsv"] == []
 
 
+def test_a_warm_started_elliptic_solve_starts_from_its_predecessors_state(call_log):
+    # Solve j = 1 of a path starts at a copy of record 0's x, whose state the
+    # model solved last, so its first apply runs no tridiagonal solve: one
+    # fewer than the same solve on a model that has not seen that point.
+    path_case, first_case, cold_case = (_elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))[:3]
+                                        for _ in range(3))
+    opts = SolveOptions(init=path_case[0].x_grid.function(np.ones(path_case[0].x_grid.n)))
+    solves = call_log(regupath.models, "solve_tridiagonal")["solve_tridiagonal"]
+    path = compute_alpha_path(*path_case, 1e-2, 0.5, 1, opts)
+    in_path = len(solves)
+    solves.clear()
+    compute_alpha_path(*first_case, 1e-2, 0.5, 0, opts)
+    first = len(solves)
+    solves.clear()
+    cold = solve_tikhonov(*cold_case, path[1].alpha,
+                          dataclasses.replace(opts, init=path[0].x, grad_tol_abs=path[0].tol))
+    assert in_path == first + len(solves) - 1
+    assert cold.iters == path[1].iters > 0
+    np.testing.assert_array_equal(cold.x.values, path[1].x.values)
+
+
 def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):
     # a model whose Gauss-Newton solve always fails still converges, by
     # gradient steps, to the closed-form minimizer data/(1+alpha)

@@ -106,22 +106,38 @@ def _sandwich_band(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub:
         band[1, i] = o_i (p_{i-1} + a_i d_i + p_i + p_{i+1}) + a_{i+1} q_i
         band[2, i] = o_{i+1} q_i + a_{i+2} o_i e_{i+1}
         band[3, i] = o_i o_{i+2} e_{i+1}
+
+    When ``sub`` is all zero (a diagonal B, as the quadratic penalties give)
+    every e term is an exact zero, and the band has three nonzero rows:
+
+        band[0, i] = a_i (a_i d_i) + o_i^2 d_{i+1} + o_{i-1}^2 d_{i-1}
+        band[1, i] = o_i (a_i d_i) + a_{i+1} (o_i d_{i+1})
+        band[2, i] = o_{i+1} (o_i d_{i+1})
+
+    each term formed and summed in the general formula's order, so both
+    forms give the same values up to the sign of an exact zero.
     """
     a, o, d, e = t_diag, t_off, diag, sub
     n = a.size
-    p = np.zeros(n + 1)  # p[i + 1] = p_i, so p_{-1} = p_{n-1} = 0
-    np.multiply(o, e, out=p[1:-1])
-    pp = p[:-1] + p[1:]  # p_{i-1} + p_i
     ad = a * d
-    q = a[:-1] * e + o * d[1:]
-    r = o * o
     band = np.zeros((4, n))
-    np.multiply(a, ad + 2.0 * pp, out=band[0])
+    if not e.any():
+        od = o * d[1:]  # o_i d_{i+1}
+        np.multiply(a, ad, out=band[0])
+        band[1, :-1] = o * ad[:-1] + a[1:] * od
+        band[2, :-2] = o[1:] * od[:-1]
+    else:
+        p = np.zeros(n + 1)  # p[i + 1] = p_i, so p_{-1} = p_{n-1} = 0
+        np.multiply(o, e, out=p[1:-1])
+        pp = p[:-1] + p[1:]  # p_{i-1} + p_i
+        q = a[:-1] * e + o * d[1:]
+        np.multiply(a, ad + 2.0 * pp, out=band[0])
+        band[1, :-1] = o * (ad[:-1] + pp[:-1] + p[2:]) + a[1:] * q
+        band[2, :-2] = o[1:] * q[:-1] + a[2:] * o[:-1] * e[1:]
+        band[3, :-3] = o[:-2] * o[2:] * e[1:-1]
+    r = o * o
     band[0, :-1] += r * d[1:]
     band[0, 1:] += r * d[:-1]
-    band[1, :-1] = o * (ad[:-1] + pp[:-1] + p[2:]) + a[1:] * q
-    band[2, :-2] = o[1:] * q[:-1] + a[2:] * o[:-1] * e[1:]
-    band[3, :-3] = o[:-2] * o[2:] * e[1:-1]
     return band
 
 
@@ -162,9 +178,10 @@ def fredholm_model(n: int) -> ForwardModel:
     columns.  With T the identity on the two ends and L inside, the
     Gauss-Newton matrix becomes T (2 K^T W K + B) T = T B T + 3200 h I_int,
     and each step is one ``_sandwich_solve``: the band of T B T in closed
-    form and one banded Cholesky solve, O(n).  The model has no projection,
-    so its ``gauss_newton`` takes only an all-true mask and raises
-    ValueError on any other.
+    form (two sub-diagonals when B is diagonal, as the quadratic penalties
+    make it, three otherwise) and one banded Cholesky solve, O(n).  The
+    model has no projection, so its ``gauss_newton`` takes only an all-true
+    mask and raises ValueError on any other.
     """
     if n < 3:
         raise ValueError(f"fredholm_model needs n >= 3, got {n}")
@@ -211,9 +228,10 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     congruence that changes with c: P = diag(sigma) T, sigma = (1, 1/u, 1)
     and T = [1; A(c); 1], so that P^T H P = T (sigma B sigma) T + 2h I_int
     and each step is one ``dpbsv`` of size N + 1 with 3 sub-diagonals, on a
-    band built in closed form.  A step that holds an interior coefficient,
-    or meets a zero of u, solves a banded saddle system of size 3(N - 1) + 2
-    by one ``dgbsv`` instead.
+    band built in closed form; sigma B sigma is diagonal when B is, and its
+    band then has only two nonzero sub-diagonals.  A step that holds an
+    interior coefficient, or meets a zero of u, solves a banded saddle
+    system of size 3(N - 1) + 2 by one ``dgbsv`` instead.
     """
     if N < 4:
         raise ValueError(f"elliptic_model needs N >= 4, got {N}")

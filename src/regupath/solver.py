@@ -8,7 +8,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, lr_norm_on, require
+from .grid import Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, require
 from .models import ForwardModel
 from .penalties import Fidelity, Penalty
 
@@ -124,14 +124,15 @@ def _norm(weights: np.ndarray, g: np.ndarray) -> float:
 
 
 def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv: np.ndarray,
-                            g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+                            g: np.ndarray, weighted_g: np.ndarray) -> np.ndarray:
     """The projected Gauss-Newton direction d at the samples xv; the step goes to P(xv - t d).
 
     Following Bertsekas (1982), a coordinate is active when it lies within
     min(_ACTIVE_EPS, |x - P(x - g)|_inf) of the bound 0 of the model's
     projection (the nonnegative set) and its gradient component is positive.  Free coordinates take the Gauss-Newton step of
     the free block, active ones the gradient step scaled by the penalty
-    Hessian's diagonal, and a singular system falls back to d = g.
+    Hessian's diagonal, and a singular system falls back to d = g.  The
+    system's right-hand side ``weighted_g`` is W g, W the x grid's weights.
     """
     diag, sub = pen.hessian(model.x_grid, xv)
     diag, sub = alpha * diag, alpha * sub
@@ -141,7 +142,7 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv:
         free = (xv > eps) | (g <= 0.0)
         sub = sub * (free[1:] & free[:-1])
     try:
-        return model.gauss_newton(xv, free, diag, sub, weights * g)
+        return model.gauss_newton(xv, free, diag, sub, weighted_g)
     except SingularSystemError:
         return g
 
@@ -171,9 +172,9 @@ def solve_tikhonov(
     opts = opts if opts is not None else SolveOptions()
     x_grid = model.x_grid
     x = opts.init if opts.init is not None else x_grid.zeros()
-    if x.grid != x_grid:
+    if x.grid is not x_grid and x.grid != x_grid:
         raise ValueError("initial guess lives on the wrong grid")
-    if fid.target.grid != model.y_grid:
+    if fid.target.grid is not model.y_grid and fid.target.grid != model.y_grid:
         raise GridMismatchError(f"misfit target lives on {fid.target.grid}, the model maps to {model.y_grid}")
 
     weights = x_grid.weights()
@@ -182,7 +183,8 @@ def solve_tikhonov(
     xv = x.values
     fxv = apply_values(xv)
     pen_value = pen.value(x)  # ``value`` checks a reference function's grid
-    obj = fid.value_on(fxv) + alpha * pen_value
+    misfit = fid.value_on(fxv)
+    obj = misfit + alpha * pen_value
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
     g = _gradient(adjoint_values, fid, pen, alpha, x_grid, xv, fxv)
@@ -194,11 +196,11 @@ def solve_tikhonov(
     converged = gnorm <= tol
     trial = _STEP_INIT
     while iters < opts.max_iters and not converged:
+        weighted_g = weights * g
         if gauss_newton:
-            direction, t = _gauss_newton_direction(model, pen, alpha, xv, g, weights), 1.0
+            direction, t = _gauss_newton_direction(model, pen, alpha, xv, g, weighted_g), 1.0
         else:
             direction, t = g, trial
-        weighted_g = weights * g
         while t >= _MIN_STEP:
             cand = xv - t * direction
             if project is not None:
@@ -211,7 +213,8 @@ def solve_tikhonov(
             if predicted > 0.0:
                 fx_new = apply_values(cand)
                 pen_new = pen.value_on(x_grid, cand)
-                obj_new = fid.value_on(fx_new) + alpha * pen_new
+                misfit_new = fid.value_on(fx_new)
+                obj_new = misfit_new + alpha * pen_new
                 if math.isfinite(obj_new) and obj - obj_new >= _ARMIJO * predicted:
                     break
             t *= _STEP_SHRINK
@@ -227,14 +230,15 @@ def solve_tikhonov(
                 trial = min(max(trial, 1e-14), 1e14)
             else:
                 trial = min(t * 2.0, 1e14)
-        xv, fxv, obj, pen_value, g = cand, fx_new, obj_new, pen_new, g_new
+        xv, fxv, misfit, obj, pen_value, g = cand, fx_new, misfit_new, obj_new, pen_new, g_new
         gnorm = _norm(weights, g)
         iters += 1
         converged = gnorm <= tol
 
     if iters:
         x = x_grid.function(xv)
-    residual = lr_norm_on(model.y_grid, fxv - fid.target.values, fid.r)
+    # the misfit sum is ||F x - data||_r^r, summed as ``lr_norm`` sums it
+    residual = math.sqrt(misfit) if fid.r == 2.0 else misfit ** (1.0 / fid.r)
     return AlphaPathRecord(
         alpha=alpha,
         x=x,

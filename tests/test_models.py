@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import regupath.models
 from regupath import (
@@ -309,17 +309,32 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
 _band_entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
+def _band_vectors(n):
+    """(t_diag, t_off, diag, sub) of size n, n - 1, n, n - 1; sub is all zero (a diagonal B) on purpose."""
+    entries = [st.lists(_band_entries, min_size=size, max_size=size) for size in (n, n - 1, n, n - 1)]
+    entries[3] = st.one_of(st.just([0.0] * (n - 1)), entries[3])
+    return st.tuples(*entries)
+
+
+def _diagonal_b_example(n):
+    k = np.arange(n, dtype=float)
+    return (list(2.0 + k), list(-1.5 + 0.5 * k[:-1]), list(3.0 - 0.7 * k), [0.0] * (n - 1))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(3, 12).flatmap(lambda n: st.tuples(*(st.lists(_band_entries, min_size=size, max_size=size)
-                                                        for size in (n, n - 1, n, n - 1)))))
+@given(st.integers(3, 12).flatmap(_band_vectors))
+@example(_diagonal_b_example(3))
+@example(_diagonal_b_example(4))
+@example(_diagonal_b_example(12))
 def test_sandwich_band_is_the_lower_band_of_t_b_t(vectors):
     # a general T, its end off-diagonals nonzero too, against the dense
-    # product.  Each entry of T B T sums at most 7 terms of 3 factors, so any
-    # evaluation order rounds each term at most 2 + 6 times: both the closed
-    # form and the dense product lie within gamma_8 |T| |B| |T| of the exact
-    # entry, and the computed |T| |B| |T| (nonnegative terms) is at least
-    # 1 - gamma_6 times its own.  Entries far from zero keep every product off
-    # the subnormals.
+    # product, for a tridiagonal B and for a diagonal one, whose band has no
+    # fourth row.  Each entry of T B T sums at most 7 terms of 3 factors, so
+    # any evaluation order rounds each term at most 2 + 6 times: both the
+    # closed form and the dense product lie within gamma_8 |T| |B| |T| of the
+    # exact entry, and the computed |T| |B| |T| (nonnegative terms) is at
+    # least 1 - gamma_6 times its own.  Entries far from zero keep every
+    # product off the subnormals.
     t_diag, t_off, diag, sub = (np.array(v) for v in vectors)
     n = t_diag.size
     t = dense_tridiagonal(t_off, t_diag, t_off)
@@ -333,6 +348,8 @@ def test_sandwich_band_is_the_lower_band_of_t_b_t(vectors):
         got, ref, tol = band[k, :n - k], np.diag(want, -k), 2 * gamma_8 / (1 - gamma_6) * np.diag(scale, -k)
         assert (np.abs(got - ref) <= tol).all(), k
         assert (band[k, n - k:] == 0.0).all()
+    if not sub.any():
+        assert (band[3] == 0.0).all()
 
 
 def test_elliptic_gauss_newton_solves_the_saddle_system_when_u_f_has_a_zero(rng, call_log):

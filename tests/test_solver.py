@@ -632,3 +632,37 @@ def test_overflowing_model_output_at_a_trial_point_is_backtracked():
     rec = solve_tikhonov(model, fid, pen, alpha, SolveOptions(max_iters=20, init=init))
     assert finite[:3] == [True, False, False]  # the start point, then two trial points
     assert rec.iters > 0 and rec.objective < start
+
+
+
+def _residual_case(case):
+    """(model, fid, pen, alpha0, init) of a short path whose records' residuals are checked."""
+    if case == "elliptic_r2":
+        model, fid, pen, _ = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
+        return model, fid, pen, 1e-2, model.x_grid.function(np.ones(model.x_grid.n))
+    model, fid, pen, _ = _fredholm_outlier_case()
+    return model, Fidelity(2.0 if case == "fredholm_r2" else 1.01, fid.target), pen, 1.0, None
+
+
+@pytest.mark.parametrize("case", ["fredholm_r2", "fredholm_r1.01", "elliptic_r2"])
+def test_record_residual_is_the_lr_norm_of_its_misfit(case):
+    # A record's residual is taken from the misfit sum of its accepted
+    # objective, not from a second pass over F x - data: it must equal
+    # lr_norm of the record's own misfit bit for bit, after steps and for a
+    # solve that takes none (a converged start, and a start no trial leaves).
+    model, fid, pen, alpha0, init = _residual_case(case)
+    path = compute_alpha_path(model, fid, pen, alpha0, 0.5, 4, SolveOptions(max_iters=300, init=init))
+    cases = [(rec, fid) for rec in path]
+    assert sum(rec.iters > 0 for rec in path) >= 4
+    if fid.r == 2.0:
+        last = [rec for rec in path if rec.converged][-1]
+        again = solve_tikhonov(model, fid, pen, last.alpha, SolveOptions(init=last.x, grad_tol_abs=last.tol))
+        assert again.iters == 0 and again.converged
+        cases.append((again, fid))
+    blocked_model, blocked_fid, zero = _blocked_start_case(fid.r)
+    blocked = solve_tikhonov(blocked_model, blocked_fid, QuadraticPenalty(), 1e-3, SolveOptions(init=zero))
+    assert blocked.iters == 0 and not blocked.converged
+    cases.append((blocked, blocked_fid))
+    for rec, rec_fid in cases:
+        assert rec.residual == lr_norm(rec.fx - rec_fid.target, rec_fid.r)
+        assert rec.theta == rec.residual**rec_fid.r / rec.alpha

@@ -10,7 +10,7 @@ from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_ty
 
 import numpy as np
 
-from .grid import Grid, GridFunction, is_integer, is_real, lr_norm
+from .grid import Grid, GridFunction, is_integer, is_real, lr_norm, lr_power_sum
 from .models import (ForwardModel, InadmissibleCoefficientError, NoiseOverflowError, NoiseSpec, elliptic_model,
                      fredholm_model, make_noisy)
 from .penalties import (
@@ -51,8 +51,8 @@ class ModelSpec:
 @dataclass
 class PenaltySpec:
     kind: str = "quadratic"
-    eps: float = 1e-4
-    mu: float = 0.0
+    eps: float = SmoothedTVPenalty.eps
+    mu: float = SmoothedTVPenalty.mu
 
 
 @dataclass
@@ -82,8 +82,8 @@ class NoisePlan:
 
 @dataclass
 class SolverPlan:
-    max_iters: int = 5000
-    grad_tol: float = 1e-8
+    max_iters: int = SolveOptions.max_iters
+    grad_tol: float = SolveOptions.grad_tol
     init: str = "zeros"
 
     def to_options(self, init: GridFunction) -> SolveOptions:
@@ -557,7 +557,7 @@ def write_path(records: List[AlphaPathRecord], path) -> Path:
 
 def l1_error(x: GridFunction, truth: GridFunction) -> float:
     x._check_same_grid(truth)
-    return float(np.sum(x.grid.weights() * np.abs(x.values - truth.values)))
+    return lr_power_sum(x.grid.weights(), x.values - truth.values, 1.0)
 
 
 def tv_roughness(x: GridFunction) -> float:

@@ -1,4 +1,4 @@
-"""Uniform 1-D grids, weighted discrete L^r norms, and tridiagonal solves."""
+"""Uniform 1-D grids, their weighted L^r sums, roots and inner product, and tridiagonal solves."""
 
 from __future__ import annotations
 
@@ -141,34 +141,40 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+def lr_power_sum(w: np.ndarray, v: np.ndarray, r: float) -> float:
+    """The weighted power sum sum_i w_i |v_i|^r; the one summation order of every L^r sum."""
+    if r == 2.0:
+        return float((w * v * v).sum())
+    return float((w * np.abs(v) ** r).sum())
+
+
+def lr_root(s: float, r: float) -> float:
+    """The r-th root of a power sum s, so that lr_root(lr_power_sum(w, v, r), r) is the L^r norm."""
+    return math.sqrt(s) if r == 2.0 else s ** (1.0 / r)
+
+
+def weighted_inner(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
+    """The weighted sum sum_i w_i (f_i g_i); f*g is formed first so the result is exactly symmetric."""
+    return float((w * (f * g)).sum())
+
+
 def lr_norm(f: GridFunction, r: float) -> float:
     """Weighted discrete L^r norm (sum_i w_i |f_i|^r)^(1/r), r > 1.
 
     A sum beyond the largest float gives inf, without an overflow warning.
     """
-    return lr_norm_on(f.grid, f.values, r)
-
-
-def lr_norm_on(grid: Grid, v: np.ndarray, r: float) -> float:
-    """``lr_norm`` of the samples v of a function on ``grid``."""
     if not r > 1.0:
         raise ValueError(f"lr_norm requires r > 1, got {r}")
-    if not np.isfinite(v).all():
+    if not np.isfinite(f.values).all():
         raise ValueError("lr_norm: non-finite input values")
-    w = grid.weights()
     with np.errstate(over="ignore"):
-        if r == 2.0:
-            return float(np.sqrt((w * v * v).sum()))
-        return float((w * np.abs(v) ** r).sum() ** (1.0 / r))
+        return lr_root(lr_power_sum(f.grid.weights(), f.values, r), r)
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> float:
-    """Weighted discrete L^2 inner product on a common grid.
-
-    The product f*g is formed first so the result is exactly symmetric.
-    """
+    """Weighted discrete L^2 inner product on a common grid."""
     f._check_same_grid(g)
-    return float((f.grid.weights() * (f.values * g.values)).sum())
+    return weighted_inner(f.grid.weights(), f.values, g.values)
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ take the samples v of a function on ``grid``, and the misfit's
 ``value_on(v)`` and ``gradient_on(v)`` the samples of a function on its
 target's grid.  The GridFunction methods ``value``, ``subgradient`` and
 ``gradient`` check the grids and wrap these; the solver calls the array
-forms directly.
+forms directly.  Every weighted sum of squares or r-th powers in a value
+is ``grid.lr_power_sum``, so a misfit value sums exactly as ``lr_norm``
+does.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from .grid import Grid, GridFunction, is_real, l2_inner, require
+from .grid import Grid, GridFunction, is_real, l2_inner, lr_power_sum, require
 
 
 class SubgradientError(ValueError):
@@ -55,7 +57,7 @@ class QuadraticPenalty(_GridFunctionForms):
     """R(x) = ||x||^2 in the weighted L^2 norm."""
 
     def value_on(self, grid: Grid, v: np.ndarray) -> float:
-        return float((grid.weights() * v * v).sum())
+        return lr_power_sum(grid.weights(), v, 2.0)
 
     def subgradient_on(self, grid: Grid, v: np.ndarray) -> np.ndarray:
         return 2.0 * v
@@ -74,8 +76,7 @@ class ShiftedQuadraticPenalty(_GridFunctionForms):
         x._check_same_grid(self.c0)
 
     def value_on(self, grid: Grid, v: np.ndarray) -> float:
-        d = v - self.c0.values
-        return float((grid.weights() * d * d).sum())
+        return lr_power_sum(grid.weights(), v - self.c0.values, 2.0)
 
     def subgradient_on(self, grid: Grid, v: np.ndarray) -> np.ndarray:
         return 2.0 * (v - self.c0.values)
@@ -118,8 +119,7 @@ class SmoothedTVPenalty(_GridFunctionForms):
         d = (v[1:] - v[:-1]) / h
         tv = float((h * np.sqrt(d * d + self.eps**2)).sum())
         tv -= self.eps
-        w = grid.weights()
-        return tv + self.mu * float((w * v * v).sum())
+        return tv + self.mu * lr_power_sum(grid.weights(), v, 2.0)
 
     def subgradient_on(self, grid: Grid, v: np.ndarray) -> np.ndarray:
         h = grid.h
@@ -162,7 +162,11 @@ def bregman_distance(pen: Penalty, xi: GridFunction, xbar: GridFunction, x: Grid
 
 @dataclass(frozen=True, eq=False)
 class Fidelity:
-    """Data misfit v -> ||v - target||_r^r on the target's grid, 1 < r < inf."""
+    """Data misfit v -> ||v - target||_r^r on the target's grid, 1 < r < inf.
+
+    The value is the power sum ``lr_power_sum`` of v - target, so its r-th
+    root (``lr_root``) is ``lr_norm(v - target, r)`` bit for bit.
+    """
 
     r: float
     target: GridFunction
@@ -181,11 +185,7 @@ class Fidelity:
         return self.value_on(v.values)
 
     def value_on(self, v: np.ndarray) -> float:
-        d = v - self.target.values
-        w = self.target.grid.weights()
-        if self.r == 2.0:
-            return float((w * d * d).sum())
-        return float((w * np.abs(d) ** self.r).sum())
+        return lr_power_sum(self.target.grid.weights(), v - self.target.values, self.r)
 
     def gradient(self, v: GridFunction) -> GridFunction:
         v._check_same_grid(self.target)

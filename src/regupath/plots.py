@@ -16,39 +16,17 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
-def _nice_ticks(lo: float, hi: float) -> List[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / 5
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return ticks
-
-
-def _log_ticks(lo: float, hi: float) -> List[float]:
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    exps = list(range(lo_e, hi_e + 1))
-    stride = max(1, len(exps) // 7)
-    return [10.0**e for e in exps[::stride]]
-
-
 class _Axis:
-    def __init__(self, lo: float, hi: float, log: bool, px0: float, px1: float):
+    """One axis of a chart: its padded range, in log10 units on a log axis, and its ticks."""
+
+    def __init__(self, values: Sequence[np.ndarray], log: bool, px0: float, px1: float):
         self.log = log
-        if log:
-            self.lo, self.hi = math.log10(lo), math.log10(hi)
-        else:
-            self.lo, self.hi = lo, hi
+        vals = np.concatenate([np.empty(0), *values])
+        if vals.size:
+            lo, hi = float(vals.min()), float(vals.max())
+            self.lo, self.hi = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
+        else:  # nothing to show: the unit range, the decade [1, 10] on a log axis
+            self.lo, self.hi = 0.0, 1.0
         if self.hi <= self.lo:
             self.hi = self.lo + 1.0
         pad = 0.04 * (self.hi - self.lo)
@@ -60,6 +38,24 @@ class _Axis:
         u = math.log10(v) if self.log else v
         frac = (u - self.lo) / (self.hi - self.lo)
         return self.px0 + frac * (self.px1 - self.px0)
+
+    def ticks(self) -> List[float]:
+        """The decades of a log axis, every (n // 7)-th of n; the multiples of a 1-2-5 step on a linear axis."""
+        if self.log:  # log10(10**lo) may differ from lo by an ulp, which can move floor or ceil at an integer
+            lo, hi = (math.log10(10.0**u) for u in (self.lo, self.hi))
+            exps = list(range(math.floor(lo), math.ceil(hi) + 1))
+            return [10.0**e for e in exps[::max(1, len(exps) // 7)]]
+        raw = (self.hi - self.lo) / 5
+        mag = 10.0 ** math.floor(math.log10(raw))
+        step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
+        ticks = []
+        t = max(math.ceil(self.lo / step) * step, self.lo)  # the rounded first multiple can fall below lo
+        while t <= self.hi + 1e-12 * step:
+            ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+            if t + step == t:  # a step below half an ulp of t: the axis is constant to float precision
+                break
+            t += step
+        return ticks
 
 
 def line_chart(
@@ -83,10 +79,8 @@ def line_chart(
             keep &= y > 0
         xs.append(x[keep])
         ys.append(y[keep])
-    all_x = np.concatenate([v for v in xs if v.size]) if any(v.size for v in xs) else np.array([0.0, 1.0])
-    all_y = np.concatenate([v for v in ys if v.size]) if any(v.size for v in ys) else np.array([0.0, 1.0])
-    x_axis = _Axis(float(all_x.min()), float(all_x.max()), xlog, _ML, _W - _MR)
-    y_axis = _Axis(float(all_y.min()), float(all_y.max()), ylog, _H - _MB, _MT)
+    x_axis = _Axis(xs, xlog, _ML, _W - _MR)
+    y_axis = _Axis(ys, ylog, _H - _MB, _MT)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -96,16 +90,7 @@ def line_chart(
         f'font-size="15">{title}</text>',
     ]
 
-    if xlog:
-        x_ticks = _log_ticks(10.0**x_axis.lo, 10.0**x_axis.hi)
-    else:
-        x_ticks = _nice_ticks(x_axis.lo, x_axis.hi)
-    if ylog:
-        y_ticks = _log_ticks(10.0**y_axis.lo, 10.0**y_axis.hi)
-    else:
-        y_ticks = _nice_ticks(y_axis.lo, y_axis.hi)
-
-    for t in x_ticks:
+    for t in x_axis.ticks():
         px = x_axis.to_px(t)
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" y2="{_H - _MB}" '
@@ -115,7 +100,7 @@ def line_chart(
             f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{t:.3g}</text>'
         )
-    for t in y_ticks:
+    for t in y_axis.ticks():
         py = y_axis.to_px(t)
         parts.append(
             f'<line x1="{_ML}" y1="{py:.2f}" x2="{_W - _MR}" y2="{py:.2f}" '
@@ -173,15 +158,17 @@ def emit_plots(bundle: ResultBundle, out_dir) -> List[Path]:
     out.mkdir(parents=True, exist_ok=True)
     created: List[Path] = []
 
+    def save(name: str, svg: str) -> None:
+        p = out / name
+        p.write_text(svg, encoding="utf-8")
+        created.append(p)
+
     t_data = bundle.exact_data.points()
-    data_svg = line_chart(
+    save("data.svg", line_chart(
         [("exact data", t_data, bundle.exact_data.values),
          ("noisy data", t_data, bundle.noisy_data.values)],
         title="data", xlabel="t", ylabel="y",
-    )
-    p = out / "data.svg"
-    p.write_text(data_svg, encoding="utf-8")
-    created.append(p)
+    ))
 
     t_x = bundle.truth.points()
     for result in bundle.results:
@@ -193,25 +180,19 @@ def emit_plots(bundle: ResultBundle, out_dir) -> List[Path]:
             markers = [
                 (o.alpha_star, o.record.theta) for o in result.outcomes if o.rule == "hanke_raus"
             ]
-            svg = line_chart(
+            save(f"theta_{result.tag}.svg", line_chart(
                 [("theta", alphas, thetas)],
                 title=f"theta vs alpha ({result.tag})",
                 xlabel="alpha", ylabel="theta", xlog=True, ylog=True,
                 markers=markers,
-            )
-            p = out / f"theta_{result.tag}.svg"
-            p.write_text(svg, encoding="utf-8")
-            created.append(p)
+            ))
 
         for outcome in result.outcomes:
             tag = rule_tag(outcome.rule, outcome.tau)
-            svg = line_chart(
+            save(f"recon_{result.tag}_{tag}.svg", line_chart(
                 [("truth", t_x, bundle.truth.values),
                  ("reconstruction", t_x, outcome.record.x.values)],
                 title=f"reconstruction ({result.tag}, {tag})",
                 xlabel="t", ylabel="x",
-            )
-            p = out / f"recon_{result.tag}_{tag}.svg"
-            p.write_text(svg, encoding="utf-8")
-            created.append(p)
+            ))
     return created

@@ -8,7 +8,8 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .grid import Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, require
+from .grid import (Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, lr_root, require,
+                   weighted_inner)
 from .models import ForwardModel
 from .penalties import Fidelity, Penalty
 
@@ -118,11 +119,6 @@ def _gradient(adjoint_values, fid: Fidelity, pen: Penalty, alpha: float, grid: G
     return g
 
 
-def _norm(weights: np.ndarray, g: np.ndarray) -> float:
-    """Weighted L^2 norm, summed as ``l2_inner`` sums it."""
-    return math.sqrt((weights * (g * g)).sum())
-
-
 def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv: np.ndarray,
                             g: np.ndarray, weighted_g: np.ndarray) -> np.ndarray:
     """The projected Gauss-Newton direction d at the samples xv; the step goes to P(xv - t d).
@@ -188,7 +184,7 @@ def solve_tikhonov(
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
     g = _gradient(adjoint_values, fid, pen, alpha, x_grid, xv, fxv)
-    gnorm = _norm(weights, g)
+    gnorm = math.sqrt(weighted_inner(weights, g, g))
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
     gauss_newton = fid.r == 2.0 and model.gauss_newton is not None
@@ -231,14 +227,13 @@ def solve_tikhonov(
             else:
                 trial = min(t * 2.0, 1e14)
         xv, fxv, misfit, obj, pen_value, g = cand, fx_new, misfit_new, obj_new, pen_new, g_new
-        gnorm = _norm(weights, g)
+        gnorm = math.sqrt(weighted_inner(weights, g, g))
         iters += 1
         converged = gnorm <= tol
 
     if iters:
         x = x_grid.function(xv)
-    # the misfit sum is ||F x - data||_r^r, summed as ``lr_norm`` sums it
-    residual = math.sqrt(misfit) if fid.r == 2.0 else misfit ** (1.0 / fid.r)
+    residual = lr_root(misfit, fid.r)
     return AlphaPathRecord(
         alpha=alpha,
         x=x,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -48,6 +49,7 @@ from regupath import (
 from regupath.experiments import (PRESETS, build_model, build_penalty, penalty_tags, run_theory_study,
                                   truth_function)
 from regupath.models import gaussian_draw
+from regupath.plots import line_chart
 from regupath.rules import hanke_raus_select, kappa_hat
 
 from oracles import fredholm_apply_matrix, laplacian_eigenvalues, spectral_tikhonov
@@ -664,6 +666,36 @@ def test_emit_plots_warns_on_empty_path(tmp_path):
         files = emit_plots(bundle, tmp_path)
     assert any("empty path" in str(w.message) for w in caught)
     assert not any("theta" in p.name for p in files)
+
+
+def _within_seconds(seconds, fn):
+    """``fn()``, or TimeoutError once ``seconds`` pass: a loop that never ends fails instead of filling memory."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("level", [1.0, 1e10])
+def test_a_linear_axis_one_ulp_wide_gets_ticks(level):
+    # the tick step is below half an ulp of the axis values, so adding it leaves a tick where it was
+    y = np.array([level, np.nextafter(level, np.inf)])
+    svg = _within_seconds(2.0, lambda: line_chart([("y", np.array([0.0, 1.0]), y)], "t", "x", "y"))
+    y_ticks = [float(py) for py in re.findall(r'<line x1="70" y1="([^"]*)" x2="620"', svg)]
+    assert 1 <= len(y_ticks) <= 7
+    assert all(40 <= py <= 425 for py in y_ticks)  # inside the frame
+
+
+def test_a_log_axis_with_no_positive_value_falls_back_to_a_decade():
+    svg = line_chart([("theta", np.array([1.0, 0.5]), np.array([0.0, 0.0]))], "t", "a", "theta",
+                     xlog=True, ylog=True)
+    assert "<polyline" not in svg
+    assert re.findall(r'font-size="11">([^<]*)<', svg)
 
 
 # ---------------------------------------------------------------------------

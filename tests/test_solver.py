@@ -31,6 +31,7 @@ from regupath import (
     make_noisy,
     solve_tikhonov,
 )
+from regupath.experiments import build_model
 
 from oracles import (fredholm_apply_matrix, laplacian_eigenvalues, reference_solve_tikhonov, spectral_tikhonov,
                      tikhonov_normal_equations)
@@ -666,3 +667,21 @@ def test_record_residual_is_the_lr_norm_of_its_misfit(case):
     for rec, rec_fid in cases:
         assert rec.residual == lr_norm(rec.fx - rec_fid.target, rec_fid.r)
         assert rec.theta == rec.residual**rec_fid.r / rec.alpha
+
+
+@pytest.mark.parametrize("name", ["theory_study", "example1", "example2_smooth", "example2_piecewise"])
+def test_converged_is_exactly_the_public_gradient_test(name, preset_bundle):
+    # A check from outside the solver, such as the benchmark's convergence
+    # gate, recomputes |g| through the public GridFunction forms and
+    # l2_inner; every record's ``converged`` must be that test with no slack.
+    # The presets cover a Fredholm misfit at r = 2 and r = 1.01 and the
+    # elliptic model under the quadratic, shifted-quadratic and smoothed-TV
+    # penalties.
+    bundle = preset_bundle(name)
+    model = build_model(bundle.config.model)
+    fid = Fidelity(bundle.config.fidelity_r, bundle.noisy_data)
+    for result in bundle.results:
+        pen = result.penalty
+        for rec in result.path:
+            g = model.adjoint_derivative(rec.x, fid.gradient(model.apply(rec.x))) + rec.alpha * pen.subgradient(rec.x)
+            assert rec.converged == (math.sqrt(l2_inner(g, g)) <= rec.tol), (result.tag, rec.alpha)

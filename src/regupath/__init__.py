@@ -42,7 +42,6 @@ from .rules import (
     DeltaLevelRow,
     RuleOutcome,
     TheoryReport,
-    check_corollary_bounds,
     discrepancy_select,
     hanke_raus_select,
     run_delta_sequence,
@@ -66,9 +65,6 @@ from .experiments import (
     SolverPlan,
     config_from_dict,
     config_from_json,
-    example1_config,
-    example2_piecewise_config,
-    example2_smooth_config,
     preset,
     run_experiment,
     validate_config,
@@ -109,16 +105,12 @@ __all__ = [
     "SubgradientError",
     "TheoryReport",
     "bregman_distance",
-    "check_corollary_bounds",
     "compute_alpha_path",
     "config_from_dict",
     "config_from_json",
     "discrepancy_select",
     "elliptic_model",
     "emit_plots",
-    "example1_config",
-    "example2_piecewise_config",
-    "example2_smooth_config",
     "fredholm_model",
     "hanke_raus_select",
     "l2_inner",

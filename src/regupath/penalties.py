@@ -199,9 +199,9 @@ class Fidelity:
 
 
 def power_index(scale: float, exponent: float = 1.0) -> Callable[[float], float]:
-    """The concave index function phi(t) = scale * t**exponent, phi(0) = 0, with 0 < exponent <= 1, scale > 0."""
-    if not scale > 0:
-        raise ValueError("index function scale must be positive")
+    """The concave index function phi(t) = scale * t**exponent, phi(0) = 0, with 0 < exponent <= 1, 0 < scale < inf."""
+    if not (is_real(scale) and scale > 0):
+        raise ValueError(f"index function scale must be finite and positive, got {scale!r}")
     if not 0 < exponent <= 1:
         raise ValueError("index function exponent must lie in (0, 1]")
     return lambda t: float(scale * t**exponent)

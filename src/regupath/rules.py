@@ -7,7 +7,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import GridFunction, is_real, lr_norm, require
+from .grid import GridFunction, is_real, require
 from .models import ForwardModel, NoiseOverflowError, gaussian_draw
 from .penalties import Fidelity, Penalty, bregman_distance
 from .solver import AlphaPathRecord, PathAborted, SolveOptions, compute_alpha_path
@@ -27,7 +27,6 @@ class RuleOutcome:
 
     rule: str
     record: AlphaPathRecord
-    path: Tuple[AlphaPathRecord, ...]
     tau: Optional[float] = None
     flags: Tuple[str, ...] = ()
 
@@ -60,9 +59,8 @@ class TheoryReport:
     ``bound_ratio`` are those of the last row of ``convergence_table``, the
     level the bounds are evaluated at, and ``kappa_estimate`` is the smallest
     kappa-hat over the rows.  The two bound checks and ``flags`` follow from
-    these: at zero noise both checks hold and the only flag is
-    ``degenerate_zero_noise``; otherwise ``kappa_condition_failed`` marks a
-    zero kappa and ``precondition_violated`` a failed precondition.
+    these: ``kappa_condition_failed`` marks a zero kappa and
+    ``precondition_violated`` a failed precondition.
     """
 
     delta_star: float
@@ -88,7 +86,7 @@ class TheoryReport:
 
     @property
     def delta_bound_ok(self) -> bool:
-        return self.delta == 0.0 or self.delta_star >= self.kappa_estimate * self.delta - 1e-10
+        return self.delta_star >= self.kappa_estimate * self.delta - 1e-10
 
     @property
     def alpha_bound_ok(self) -> bool:
@@ -96,8 +94,6 @@ class TheoryReport:
 
     @property
     def flags(self) -> Tuple[str, ...]:
-        if self.delta == 0.0:
-            return ("degenerate_zero_noise",)
         flags = ("kappa_condition_failed",) if self.kappa_estimate == 0.0 else ()
         return flags + (() if self.precondition_holds else ("precondition_violated",))
 
@@ -118,46 +114,27 @@ def hanke_raus_select(path: Sequence[AlphaPathRecord]) -> RuleOutcome:
     if not path:
         raise ValueError("cannot select from an empty path")
     best = min(path, key=lambda rec: (rec.theta, -rec.alpha))
-    flags = []
-    if _small_delta_flag(path, best.residual):
-        flags.append("small_delta_star")
-    return RuleOutcome(
-        rule="hanke_raus",
-        record=best,
-        path=tuple(sorted(path, key=lambda rec: -rec.alpha)),
-        flags=tuple(flags),
-    )
+    flags = ("small_delta_star",) if _small_delta_flag(path, best.residual) else ()
+    return RuleOutcome(rule="hanke_raus", record=best, flags=flags)
 
 
 def discrepancy_select(path: Sequence[AlphaPathRecord], tau: float, delta: float) -> RuleOutcome:
     """Largest grid alpha whose residual is at most tau * delta.
 
-    If no grid point qualifies the outcome carries the last (smallest-alpha)
+    If no grid point qualifies the outcome carries the smallest-alpha
     record flagged ``no_qualifying_alpha``.
     """
     if not path:
         raise ValueError("cannot select from an empty path")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    ordered = sorted(path, key=lambda rec: -rec.alpha)
-    chosen = None
-    flags: Tuple[str, ...] = ()
-    for rec in ordered:
-        if rec.residual <= tau * delta:
-            chosen = rec
-            break
-    if chosen is None:
-        chosen = ordered[-1]
-        flags = ("no_qualifying_alpha",)
-    return RuleOutcome(
-        rule="discrepancy",
-        record=chosen,
-        path=tuple(ordered),
-        tau=tau,
-        flags=flags,
-    )
+    if not (is_real(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if not (is_real(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
+    qualifying = [rec for rec in path if rec.residual <= tau * delta]
+    if qualifying:
+        return RuleOutcome(rule="discrepancy", record=max(qualifying, key=lambda rec: rec.alpha), tau=tau)
+    return RuleOutcome(rule="discrepancy", record=min(path, key=lambda rec: rec.alpha), tau=tau,
+                       flags=("no_qualifying_alpha",))
 
 
 def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
@@ -173,13 +150,13 @@ def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
 
 
 def _evaluate_level(
-    outcome: RuleOutcome, delta: float, x_dagger: GridFunction, pen: Penalty, r: float,
-    index_fn: Optional[Callable[[float], float]],
+    path: Sequence[AlphaPathRecord], outcome: RuleOutcome, delta: float, x_dagger: GridFunction, pen: Penalty,
+    r: float, index_fn: Optional[Callable[[float], float]],
 ) -> DeltaLevelRow:
-    """The row of one selection at noise level delta, with its Bregman error to x_dagger.
+    """The row of one selection from ``path`` at noise level delta, with its Bregman error to x_dagger.
 
-    ``kappa_hat`` is that of the selection's path.  ``bound_ratio`` is the
-    Bregman error over its a-posteriori bound
+    ``kappa_hat`` is that of ``path``.  ``bound_ratio`` is the Bregman error
+    over its a-posteriori bound
     (1 + delta^r/delta_*^r) * (delta^r + phi(delta + delta_*)); it is NaN
     without an index function phi or when delta_* = 0.
     """
@@ -188,47 +165,22 @@ def _evaluate_level(
     if index_fn is not None and outcome.delta_star > 0.0:
         ds = outcome.delta_star
         ratio = breg / ((1.0 + delta**r / ds**r) * (delta**r + index_fn(delta + ds)))
-    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, breg, kappa_hat(outcome.path, delta), ratio)
+    return DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, breg, kappa_hat(path, delta), ratio)
 
 
 def _bound_report(
-    outcome: RuleOutcome, r_dagger: float, q: float, r: float, rows: List[DeltaLevelRow],
+    outcome: RuleOutcome, alpha0: float, r_dagger: float, q: float, r: float, rows: List[DeltaLevelRow],
 ) -> TheoryReport:
     """The report of a theta-argmin selection at the last row's level, with kappa uniform over the rows.
 
     delta_* >= kappa * delta and alpha_* >= q kappa^r delta^r / ((q+1) R(x_dagger)),
     under the small-noise precondition delta^r <= alpha_0 * R(x_dagger).
-    The alpha lower bound is 0 when R(x_dagger) = 0 or delta = 0.
+    The alpha lower bound is 0 when R(x_dagger) = 0.
     """
     delta = rows[-1].delta
     kappa = min(row.kappa_hat for row in rows)
-    alpha0 = max(rec.alpha for rec in outcome.path)
-    lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 and delta > 0 else 0.0
+    lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
     return TheoryReport(outcome.delta_star, lower_bound, rows, delta**r <= alpha0 * r_dagger)
-
-
-def check_corollary_bounds(
-    outcome: RuleOutcome,
-    noise: GridFunction,
-    x_dagger: GridFunction,
-    pen: Penalty,
-    q: float,
-    r: float,
-    index_fn: Optional[Callable[[float], float]] = None,
-) -> TheoryReport:
-    """Evaluate the a-posteriori bounds for a theta-argmin selection.
-
-    The noise irregularity constant is estimated from the path itself (see
-    ``kappa_hat``).  Both lower bounds then hold by construction whenever the
-    small-noise precondition ||noise||^r <= alpha_0 * R(x_dagger) does; the
-    report records the precondition rather than failing when it is violated.
-    The report's one row carries the Bregman error and, when an index
-    function is supplied, its bound ratio (see ``_evaluate_level``).  Noise
-    of norm zero gives a NaN kappa, a zero alpha lower bound and the flag
-    ``degenerate_zero_noise`` (see ``TheoryReport``).
-    """
-    rows = [_evaluate_level(outcome, lr_norm(noise, r), x_dagger, pen, r, index_fn)]
-    return _bound_report(outcome, pen.value(x_dagger), q, r, rows)
 
 
 def noise_level_problems(deltas: Sequence[float]) -> Iterator[str]:
@@ -261,14 +213,14 @@ def run_delta_sequence(
     shared across all levels, so the data at level delta_k is exactly
     y + delta_k * e and the irregularity constant is level-independent.
     For each level the full alpha path is solved, the theta-argmin rule
-    applied, and its row evaluated as ``check_corollary_bounds`` evaluates
-    one selection, with ``index_fn`` giving the bound ratio.  The report's
-    bounds are those of the last level, with kappa the smallest kappa-hat
-    over the levels (see ``_bound_report``).  A level whose data leave the
-    float range raises NoiseOverflowError before any path is solved; a level
-    whose path aborts re-raises its PathAborted with the level named and, as
-    ``partial``, the report of the levels finished before it (None if there
-    are none).  ``max_workers`` must be 1; it stays
+    applied, and its row evaluated by ``_evaluate_level``, with ``index_fn``
+    giving the bound ratio.  The report's bounds are those of the last level,
+    with kappa the smallest kappa-hat over the levels and alpha_0 the
+    ``alpha0`` passed in (see ``_bound_report``).  A level whose data leave
+    the float range raises NoiseOverflowError before any path is solved; a
+    level whose path aborts re-raises its PathAborted with the level named
+    and, as ``partial``, the report of the levels finished before it (None if
+    there are none).  ``max_workers`` must be 1; it stays
     only because ``bench/run.py`` passes it, and goes with that argument in
     the benchmark-only change that re-baselines the benchmark (ROADMAP).
     """
@@ -291,8 +243,8 @@ def run_delta_sequence(
         try:
             path = compute_alpha_path(model, Fidelity(r, y.with_values(values)), pen, alpha0, q, j_max, opts)
         except PathAborted as exc:
-            partial = _bound_report(outcome, r_dagger, q, r, rows) if rows else None
+            partial = _bound_report(outcome, alpha0, r_dagger, q, r, rows) if rows else None
             raise PathAborted(f"{exc} (delta={delta!r})", exc.records, partial) from exc
         outcome = hanke_raus_select(path)
-        rows.append(_evaluate_level(outcome, delta, x_dagger, pen, r, index_fn))
-    return _bound_report(outcome, r_dagger, q, r, rows)
+        rows.append(_evaluate_level(path, outcome, delta, x_dagger, pen, r, index_fn))
+    return _bound_report(outcome, alpha0, r_dagger, q, r, rows)

@@ -7,7 +7,8 @@ Jacobians assembled from the discrete equations instead of the model's
 adjoint action, high-resolution quadrature instead of the working grid, a
 sine transform instead of a linear solve.
 The transformed index function t**r / phi(t) and its inverse, which only
-the tests' bound checks use, live here too.
+the tests' bound checks use, live here too, and so does the one-selection
+evaluation of the a-posteriori bounds, written from the README's formulas.
 """
 
 import math
@@ -16,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.fft
 
-from regupath import (AlphaPathRecord, DivergenceError, Fidelity, ForwardModel, GridFunction,
-                      SolveOptions, l2_inner, lr_norm)
+from regupath import (AlphaPathRecord, DeltaLevelRow, DivergenceError, Fidelity, ForwardModel, GridFunction,
+                      RuleOutcome, SolveOptions, TheoryReport, l2_inner, lr_norm)
 from regupath.penalties import Penalty
 
 
@@ -154,6 +155,47 @@ def estimate_kappa(noise, candidates, norm_exponent: float = 2.0) -> float:
     for v in candidates:
         best = min(best, lr_norm(noise - v, norm_exponent) / delta)
     return best
+
+
+def check_corollary_bounds(
+    outcome: RuleOutcome,
+    path: list[AlphaPathRecord],
+    noise: GridFunction,
+    x_dagger: GridFunction,
+    pen: Penalty,
+    q: float,
+    r: float,
+    index_fn: Optional[Callable[[float], float]] = None,
+) -> TheoryReport:
+    """The a-posteriori bounds of one theta-argmin selection from ``path``, as a one-row report.
+
+    Every value is computed here from its formula, with weighted sums taken
+    directly on the sample values: delta = ||noise||_r,
+    kappa = min(1, min_j residual_j / delta) over the path, the Bregman error
+    D = R(x_*) - R(x_dagger) - <xi, x_* - x_dagger> with xi the penalty's
+    subgradient at x_dagger, the bound ratio
+    D / ((1 + delta^r/delta_*^r) (delta^r + phi(delta + delta_*))) (NaN
+    without phi or at delta_* = 0), the alpha lower bound
+    q kappa^r delta^r / ((q+1) R(x_dagger)) (0 when R(x_dagger) = 0) and the
+    precondition delta^r <= alpha_0 R(x_dagger), alpha_0 the largest alpha of
+    the path.  A zero noise input is rejected.
+    """
+    w = noise.grid.weights()
+    delta = float(np.sum(w * np.abs(noise.values) ** r) ** (1.0 / r))
+    if delta == 0.0:
+        raise ValueError("the bounds are undefined for zero noise")
+    kappa = min(1.0, min(rec.residual for rec in path) / delta)
+    x, ds = outcome.record.x, outcome.delta_star
+    r_dagger = pen.value(x_dagger)
+    xi = pen.subgradient(x_dagger).values
+    bregman = pen.value(x) - r_dagger - float(np.sum(x_dagger.grid.weights() * xi * (x.values - x_dagger.values)))
+    ratio = math.nan
+    if index_fn is not None and ds > 0.0:
+        ratio = bregman / ((1.0 + delta**r / ds**r) * (delta**r + index_fn(delta + ds)))
+    lower_bound = q * kappa**r * delta**r / ((q + 1.0) * r_dagger) if r_dagger > 0 else 0.0
+    alpha0 = max(rec.alpha for rec in path)
+    row = DeltaLevelRow(delta, outcome.alpha_star, outcome.record.theta, bregman, kappa, ratio)
+    return TheoryReport(ds, lower_bound, [row], delta**r <= alpha0 * r_dagger)
 
 
 def directional_derivative(value_fn, x_vals: np.ndarray, direction: np.ndarray, step: float) -> float:

@@ -19,13 +19,9 @@ from regupath import (
     ShiftedQuadraticPenalty,
     SmoothedTVPenalty,
     SolveOptions,
-    check_corollary_bounds,
     compute_alpha_path,
     discrepancy_select,
     elliptic_model,
-    example1_config,
-    example2_piecewise_config,
-    example2_smooth_config,
     fredholm_model,
     hanke_raus_select,
     l2_inner,
@@ -38,9 +34,11 @@ from regupath import (
     write_bundle,
 )
 from regupath import Grid
-from regupath.experiments import PenaltySpec, l1_error, tv_roughness
+from regupath.experiments import (PenaltySpec, example1_config, example2_piecewise_config,
+                                  example2_smooth_config, l1_error, tv_roughness)
 
 from oracles import (
+    check_corollary_bounds,
     directional_derivative,
     elliptic_jacobian,
     fredholm_apply_matrix,
@@ -202,7 +200,7 @@ def test_acceptance_4_selection_lower_bounds_twenty_seeds():
         fid = Fidelity(2.0, noisy)
         path = compute_alpha_path(model, fid, pen, alpha0, q, 39, opts)
         outcome = hanke_raus_select(path)
-        report = check_corollary_bounds(outcome, noisy - y, truth, pen, q, 2.0)
+        report = check_corollary_bounds(outcome, path, noisy - y, truth, pen, q, 2.0)
         assert report.precondition_holds
         assert report.delta_star >= report.kappa_estimate * report.delta - 1e-10
         assert report.alpha_star >= report.lower_bound_alpha - 1e-10
@@ -232,7 +230,7 @@ def test_acceptance_5_error_bound_ratio_stays_bounded():
         path = compute_alpha_path(model, fid, pen, 1.0, 0.75, 34, opts)
         outcome = hanke_raus_select(path)
         report = check_corollary_bounds(
-            outcome, delta * e, x_dag, pen, 0.75, 2.0, index_fn=index
+            outcome, path, delta * e, x_dag, pen, 0.75, 2.0, index_fn=index
         )
         assert np.isfinite(report.bound_ratio)
         ratios.append(report.bound_ratio)

@@ -30,14 +30,10 @@ from regupath import (
     RuleSpec,
     SolverPlan,
     TheoryReport,
-    check_corollary_bounds,
     config_from_dict,
     config_from_json,
     elliptic_model,
     emit_plots,
-    example1_config,
-    example2_piecewise_config,
-    example2_smooth_config,
     lr_norm,
     power_index,
     preset,
@@ -46,13 +42,13 @@ from regupath import (
     write_bundle,
     write_theory_report,
 )
-from regupath.experiments import (PRESETS, build_model, build_penalty, penalty_tags, run_theory_study,
-                                  truth_function)
+from regupath.experiments import (PRESETS, build_model, build_penalty, example1_config, example2_piecewise_config,
+                                  example2_smooth_config, penalty_tags, run_theory_study, truth_function)
 from regupath.models import gaussian_draw
 from regupath.plots import line_chart
 from regupath.rules import hanke_raus_select, kappa_hat
 
-from oracles import fredholm_apply_matrix, laplacian_eigenvalues, spectral_tikhonov
+from oracles import check_corollary_bounds, fredholm_apply_matrix, laplacian_eigenvalues, spectral_tikhonov
 
 
 def tiny_config(**overrides):
@@ -479,22 +475,22 @@ STUDY_DELTAS = [0.2 * 2.0**-k for k in range(7)]
 
 
 def _study_and_selections(config, deltas):
-    """``run_theory_study(config, deltas)``, and the selection made at each level."""
-    outcomes = []
+    """``run_theory_study(config, deltas)``, and the selection made at each level with its path."""
+    selections = []
 
     def recording_select(path):
-        outcomes.append(hanke_raus_select(path))
-        return outcomes[-1]
+        selections.append((hanke_raus_select(path), path))
+        return selections[-1][0]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regupath.rules, "hanke_raus_select", recording_select)
         report = run_theory_study(config, deltas)
-    return report, outcomes
+    return report, selections
 
 
 @pytest.fixture(scope="module")
 def shipped_study():
-    """The theory_study preset's report over STUDY_DELTAS, and the selection made at each level."""
+    """The theory_study preset's report over STUDY_DELTAS, and the selection made at each level with its path."""
     return _study_and_selections(preset("theory_study"), STUDY_DELTAS)
 
 
@@ -512,9 +508,10 @@ def test_theory_study_bounds_the_bregman_error_at_every_level(shipped_study):
 
 
 def test_theory_study_rows_match_check_corollary_bounds(shipped_study):
-    # each level's row is the one check_corollary_bounds gives its selection
-    # under the noise delta * e, with phi(t) = 2 ||w|| t for the source x = K w
-    report, outcomes = shipped_study
+    # each level's row is the one the oracle check_corollary_bounds computes
+    # from the formulas for its selection under the noise delta * e, with
+    # phi(t) = 2 ||w|| t for the source x = K w
+    report, selections = shipped_study
     config = preset("theory_study")
     model = build_model(config.model)
     truth = truth_function(config.truth, model.x_grid)
@@ -525,9 +522,9 @@ def test_theory_study_rows_match_check_corollary_bounds(shipped_study):
     t = model.x_grid.points()
     w_src = model.x_grid.function(0.1 * (np.sin(np.pi * t) + 0.5 * np.sin(3.0 * np.pi * t)))
     index = power_index(2.0 * lr_norm(w_src, 2.0), 1.0)
-    assert len(outcomes) == len(report.convergence_table) == len(STUDY_DELTAS)
-    for row, outcome in zip(report.convergence_table, outcomes):
-        (want,) = check_corollary_bounds(outcome, row.delta * e, truth, pen, config.q, config.fidelity_r,
+    assert len(selections) == len(report.convergence_table) == len(STUDY_DELTAS)
+    for row, (outcome, path) in zip(report.convergence_table, selections):
+        (want,) = check_corollary_bounds(outcome, path, row.delta * e, truth, pen, config.q, config.fidelity_r,
                                          index_fn=index).convergence_table
         assert (row.alpha_star, row.theta_star) == (want.alpha_star, want.theta_star)
         for name in ("delta", "bregman", "kappa_hat", "bound_ratio"):
@@ -543,7 +540,7 @@ def test_theta_of_the_study_on_smooth_mix_has_two_minima_and_its_argmin_jumps():
     # The jump is a property of theta, not of the solves.
     config = preset("theory_study")
     config.truth = "smooth_mix"
-    report, outcomes = _study_and_selections(config, STUDY_DELTAS)
+    report, selections = _study_and_selections(config, STUDY_DELTAS)
     model = build_model(config.model)
     y = model.apply(truth_function(config.truth, model.x_grid))
     raw, norm = gaussian_draw(np.random.default_rng(config.noise.seed), y.grid, 2.0)
@@ -582,7 +579,7 @@ def test_theta_of_the_study_on_smooth_mix_has_two_minima_and_its_argmin_jumps():
     for level in (2, 3):  # delta = 0.05 and 0.025
         data = y.values + STUDY_DELTAS[level] * direction
         fid = Fidelity(2.0, y.with_values(data))
-        path = outcomes[level].path
+        outcome, path = selections[level]
         assert len(path) == 36 and all(rec.converged for rec in path)
         thetas = []
         for rec in path:
@@ -598,7 +595,7 @@ def test_theta_of_the_study_on_smooth_mix_has_two_minima_and_its_argmin_jumps():
             assert abs(rec.theta - res_star**2 / alpha) <= err * (2 * res_star + err) / alpha, (level, alpha)
             thetas.append(res_star**2 / alpha)
         # the selection is the oracle's argmin on the same grid
-        assert outcomes[level].alpha_star == path[int(np.argmin(thetas))].alpha
+        assert outcome.alpha_star == path[int(np.argmin(thetas))].alpha
 
     # theta on the 10x finer grid alpha0 q^(j/10), which spans the shipped one
     fine = config.alpha0 * config.q ** (np.arange(10 * config.j_max + 1) / 10)

@@ -10,7 +10,6 @@ from regupath import (
     DeltaLevelRow,
     SolveOptions,
     TheoryReport,
-    check_corollary_bounds,
     compute_alpha_path,
     discrepancy_select,
     fredholm_model,
@@ -20,10 +19,11 @@ from regupath import (
     power_index,
     run_delta_sequence,
 )
+from regupath.rules import kappa_hat
 from regupath.solver import AlphaPathRecord
 
-from oracles import (estimate_kappa, fredholm_apply_matrix, oracle_theta_table, phi_inverse,
-                     tikhonov_normal_equations)
+from oracles import (check_corollary_bounds, estimate_kappa, fredholm_apply_matrix, oracle_theta_table,
+                     phi_inverse, tikhonov_normal_equations)
 
 
 def synthetic_path(alphas, residuals, r=2.0, grid=None):
@@ -66,6 +66,21 @@ def test_empty_path_rejected():
         hanke_raus_select([])
     with pytest.raises(ValueError):
         discrepancy_select([], 1.0, 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda path: discrepancy_select(path, 1.0, float("nan")),
+    lambda path: discrepancy_select(path, 1.0, float("inf")),
+    lambda path: discrepancy_select(path, 1.0, -0.1),
+    lambda path: discrepancy_select(path, float("inf"), 0.1),
+    lambda path: discrepancy_select(path, 0.0, 0.1),
+    lambda path: power_index(float("inf")),
+], ids=["delta_nan", "delta_inf", "delta_negative", "tau_inf", "tau_zero", "scale_inf"])
+def test_rule_and_index_arguments_must_be_finite(call):
+    # a non-finite tau or delta would silently pick alpha_0 or flag no_qualifying_alpha,
+    # and an infinite scale would make every bound ratio 0
+    with pytest.raises(ValueError):
+        call(synthetic_path([1.0, 0.5], [0.4, 0.3]))
 
 
 def test_selection_invariant_under_permutation(rng):
@@ -209,7 +224,7 @@ def test_corollary_bounds_hold_with_empirical_kappa(fredholm_benchmark):
     model, truth, y, noisy, delta, path = _noisy_path(fredholm_benchmark, seed=0)
     out = hanke_raus_select(path)
     pen = QuadraticPenalty()
-    rep = check_corollary_bounds(out, noisy - y, truth, pen, 0.85, 2.0)
+    rep = check_corollary_bounds(out, path, noisy - y, truth, pen, 0.85, 2.0)
     assert rep.precondition_holds  # delta^r <= alpha0 R(truth) by construction
     assert rep.delta_bound_ok and rep.alpha_bound_ok
     assert 0 < rep.kappa_estimate <= 1.0
@@ -220,26 +235,9 @@ def test_kappa_shortcut_agrees_with_estimate_kappa(fredholm_benchmark):
     # residual norms along the path equal the candidate distances fed to
     # estimate_kappa, so the two routes must coincide
     model, truth, y, noisy, delta, path = _noisy_path(fredholm_benchmark, seed=4)
-    out = hanke_raus_select(path)
-    rep = check_corollary_bounds(out, noisy - y, truth, QuadraticPenalty(), 0.85, 2.0)
     candidates = [rec.fx - y for rec in path]
     direct = estimate_kappa(noisy - y, candidates, 2.0)
-    assert rep.kappa_estimate == pytest.approx(direct, rel=1e-12)
-
-
-def test_corollary_report_degenerate_zero_noise(fredholm_benchmark):
-    model, truth, y = fredholm_benchmark
-    path = synthetic_path([1.0, 0.5], [0.4, 0.3], grid=model.x_grid)
-    out = hanke_raus_select(path)
-    # noise whose L^2 norm underflows to 0 is zero noise too
-    for level in (0.0, 1e-200):
-        noise = model.y_grid.function(np.full(model.y_grid.n, level))
-        rep = check_corollary_bounds(out, noise, truth, QuadraticPenalty(), 0.5, 2.0)
-        assert "degenerate_zero_noise" in rep.flags
-        assert np.isnan(rep.kappa_estimate)
-        (row,) = rep.convergence_table
-        assert rep.delta == row.delta == 0.0 and rep.alpha_star == out.alpha_star
-        assert np.isnan(rep.bound_ratio) and row.bregman == QuadraticPenalty().value(truth)
+    assert kappa_hat(path, lr_norm(noisy - y, 2.0)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_corollary_flags_precondition_violation(fredholm_benchmark):
@@ -249,7 +247,7 @@ def test_corollary_flags_precondition_violation(fredholm_benchmark):
         fredholm_benchmark, seed=1, level=0.5, alpha0=1e-6, q=0.5, j_max=3
     )
     out = hanke_raus_select(path)
-    rep = check_corollary_bounds(out, noisy - y2, truth2, QuadraticPenalty(), 0.5, 2.0)
+    rep = check_corollary_bounds(out, path, noisy - y2, truth2, QuadraticPenalty(), 0.5, 2.0)
     assert not rep.precondition_holds
     assert "precondition_violated" in rep.flags
 
@@ -264,9 +262,6 @@ def test_theory_report_derives_its_checks_and_flags():
     assert zero_kappa.flags == ("kappa_condition_failed",)
     assert report(0.1, 0.0, precondition=False).flags == ("kappa_condition_failed", "precondition_violated")
     assert report(0.1, 0.5, precondition=False).flags == ("precondition_violated",)
-    zero_noise = report(0.0, float("nan"), precondition=False)
-    assert zero_noise.flags == ("degenerate_zero_noise",)
-    assert zero_noise.delta_bound_ok and zero_noise.alpha_bound_ok
     # kappa * delta = 0.05: a residual just below it by more than 1e-10 fails the check
     assert report(0.1, 0.5, delta_star=0.05 - 2e-10).delta_bound_ok is False
     assert report(0.1, 0.5, delta_star=0.05).delta_bound_ok

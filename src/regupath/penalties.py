@@ -152,10 +152,13 @@ def bregman_distance(pen: Penalty, xi: GridFunction, xbar: GridFunction, x: Grid
     """D_xi R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x>.
 
     The caller is responsible for xi being a subgradient of the penalty at
-    x; a result below -1e-10 signals that the precondition was violated.
+    x; a result below -1e-10 times the largest of 1 and the three terms'
+    magnitudes signals that the precondition was violated.  The scale keeps
+    the rounding of large terms that cancel from reading as a violation.
     """
-    d = pen.value(xbar) - pen.value(x) - l2_inner(xi, xbar - x)
-    if d < -1e-10:
+    r_bar, r_x, pairing = pen.value(xbar), pen.value(x), l2_inner(xi, xbar - x)
+    d = r_bar - r_x - pairing
+    if d < -1e-10 * max(1.0, abs(r_bar), abs(r_x), abs(pairing)):
         raise SubgradientError(f"negative Bregman distance {d}: xi is not a subgradient at x")
     return max(d, 0.0)
 

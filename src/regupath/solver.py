@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class SolveOptions:
     Convergence is declared when the weighted L^2 norm of the objective
     gradient is at most tol = max(grad_tol * |g(init)|, grad_tol_abs), the
     tolerance each record reports.
+
+    ``init`` is the start point, zero by default; see solve_tikhonov for a
+    start that is the last solve's record x.
     """
 
     max_iters: int = 5000
@@ -110,13 +113,28 @@ def alpha_grid_problems(alpha0, q, j_max) -> Iterator[str]:
         yield f"j_max must be a nonnegative integer, got {j_max!r}"
 
 
-def _gradient(adjoint_values, fid: Fidelity, pen: Penalty, alpha: float, grid: Grid,
-              xv: np.ndarray, fxv: np.ndarray) -> np.ndarray:
-    """The objective's gradient F'(x)* grad fid(F x) + alpha * dR(x) at the samples xv of x."""
-    g = adjoint_values(xv, fid.gradient_on(fxv)) + alpha * pen.subgradient_on(grid, xv)
+def _gradient_parts(adjoint_values, fid: Fidelity, pen: Penalty, grid: Grid,
+                    xv: np.ndarray, fxv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The gradient's two alpha-free parts F'(x)* grad fid(F x) and dR(x) at the samples xv of x."""
+    return adjoint_values(xv, fid.gradient_on(fxv)), pen.subgradient_on(grid, xv)
+
+
+def _gradient(adj: np.ndarray, sub: np.ndarray, alpha: float) -> np.ndarray:
+    """The objective's gradient adj + alpha * sub from its alpha-free parts."""
+    g = adj + alpha * sub
     if not np.isfinite(g).all():
         raise DivergenceError(f"gradient is non-finite (alpha={alpha})")
     return g
+
+
+# The last solve's end point and its alpha-free values there:
+# (x, model, fid, pen, F x, misfit, R(x), adj, sub), x the record's own x.
+# Keyed on object identity, so a copy of x merely misses.  The tuple is
+# replaced whole and read once, so concurrent solves may miss but never mix
+# two points' values.  compute_alpha_path clears it when it ends, so no model
+# or data outlive their path.
+_NO_END = (None,) * 9
+_last_end = _NO_END
 
 
 def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv: np.ndarray,
@@ -162,7 +180,14 @@ def solve_tikhonov(
     raises the model's InadmissibleCoefficientError.  The loop runs on raw
     sample arrays through the model maps' ``on_values`` and the array forms
     of the misfit and penalty, and builds GridFunctions only for the record.
+
+    A start that is the record x of the last solve, with the same model,
+    fid and pen objects, takes F x, the misfit, R(x) and the gradient's
+    alpha-free parts F'(x)* grad fid(F x) and dR(x) from that solve instead
+    of evaluating them again; the record is bit for bit the one a solve from
+    a copy of x returns.
     """
+    global _last_end
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     opts = opts if opts is not None else SolveOptions()
@@ -177,13 +202,20 @@ def solve_tikhonov(
     project = model.project
     apply_values, adjoint_values = model.apply.on_values, model.adjoint_derivative.on_values
     xv = x.values
-    fxv = apply_values(xv)
-    pen_value = pen.value(x)  # ``value`` checks a reference function's grid
-    misfit = fid.value_on(fxv)
+    end_x, end_model, end_fid, end_pen, *end_parts = _last_end
+    warm = x is end_x and model is end_model and fid is end_fid and pen is end_pen
+    if warm:
+        fxv, misfit, pen_value, adj, sub = end_parts
+    else:
+        fxv = apply_values(xv)
+        pen_value = pen.value(x)  # ``value`` checks a reference function's grid
+        misfit = fid.value_on(fxv)
     obj = misfit + alpha * pen_value
     if not math.isfinite(obj):
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
-    g = _gradient(adjoint_values, fid, pen, alpha, x_grid, xv, fxv)
+    if not warm:
+        adj, sub = _gradient_parts(adjoint_values, fid, pen, x_grid, xv, fxv)
+    g = _gradient(adj, sub, alpha)
     gnorm = math.sqrt(weighted_inner(weights, g, g))
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
@@ -216,7 +248,8 @@ def solve_tikhonov(
             t *= _STEP_SHRINK
         else:
             break  # no decrease along the arc: below float precision, or the projection blocks it
-        g_new = _gradient(adjoint_values, fid, pen, alpha, x_grid, cand, fx_new)
+        adj_new, sub_new = _gradient_parts(adjoint_values, fid, pen, x_grid, cand, fx_new)
+        g_new = _gradient(adj_new, sub_new, alpha)
         if not gauss_newton:  # the Barzilai-Borwein quotient is the next descent step's first trial
             s = cand - xv
             weighted_s = weights * s
@@ -227,12 +260,14 @@ def solve_tikhonov(
             else:
                 trial = min(t * 2.0, 1e14)
         xv, fxv, misfit, obj, pen_value, g = cand, fx_new, misfit_new, obj_new, pen_new, g_new
+        adj, sub = adj_new, sub_new
         gnorm = math.sqrt(weighted_inner(weights, g, g))
         iters += 1
         converged = gnorm <= tol
 
     if iters:
         x = x_grid.function(xv)
+    _last_end = (x, model, fid, pen, fxv, misfit, pen_value, adj, sub)
     residual = lr_root(misfit, fid.r)
     return AlphaPathRecord(
         alpha=alpha,
@@ -263,25 +298,32 @@ def compute_alpha_path(
     ``opts`` (from opts.init, default zero); each later one warm-starts from
     the previous minimizer with the first record's ``tol`` as its absolute
     floor grad_tol_abs, so that a nearly-converged warm start terminates.
+    A warm start reuses the previous solve's evaluation of its minimizer, so
+    only the first start point is evaluated; that memo is cleared when the
+    path returns or raises.
     The grid is truncated early once alpha drops below ``ALPHA_FLOOR`` or
     residual^r <= ``_RESIDUAL_POWER_FLOOR`` (a numerically exact data fit).
     A DivergenceError aborts the path with the partial record list attached
     to the raised PathAborted (no records if the first solve fails); an
     inadmissible opts.init raises the model's InadmissibleCoefficientError.
     """
+    global _last_end
     require(alpha_grid_problems(alpha0, q, j_max))
     opts = opts if opts is not None else SolveOptions()
     records: List[AlphaPathRecord] = []
-    for j in range(j_max + 1):
-        alpha = alpha0 * q**j
-        if alpha < ALPHA_FLOOR:
-            break
-        step_opts = replace(opts, init=records[-1].x, grad_tol_abs=records[0].tol) if records else opts
-        try:
-            rec = solve_tikhonov(model, fid, pen, alpha, step_opts)
-        except DivergenceError as exc:
-            raise PathAborted(f"path aborted at alpha={alpha}: {exc}", records) from exc
-        records.append(rec)
-        if rec.residual**fid.r <= _RESIDUAL_POWER_FLOOR:
-            break
+    try:
+        for j in range(j_max + 1):
+            alpha = alpha0 * q**j
+            if alpha < ALPHA_FLOOR:
+                break
+            step_opts = replace(opts, init=records[-1].x, grad_tol_abs=records[0].tol) if records else opts
+            try:
+                rec = solve_tikhonov(model, fid, pen, alpha, step_opts)
+            except DivergenceError as exc:
+                raise PathAborted(f"path aborted at alpha={alpha}: {exc}", records) from exc
+            records.append(rec)
+            if rec.residual**fid.r <= _RESIDUAL_POWER_FLOOR:
+                break
+    finally:
+        _last_end = _NO_END
     return records

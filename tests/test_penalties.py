@@ -204,6 +204,19 @@ def test_bregman_flags_non_subgradient():
         bregman_distance(pen, bogus, xbar, x)
 
 
+@pytest.mark.parametrize("pen", [QuadraticPenalty(), SmoothedTVPenalty()], ids=["quadratic", "smoothed_tv"])
+def test_bregman_accepts_true_subgradients_at_large_scale(pen):
+    # At |x| ~ 1e4 the three terms are ~1e8 and cancel to a distance of
+    # ~1e-12; their rounding reaches -9e-9, which an absolute threshold of
+    # -1e-10 read as a violation in about half of these draws.
+    g = Grid(101)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        xv = 1e4 * rng.normal(size=g.n)
+        x, xbar = g.function(xv), g.function(xv + 1e-6 * rng.normal(size=g.n))
+        assert bregman_distance(pen, pen.subgradient(x), xbar, x) >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,9 +185,10 @@ def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):
 
 
 def test_a_warm_started_elliptic_solve_starts_from_its_predecessors_state(call_log):
-    # Solve j = 1 of a path starts at a copy of record 0's x, whose state the
-    # model solved last, so its first apply runs no tridiagonal solve: one
-    # fewer than the same solve on a model that has not seen that point.
+    # Solve j = 1 of a path starts at record 0's x, whose misfit, penalty and
+    # gradient parts solve j = 0 computed last, so it evaluates its start not
+    # at all: two tridiagonal solves (the state and the adjoint) fewer than the
+    # same solve on a model that has not seen that point.
     path_case, first_case, cold_case = (_elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))[:3]
                                         for _ in range(3))
     opts = SolveOptions(init=path_case[0].x_grid.function(np.ones(path_case[0].x_grid.n)))
@@ -198,7 +201,7 @@ def test_a_warm_started_elliptic_solve_starts_from_its_predecessors_state(call_l
     solves.clear()
     cold = solve_tikhonov(*cold_case, path[1].alpha,
                           dataclasses.replace(opts, init=path[0].x, grad_tol_abs=path[0].tol))
-    assert in_path == first + len(solves) - 1
+    assert in_path == first + len(solves) - 2
     assert cold.iters == path[1].iters > 0
     np.testing.assert_array_equal(cold.x.values, path[1].x.values)
 
@@ -389,16 +392,121 @@ def test_path_evaluates_its_start_once_and_floors_later_solves_at_the_first_tol(
     init = model.x_grid.function(np.ones(model.x_grid.n))
     g = model.adjoint_derivative(init, fid.gradient(model.apply(init))) + alpha0 * pen.subgradient(init)
     opts = SolveOptions(max_iters=50, grad_tol=1e-9, grad_tol_abs=1e-12, init=init)
-    starts, seen = [], []
-    apply, solve = model.apply, regupath.solver.solve_tikhonov
-    model = dataclasses.replace(model, apply=spied(apply, lambda v: starts.append(v is init.values)))
+    applied, adjoints, seen = [], [], []
+    apply, adjoint, solve = model.apply, model.adjoint_derivative, regupath.solver.solve_tikhonov
+    model = dataclasses.replace(model, apply=spied(apply, applied.append),
+                                adjoint_derivative=spied(adjoint, lambda v, w: adjoints.append(v)))
     monkeypatch.setattr(regupath.solver, "solve_tikhonov", lambda *args: seen.append(args[4]) or solve(*args))
     path = compute_alpha_path(model, fid, pen, alpha0, 0.6, 4, opts)
-    assert sum(starts) == 1
+    # a later solve starts from its predecessor's evaluation of the same x, so
+    # the path evaluates only its first start: one apply there, and one
+    # adjoint there plus one per accepted step
+    starts = [init.values] + [rec.x.values for rec in path]
+    assert sum(any(v is start for start in starts) for v in applied) == 1
+    assert len(adjoints) == 1 + sum(rec.iters for rec in path) and adjoints[0] is init.values
     assert len(seen) == len(path) == 5 and seen[0] is opts
     assert path[0].tol == max(opts.grad_tol * math.sqrt(l2_inner(g, g)), opts.grad_tol_abs)
     for prev, step_opts in zip(path, seen[1:]):
         assert step_opts.init is prev.x and step_opts.grad_tol_abs == path[0].tol
+
+
+def assert_same_record(got, want):
+    """Every field of two records agrees bit for bit."""
+    for name in ("alpha", "residual", "penalty", "theta", "objective", "tol"):
+        assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), name
+    assert (got.iters, got.converged) == (want.iters, want.converged)
+    assert got.x.values.tobytes() == want.x.values.tobytes()
+    assert got.fx.values.tobytes() == want.fx.values.tobytes()
+
+
+def _reuse_case(case):
+    """(model, fid, pen, alpha0, q, j_max, opts) of a short path whose warm starts are checked."""
+    if case == "elliptic_tv_projected":
+        model, fid, pen, _ = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
+        return model, fid, pen, 1e-2, 0.5, 4, SolveOptions(init=model.x_grid.function(np.ones(model.x_grid.n)))
+    model, fid, pen, _ = _fredholm_outlier_case()
+    if case == "fredholm_r2":
+        return model, Fidelity(2.0, fid.target), pen, 1.0, 0.8, 10, SolveOptions()
+    return model, fid, pen, 0.5, 0.5, 6, SolveOptions(max_iters=25)
+
+
+@pytest.mark.parametrize("case", ["fredholm_r2", "fredholm_r1.01_capped", "elliptic_tv_projected"])
+def test_a_warm_start_from_the_predecessors_evaluation_is_exact(case):
+    # Solve j >= 1 of a path takes its start's misfit, penalty and gradient
+    # parts from solve j - 1.  It must return what the same solve returns
+    # from a copy of record j - 1's x, which evaluates the start afresh.
+    model, fid, pen, alpha0, q, j_max, opts = _reuse_case(case)
+    adjoints = []
+    path_model = dataclasses.replace(model, adjoint_derivative=spied(model.adjoint_derivative,
+                                                                     lambda v, w: adjoints.append(1)))
+    path = compute_alpha_path(path_model, fid, pen, alpha0, q, j_max, opts)
+    assert len(path) == j_max + 1 and all(rec.iters > 0 for rec in path[1:])
+    assert len(adjoints) == 1 + sum(rec.iters for rec in path)
+    if case == "fredholm_r1.01_capped":
+        assert any(rec.iters == opts.max_iters for rec in path[1:])
+    for prev, rec in zip(path, path[1:]):
+        copy = prev.x.with_values(prev.x.values)
+        cold_opts = dataclasses.replace(opts, init=copy, grad_tol_abs=path[0].tol)
+        assert_same_record(rec, solve_tikhonov(model, fid, pen, rec.alpha, cold_opts))
+
+
+@pytest.mark.parametrize("other", ["same", "fidelity", "penalty", "model"])
+def test_a_start_is_reused_only_for_the_same_point_model_misfit_and_penalty(noisy_benchmark, other):
+    # The memo is keyed on object identity: an equal but distinct misfit,
+    # penalty or model evaluates the start again, and every variant returns
+    # what a solve from a copy of the start returns.
+    base, _, noisy, _ = noisy_benchmark
+    applied, adjoints = [], []
+    model = dataclasses.replace(base, apply=spied(base.apply, applied.append),
+                                adjoint_derivative=spied(base.adjoint_derivative, lambda v, w: adjoints.append(v)))
+    fid, pen = Fidelity(2.0, noisy), QuadraticPenalty()
+    first = solve_tikhonov(model, fid, pen, 0.5, SolveOptions(init=model.x_grid.function(np.ones(101))))
+    start = first.x.values
+    variant = {
+        "same": (model, fid, pen),
+        "fidelity": (model, Fidelity(2.0, noisy), pen),
+        "penalty": (model, fid, QuadraticPenalty()),
+        "model": (dataclasses.replace(model), fid, pen),
+    }[other]
+    opts = SolveOptions(init=first.x, grad_tol_abs=first.tol)
+    applied.clear()
+    adjoints.clear()
+    got = solve_tikhonov(*variant, 0.1, opts)
+    evaluated = other != "same"
+    assert sum(v is start for v in applied) == sum(v is start for v in adjoints) == evaluated
+    cold = solve_tikhonov(*variant, 0.1, dataclasses.replace(opts, init=first.x.with_values(start)))
+    assert_same_record(got, cold)
+
+
+def _aborting_model(fid, pen):
+    """An identity model whose adjoint turns infinite after the calls of a path's solve j = 0,
+    so that solve j = 1 diverges at its first step."""
+    model = identity_model()
+    first_calls = 1 + compute_alpha_path(model, fid, pen, 1.0, 0.5, 0)[0].iters
+    calls = []
+
+    def adjoint(x, w):
+        calls.append(1)
+        return w if len(calls) <= first_calls else np.full_like(w, np.inf)
+
+    grid = model.x_grid
+    return dataclasses.replace(model, adjoint_derivative=GridMap(adjoint, grid, grid, grid))
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises"])
+def test_a_path_keeps_no_model_alive_after_it_ends(ending):
+    grid, pen = identity_model().x_grid, QuadraticPenalty()
+    fid = Fidelity(2.0, grid.function(np.linspace(1.0, 2.0, grid.n)))
+    model = identity_model() if ending == "returns" else _aborting_model(fid, pen)
+    alive = weakref.ref(model)
+    try:
+        path = compute_alpha_path(model, fid, pen, 1.0, 0.5, 3)
+    except PathAborted as exc:
+        path = exc.records
+    assert len(path) == (4 if ending == "returns" else 1)
+    del model
+    gc.collect()
+    assert alive() is None
 
 
 def test_inadmissible_initial_guess_raises():

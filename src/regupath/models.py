@@ -182,15 +182,23 @@ def fredholm_model(n: int) -> ForwardModel:
     make it, three otherwise) and one banded Cholesky solve, O(n).  The
     model has no projection, so its ``gauss_newton`` takes only an all-true
     mask and raises ValueError on any other.
+
+    Memory: a live model holds one float64 n x n array, the quadrature
+    matrix of F, and O(n) besides.  The matrix is built in place in blocks
+    of 64 rows, so the build needs little more than the matrix itself.
     """
     if n < 3:
         raise ValueError(f"fredholm_model needs n >= 3, got {n}")
     grid = Grid(n)
     pts = grid.points()
-    s = pts[:, None]
-    t = pts[None, :]
-    kernel = 40.0 * np.minimum(s, t) * (1.0 - np.maximum(s, t))
-    apply_mat = kernel * grid.weights()[None, :]
+    w = grid.weights()
+    # Each block runs the whole-matrix expression's operations in its order,
+    # so every entry is bit for bit what one n x n expression gives; that
+    # expression would hold about three n x n temporaries at once.
+    apply_mat = np.empty((n, n))
+    for i in range(0, n, 64):
+        s = pts[i:i + 64, None]
+        apply_mat[i:i + 64] = 40.0 * np.minimum(s, pts) * (1.0 - np.maximum(s, pts)) * w
     h = grid.h
     inv_h2 = 1.0 / (h * h)
     t_diag = np.full(n, 2.0 * inv_h2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
@@ -128,11 +129,13 @@ def _gradient(adj: np.ndarray, sub: np.ndarray, alpha: float) -> np.ndarray:
 
 
 # The last solve's end point and its alpha-free values there:
-# (x, model, fid, pen, F x, misfit, R(x), adj, sub), x the record's own x.
-# Keyed on object identity, so a copy of x merely misses.  The tuple is
-# replaced whole and read once, so concurrent solves may miss but never mix
-# two points' values.  compute_alpha_path clears it when it ends, so no model
-# or data outlive their path.
+# (x, model, fid, pen, F x, misfit, R(x), adj, sub), x the record's own x
+# and model, fid and pen held by weak references, so the memo keeps no model
+# or data alive after a standalone solve.  Keyed on object identity, so a
+# copy of x merely misses, and a dead object, whose reference returns None,
+# cannot match.  The tuple is replaced whole and read once, so concurrent
+# solves may miss but never mix two points' values.  compute_alpha_path
+# clears it when it ends, so nothing of a path outlives it.
 _NO_END = (None,) * 9
 _last_end = _NO_END
 
@@ -185,7 +188,9 @@ def solve_tikhonov(
     fid and pen objects, takes F x, the misfit, R(x) and the gradient's
     alpha-free parts F'(x)* grad fid(F x) and dR(x) from that solve instead
     of evaluating them again; the record is bit for bit the one a solve from
-    a copy of x returns.
+    a copy of x returns.  That memo holds the model, fid and pen by weak
+    references: once the caller drops them they are freed, and only the end
+    point's O(n) arrays stay until the next solve.
     """
     global _last_end
     if not alpha > 0:
@@ -203,7 +208,8 @@ def solve_tikhonov(
     apply_values, adjoint_values = model.apply.on_values, model.adjoint_derivative.on_values
     xv = x.values
     end_x, end_model, end_fid, end_pen, *end_parts = _last_end
-    warm = x is end_x and model is end_model and fid is end_fid and pen is end_pen
+    # end_x is None only while the memo is clear, and x never is
+    warm = x is end_x and model is end_model() and fid is end_fid() and pen is end_pen()
     if warm:
         fxv, misfit, pen_value, adj, sub = end_parts
     else:
@@ -267,7 +273,7 @@ def solve_tikhonov(
 
     if iters:
         x = x_grid.function(xv)
-    _last_end = (x, model, fid, pen, fxv, misfit, pen_value, adj, sub)
+    _last_end = (x, weakref.ref(model), weakref.ref(fid), weakref.ref(pen), fxv, misfit, pen_value, adj, sub)
     residual = lr_root(misfit, fid.r)
     return AlphaPathRecord(
         alpha=alpha,

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 
 import regupath.models
 from regupath import (
+    Fidelity,
     ForwardModel,
     Grid,
     GridMap,
@@ -24,6 +27,7 @@ from regupath import (
     l2_inner,
     lr_norm,
     make_noisy,
+    solve_tikhonov,
 )
 
 from oracles import (dense_gauss_newton, dense_tridiagonal, elliptic_jacobian, estimate_kappa,
@@ -113,6 +117,44 @@ def test_fredholm_linear_derivative_is_apply(rng):
     s = 1e-3
     lhs = model.apply(x + s * h).values - model.apply(x).values - s * model.apply(h).values
     assert np.max(np.abs(lhs)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 128, 129, 401])
+def test_fredholm_matrix_is_bit_identical_across_its_row_blocks(n):
+    # The matrix is built 64 rows at a time.  Applying it to unit vectors
+    # reads each entry back exactly (one product by 1 plus zeros), so the
+    # blocks and their edges must give the oracle's entries bit for bit.
+    assert np.array_equal(_assembled_matrix(fredholm_model(n)), fredholm_apply_matrix(n))
+
+
+def test_a_fredholm_model_holds_one_matrix_and_frees_it_when_dropped():
+    # tracemalloc sees numpy's data buffers, so these counts are exact bytes.
+    # One whole-matrix expression would peak at about 3 matrices; the row
+    # blocks add a few 64 x n temporaries to the one kept matrix.  After a
+    # standalone solve, dropping the model frees its matrix: the warm-start
+    # memo keeps only the end point's O(n) arrays.
+    n = 1601
+    matrix = 8 * n * n
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = fredholm_model(n)
+        built, peak = tracemalloc.get_traced_memory()
+        assert peak - before < 1.25 * matrix
+        assert matrix <= built - before < matrix + 100 * 8 * n
+        fid = Fidelity(2.0, model.y_grid.from_callable(lambda t: t * (1.0 - t)))
+        rec = solve_tikhonov(model, fid, QuadraticPenalty(), 1e-3)
+        assert rec.converged
+        del model, fid, rec
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 100_000
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,8 @@ def test_linear_quadratic_gauss_newton_takes_one_step(noisy_benchmark):
 @pytest.mark.parametrize("n", [101, 401, 1601])
 def test_fredholm_gauss_newton_matches_the_spectral_oracle(rng, n, alpha):
     # One r = 2 solve against the exact sine-transform minimizer.  n = 6401
-    # waits for a model without a dense kernel: fredholm_model(6401) builds
-    # several ~330 MB arrays.
+    # waits for a model without a dense kernel: fredholm_model(6401) holds one
+    # 330 MB matrix, and each of its applies is a dense 6401 x 6401 matvec.
     #
     # The bound, to first order.  In the orthonormal sine basis of the
     # interior, T = L has eigenvalues lambda_k, the Hessian A = 2 K^T W K +
@@ -493,20 +493,25 @@ def _aborting_model(fid, pen):
     return dataclasses.replace(model, adjoint_derivative=GridMap(adjoint, grid, grid, grid))
 
 
-@pytest.mark.parametrize("ending", ["returns", "raises"])
+@pytest.mark.parametrize("ending", ["returns", "raises", "standalone"])
 def test_a_path_keeps_no_model_alive_after_it_ends(ending):
+    # a standalone solve leaves its end point in the warm-start memo, which
+    # holds the model, the misfit and the penalty only by weak references
     grid, pen = identity_model().x_grid, QuadraticPenalty()
     fid = Fidelity(2.0, grid.function(np.linspace(1.0, 2.0, grid.n)))
-    model = identity_model() if ending == "returns" else _aborting_model(fid, pen)
-    alive = weakref.ref(model)
+    model = _aborting_model(fid, pen) if ending == "raises" else identity_model()
+    alive = [weakref.ref(model), weakref.ref(fid), weakref.ref(pen)]
     try:
-        path = compute_alpha_path(model, fid, pen, 1.0, 0.5, 3)
+        if ending == "standalone":
+            path = [solve_tikhonov(model, fid, pen, 1.0)]
+        else:
+            path = compute_alpha_path(model, fid, pen, 1.0, 0.5, 3)
     except PathAborted as exc:
         path = exc.records
     assert len(path) == (4 if ending == "returns" else 1)
-    del model
+    del model, fid, pen
     gc.collect()
-    assert alive() is None
+    assert [ref() for ref in alive] == [None, None, None]
 
 
 def test_inadmissible_initial_guess_raises():

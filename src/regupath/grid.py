@@ -1,13 +1,52 @@
-"""Uniform 1-D grids, their weighted L^r sums, roots and inner product, and tridiagonal solves."""
+"""Uniform 1-D grids, their weighted L^r sums, roots and inner product, and tridiagonal solves.
+
+The LAPACK routines of the package (``dgtsv`` here, ``dpbsv`` and ``dgbsv``
+for ``models``) come from ``_load_flapack``, which loads scipy's compiled
+wrapper module without running the ``scipy.linalg`` package init.
+"""
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, without the ``scipy.linalg`` package.
+
+    ``scipy.linalg.lapack`` re-exports these same wrapper objects, but its
+    import runs the whole ``scipy.linalg`` init (about 24 MB and 0.25 s per
+    process), where ``import scipy`` alone is cheap and keeps scipy's DLL
+    set-up on Windows.  An already imported module is reused.  Otherwise the
+    extension file in scipy's ``linalg`` directory is run by the standard
+    extension loader; CPython files such a module in ``sys.modules`` as it
+    runs it, so a later ``import scipy.linalg`` reuses it.  With no file
+    found, the normal import of the same module is the fallback.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgbsv, dgtsv, dpbsv = _flapack.dgbsv, _flapack.dgtsv, _flapack.dpbsv
 
 
 class GridMismatchError(ValueError):

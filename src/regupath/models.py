@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dpbsv
 
-from .grid import Grid, GridFunction, SingularSystemError, is_integer, is_real, lr_norm, require, solve_tridiagonal
+from .grid import (Grid, GridFunction, SingularSystemError, dgbsv, dpbsv, is_integer, is_real, lr_norm, require,
+                   solve_tridiagonal)
 
 
 class InadmissibleCoefficientError(ValueError):

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 
+import regupath.grid
 from regupath import (
     Grid,
     GridFunction,
@@ -244,6 +251,97 @@ def test_singular_system_raises():
         with pytest.raises(ValueError) as excinfo:
             solve_tridiagonal(sub, np.ones(3), np.zeros(2), rhs)
         assert not isinstance(excinfo.value, SingularSystemError)
+
+
+# ---------------------------------------------------------------------------
+# scipy's LAPACK wrappers, loaded without the scipy.linalg package
+
+def _fresh_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this regupath; fail with its stderr."""
+    src = str(Path(regupath.__file__).resolve().parents[1])
+    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": python_path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_solves_on_every_lapack_route_leave_scipy_linalg_unimported():
+    # one tridiagonal solve (dgtsv), one Fredholm Gauss-Newton step (dpbsv)
+    # and one elliptic step with a fixed coordinate (dgbsv), each counted
+    _fresh_python("""
+import sys
+import numpy as np
+import regupath
+import regupath.models
+from regupath import Grid, QuadraticPenalty, elliptic_model, fredholm_model, solve_tridiagonal
+
+calls = []
+for module, name in ((regupath.grid, "dgtsv"), (regupath.models, "dpbsv"), (regupath.models, "dgbsv")):
+    routine = getattr(module, name)
+    setattr(module, name, lambda *a, routine=routine, name=name, **kw: calls.append(name) or routine(*a, **kw))
+
+solve_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
+source = Grid(19, convention="interior").function(np.full(19, 100.0))
+for model, fixed in ((fredholm_model(21), []), (elliptic_model(20, 1.0, 6.0, source), [10])):
+    n = model.x_grid.n
+    free = np.ones(n, dtype=bool)
+    free[fixed] = False
+    diag, sub = QuadraticPenalty().hessian(model.x_grid, np.zeros(n))
+    model.gauss_newton(np.ones(n), free, diag, sub, np.ones(n))
+assert calls[0] == "dgtsv" and {"dpbsv", "dgbsv"} <= set(calls), calls
+assert "scipy.linalg" not in sys.modules
+""")
+
+
+def test_a_scipy_linalg_imported_first_lends_regupath_its_routines():
+    _fresh_python("""
+import scipy.linalg.lapack
+import regupath.grid
+
+assert regupath.grid._flapack is scipy.linalg._flapack
+for name in ("dgtsv", "dpbsv", "dgbsv"):
+    assert getattr(regupath.grid, name) is getattr(scipy.linalg.lapack, name), name
+""")
+
+
+@pytest.mark.parametrize("route", ["file", "fallback"])
+def test_the_loaded_routines_give_scipy_linalg_lapacks_bits(route, monkeypatch):
+    lapack = scipy.linalg.lapack
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    if route == "fallback":
+        class FindsNothing:
+            def __init__(self, *args):
+                pass
+
+            def find_spec(self, name):
+                return None
+
+        monkeypatch.setattr(regupath.grid, "FileFinder", FindsNothing)
+    loaded = regupath.grid._load_flapack()
+    if route == "fallback":
+        assert loaded is scipy.linalg._flapack
+    gen = np.random.default_rng(33)
+    for _ in range(200):
+        n = int(gen.integers(4, 40))
+        tri = (gen.uniform(-1, 1, n - 1), gen.uniform(-0.1, 0.1, n), gen.uniform(-1, 1, n - 1))
+        spd = gen.uniform(-1, 1, (4, n))  # lower band, 3 sub-diagonals, diagonally dominant
+        spd[0] = 8.0 + gen.uniform(0, 1, n)
+        general = gen.uniform(-1, 1, (10, n))  # kl = ku = 3 and dgbsv's 3 rows of fill-in
+        rhs = gen.normal(size=n)
+        for ours, theirs, args, kw in ((loaded.dgtsv, lapack.dgtsv, (*tri, rhs), {}),
+                                       (loaded.dpbsv, lapack.dpbsv, (spd, rhs), {"lower": 1}),
+                                       (loaded.dgbsv, lapack.dgbsv, (3, 3, general, rhs), {})):
+            got, want = ours(*args, **kw), theirs(*args, **kw)
+            assert got[-1] == want[-1] == 0  # info: every system is nonsingular
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_an_imported_wrapper_module_is_reused_without_a_file_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched for the extension file")
+
+    monkeypatch.setattr(regupath.grid, "FileFinder", no_search)
+    assert regupath.grid._load_flapack() is sys.modules["scipy.linalg._flapack"]
 
 
 # ---------------------------------------------------------------------------

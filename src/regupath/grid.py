@@ -1,8 +1,9 @@
 """Uniform 1-D grids, their weighted L^r sums, roots and inner product, and tridiagonal solves.
 
-The LAPACK routines of the package (``dgtsv`` here, ``dpbsv`` and ``dgbsv``
-for ``models``) come from ``_load_flapack``, which loads scipy's compiled
-wrapper module without running the ``scipy.linalg`` package init.
+The LAPACK routines of the package (``dgtsv`` here, ``dpbtrf``, ``dpbtrs``
+and ``dgbsv`` for ``models``) come from ``_load_flapack``, which loads
+scipy's compiled wrapper module without running the ``scipy.linalg``
+package init.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgbsv, dgtsv, dpbsv = _flapack.dgbsv, _flapack.dgtsv, _flapack.dpbsv
+dgbsv, dgtsv, dpbtrf, dpbtrs = _flapack.dgbsv, _flapack.dgtsv, _flapack.dpbtrf, _flapack.dpbtrs
 
 
 class GridMismatchError(ValueError):
@@ -61,7 +62,9 @@ _CONVENTIONS = ("nodal", "interior")
 
 
 def is_real(value) -> bool:
-    """A real number with a finite float value; bools do not count."""
+    """A real number with a finite float value; bools do not count.  An exact float skips the ABC test."""
+    if type(value) is float:
+        return math.isfinite(value)
     try:
         return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
@@ -69,7 +72,9 @@ def is_real(value) -> bool:
 
 
 def is_integer(value) -> bool:
-    """An integer; bools do not count."""
+    """An integer; bools do not count.  An exact int skips the ABC test."""
+    if type(value) is int:
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

@@ -8,8 +8,8 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, SingularSystemError, dgbsv, dpbsv, is_integer, is_real, lr_norm, require,
-                   solve_tridiagonal)
+from .grid import (Grid, GridFunction, SingularSystemError, dgbsv, dpbtrf, dpbtrs, is_integer, is_real, lr_norm,
+                   require, solve_tridiagonal)
 
 
 class InadmissibleCoefficientError(ValueError):
@@ -94,10 +94,10 @@ class ForwardModel:
 
 
 def _sandwich_band(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """The band of T B T in closed form, O(n), in ``dpbsv``'s lower layout: ``band[k, j]`` = (T B T)[j + k, j].
+    """The band of T B T in closed form, O(n), in ``dpbtrf``'s lower layout: ``band[k, j]`` = (T B T)[j + k, j].
 
     The one band builder of both Gauss-Newton steps, called by
-    ``_sandwich_solve``.  T and B are symmetric tridiagonal, T with diagonal
+    ``_sandwich_factor``.  T and B are symmetric tridiagonal, T with diagonal
     a = ``t_diag`` and off-diagonal o = ``t_off``, B with diagonal
     d = ``diag`` and off-diagonal e = ``sub``.  With p_i = o_i e_i,
     q_i = a_i e_i + o_i d_{i+1} and every index outside its vector read as 0:
@@ -149,22 +149,36 @@ def _times_tridiagonal(t_diag: np.ndarray, t_off: np.ndarray, v: np.ndarray) -> 
     return out
 
 
-def _sandwich_solve(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray,
-                    shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """s = T y for the y with (T B T + diag(shift)) y = T rhs, by one ``dpbsv`` (3 sub-diagonals).
+def _sandwich_factor(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray,
+                     shift: np.ndarray) -> np.ndarray:
+    """The banded Cholesky factor of T B T + diag(shift), by one ``dpbtrf`` (3 sub-diagonals).
 
     T is symmetric tridiagonal with diagonal ``t_diag`` and off-diagonal
     ``t_off``, B with diagonal ``diag`` and sub-diagonal ``sub``; the band
     of T B T comes from ``_sandwich_band``.  SingularSystemError is raised
-    unless the matrix is positive definite.  Both Gauss-Newton steps end
-    here: with H s = rhs and T H T = T B T + diag(shift), s = T y.
+    unless the matrix is positive definite.  ``dpbsv`` is ``dpbtrf`` then
+    ``dpbtrs``, so this and ``_sandwich_solve`` give ``dpbsv``'s bits.
     """
     band = _sandwich_band(t_diag, t_off, diag, sub)
     band[0] += shift
-    y, info = dpbsv(band, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_ab=1)[1:]
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise SingularSystemError(f"banded system is not positive definite (info={info})")
+    return factor
+
+
+def _sandwich_solve(t_diag: np.ndarray, t_off: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """s = T y for the y with (T B T + diag(shift)) y = T rhs, by one ``dpbtrs`` on ``_sandwich_factor``'s factor.
+
+    Both Gauss-Newton steps end here: with H s = rhs and
+    T H T = T B T + diag(shift), s = T y.
+    """
+    y = dpbtrs(factor, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_b=1)[0]
     return _times_tridiagonal(t_diag, t_off, y)
+
+
+# The most factors a Fredholm model keeps; 128 covers a path of 121 alphas.
+_FACTOR_CAP = 128
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -177,15 +191,25 @@ def fredholm_model(n: int) -> ForwardModel:
     the matrix of F is 40 L^-1 on the interior and 0 in the boundary rows and
     columns.  With T the identity on the two ends and L inside, the
     Gauss-Newton matrix becomes T (2 K^T W K + B) T = T B T + 3200 h I_int,
-    and each step is one ``_sandwich_solve``: the band of T B T in closed
-    form (two sub-diagonals when B is diagonal, as the quadratic penalties
-    make it, three otherwise) and one banded Cholesky solve, O(n).  The
-    model has no projection, so its ``gauss_newton`` takes only an all-true
-    mask and raises ValueError on any other.
+    and each step is ``_sandwich_factor`` then ``_sandwich_solve``: the
+    band of T B T in closed form (two sub-diagonals when B is diagonal, as
+    the quadratic penalties make it, three otherwise), its banded Cholesky
+    factor (``dpbtrf``) and one banded solve (``dpbtrs``), O(n).  The model
+    has no projection, so its ``gauss_newton`` takes only an all-true mask
+    and raises ValueError on any other.
+
+    T and the shift are fixed, so the factor depends on B alone, and the
+    model keeps each factor it makes, keyed on the bytes of ``diag`` and
+    ``sub``.  A B that recurs solves by ``dpbtrs`` alone: the quadratic
+    penalty's B = 2 alpha W recurs at every alpha of every later path on
+    the model, as in each noise level of a shrinking-noise study, and an
+    x-dependent B, as smoothed TV gives, misses.  At ``_FACTOR_CAP``
+    factors the memo is emptied before the next one goes in.
 
     Memory: a live model holds one float64 n x n array, the quadrature
-    matrix of F, and O(n) besides.  The matrix is built in place in blocks
-    of 64 rows, so the build needs little more than the matrix itself.
+    matrix of F, and O(_FACTOR_CAP n) besides: each kept factor is 4n
+    floats and its key 2n - 1.  The matrix is built in place in blocks of
+    64 rows, so the build needs little more than the matrix itself.
     """
     if n < 3:
         raise ValueError(f"fredholm_model needs n >= 3, got {n}")
@@ -208,10 +232,21 @@ def fredholm_model(n: int) -> ForwardModel:
     shift = np.full(n, 2.0 * 40.0**2 * h)  # T 2 K^T W K T = 2 (40 L^-1 L)^T h (40 L^-1 L) inside
     shift[[0, -1]] = 0.0
 
+    # get, clear and item assignment are each atomic, so a model shared
+    # across threads may miss but never gets another B's factor.
+    factors = {}
+
     def gauss_newton(v, free, diag, sub, rhs):
         if not free.all():
             raise ValueError("the Fredholm model has no bound to hold coordinates at; free must be all true")
-        return _sandwich_solve(t_diag, t_off, diag, sub, shift, rhs)
+        key = diag.tobytes() + sub.tobytes()
+        factor = factors.get(key)
+        if factor is None:
+            factor = _sandwich_factor(t_diag, t_off, diag, sub, shift)
+            if len(factors) >= _FACTOR_CAP:
+                factors.clear()
+            factors[key] = factor
+        return _sandwich_solve(t_diag, t_off, factor, rhs)
 
     return ForwardModel(
         name="fredholm",
@@ -232,12 +267,14 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
 
     The Jacobian is J = -A(c)^-1 diag(u) on the interior coefficients.  When
     every interior coefficient is free and u has no zero, the Gauss-Newton
-    step is the Fredholm model's transform ``_sandwich_solve`` with a
-    congruence that changes with c: P = diag(sigma) T, sigma = (1, 1/u, 1)
-    and T = [1; A(c); 1], so that P^T H P = T (sigma B sigma) T + 2h I_int
-    and each step is one ``dpbsv`` of size N + 1 with 3 sub-diagonals, on a
-    band built in closed form; sigma B sigma is diagonal when B is, and its
-    band then has only two nonzero sub-diagonals.  A step that holds an
+    step is the Fredholm model's transform (``_sandwich_factor``, then
+    ``_sandwich_solve``) with a congruence that changes with c:
+    P = diag(sigma) T, sigma = (1, 1/u, 1) and T = [1; A(c); 1], so that
+    P^T H P = T (sigma B sigma) T + 2h I_int and each step is one ``dpbtrf``
+    and one ``dpbtrs`` of size N + 1 with 3 sub-diagonals, on a band built
+    in closed form; sigma B sigma is diagonal when B is, and its band then
+    has only two nonzero sub-diagonals.  The band changes with c, so no
+    factor is kept.  A step that holds an
     interior coefficient, or meets a zero of u, solves a banded saddle
     system of size 3(N - 1) + 2 by one ``dgbsv`` instead.
     """
@@ -299,8 +336,8 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         t_diag[1:-1] = a_diag
         sigma = np.ones(N + 1)
         sigma[1:-1] = 1.0 / u
-        return sigma * _sandwich_solve(t_diag, t_off, sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub,
-                                       shift, sigma * rhs)
+        factor = _sandwich_factor(t_diag, t_off, sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub, shift)
+        return sigma * _sandwich_solve(t_diag, t_off, factor, sigma * rhs)
 
     # A fixed interior coordinate or a zero of u leaves U_f singular, and no
     # congruence makes the masked A^-2 block banded.  Such a step solves

@@ -1,3 +1,5 @@
+import math
+import numbers
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from regupath import (
     lr_norm,
     solve_tridiagonal,
 )
+from regupath.grid import is_integer, is_real
 
 from oracles import dense_tridiagonal, highres_lr_norm
 
@@ -240,6 +243,30 @@ def test_solve_matches_solve_banded_bit_for_bit():
     assert pivoting > 150
 
 
+def _abc_is_real(value):
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _abc_is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.integers(), st.just(10**400), st.just(-10**400), st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_), st.fractions(),
+    st.decimals(allow_nan=True, allow_infinity=True), st.text(max_size=3), st.none()))
+def test_the_exact_type_fast_paths_agree_with_the_number_abcs(value):
+    # int and float take a type test; every other value, numpy scalars and
+    # float subclasses included, still takes the numbers ABC test
+    assert is_real(value) is _abc_is_real(value)
+    assert is_integer(value) is _abc_is_integer(value)
+
+
 def test_singular_system_raises():
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
@@ -266,8 +293,9 @@ def _fresh_python(code: str) -> None:
 
 
 def test_solves_on_every_lapack_route_leave_scipy_linalg_unimported():
-    # one tridiagonal solve (dgtsv), one Fredholm Gauss-Newton step (dpbsv)
-    # and one elliptic step with a fixed coordinate (dgbsv), each counted
+    # one tridiagonal solve (dgtsv), one Fredholm Gauss-Newton step (dpbtrf
+    # and dpbtrs) and one elliptic step with a fixed coordinate (dgbsv), each
+    # counted
     _fresh_python("""
 import sys
 import numpy as np
@@ -276,7 +304,8 @@ import regupath.models
 from regupath import Grid, QuadraticPenalty, elliptic_model, fredholm_model, solve_tridiagonal
 
 calls = []
-for module, name in ((regupath.grid, "dgtsv"), (regupath.models, "dpbsv"), (regupath.models, "dgbsv")):
+for module, name in ((regupath.grid, "dgtsv"), (regupath.models, "dpbtrf"), (regupath.models, "dpbtrs"),
+                     (regupath.models, "dgbsv")):
     routine = getattr(module, name)
     setattr(module, name, lambda *a, routine=routine, name=name, **kw: calls.append(name) or routine(*a, **kw))
 
@@ -288,7 +317,7 @@ for model, fixed in ((fredholm_model(21), []), (elliptic_model(20, 1.0, 6.0, sou
     free[fixed] = False
     diag, sub = QuadraticPenalty().hessian(model.x_grid, np.zeros(n))
     model.gauss_newton(np.ones(n), free, diag, sub, np.ones(n))
-assert calls[0] == "dgtsv" and {"dpbsv", "dgbsv"} <= set(calls), calls
+assert calls[0] == "dgtsv" and {"dpbtrf", "dpbtrs", "dgbsv"} <= set(calls), calls
 assert "scipy.linalg" not in sys.modules
 """)
 
@@ -299,7 +328,7 @@ import scipy.linalg.lapack
 import regupath.grid
 
 assert regupath.grid._flapack is scipy.linalg._flapack
-for name in ("dgtsv", "dpbsv", "dgbsv"):
+for name in ("dgtsv", "dpbtrf", "dpbtrs", "dgbsv"):
     assert getattr(regupath.grid, name) is getattr(scipy.linalg.lapack, name), name
 """)
 
@@ -334,6 +363,12 @@ def test_the_loaded_routines_give_scipy_linalg_lapacks_bits(route, monkeypatch):
             got, want = ours(*args, **kw), theirs(*args, **kw)
             assert got[-1] == want[-1] == 0  # info: every system is nonsingular
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # DPBSV is DPBTRF then DPBTRS, so the split solve keeps its bits
+        factor, info = loaded.dpbtrf(spd, lower=1)
+        x, solved = loaded.dpbtrs(factor, rhs, lower=1)
+        want_factor, want_x = lapack.dpbsv(spd, rhs, lower=1)[:2]
+        assert info == solved == 0
+        assert np.array_equal(factor, want_factor) and np.array_equal(x, want_x)
 
 
 def test_an_imported_wrapper_module_is_reused_without_a_file_search(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -21,7 +22,10 @@ from regupath import (
     NoiseOverflowError,
     NoiseSpec,
     QuadraticPenalty,
+    SingularSystemError,
     SmoothedTVPenalty,
+    SolveOptions,
+    compute_alpha_path,
     elliptic_model,
     fredholm_model,
     l2_inner,
@@ -127,14 +131,15 @@ def test_fredholm_matrix_is_bit_identical_across_its_row_blocks(n):
     assert np.array_equal(_assembled_matrix(fredholm_model(n)), fredholm_apply_matrix(n))
 
 
-def test_a_fredholm_model_holds_one_matrix_and_frees_it_when_dropped():
+def test_a_fredholm_model_holds_one_matrix_and_frees_it_when_dropped(call_log):
     # tracemalloc sees numpy's data buffers, so these counts are exact bytes.
     # One whole-matrix expression would peak at about 3 matrices; the row
     # blocks add a few 64 x n temporaries to the one kept matrix.  After a
     # standalone solve, dropping the model frees its matrix: the warm-start
-    # memo keeps only the end point's O(n) arrays.
-    n = 1601
-    matrix = 8 * n * n
+    # memo keeps only the end point's O(n) arrays.  A smoothed-TV path
+    # factors a new B at every step, and a model keeps at most _FACTOR_CAP
+    # factors, each 4n floats with a key of 2n - 1, freed with the model.
+    cap = regupath.models._FACTOR_CAP
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -142,14 +147,27 @@ def test_a_fredholm_model_holds_one_matrix_and_frees_it_when_dropped():
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
+        n = 1601
         model = fredholm_model(n)
         built, peak = tracemalloc.get_traced_memory()
-        assert peak - before < 1.25 * matrix
-        assert matrix <= built - before < matrix + 100 * 8 * n
+        assert peak - before < 1.25 * 8 * n * n
+        assert 8 * n * n <= built - before < 8 * n * n + 100 * 8 * n
         fid = Fidelity(2.0, model.y_grid.from_callable(lambda t: t * (1.0 - t)))
         rec = solve_tikhonov(model, fid, QuadraticPenalty(), 1e-3)
         assert rec.converged
         del model, fid, rec
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 100_000
+
+        n = 401
+        model = fredholm_model(n)
+        fid = Fidelity(2.0, model.y_grid.from_callable(lambda t: np.sin(3.0 * np.pi * t)))
+        factored = call_log(regupath.models, "_sandwich_factor")["_sandwich_factor"]
+        compute_alpha_path(model, fid, SmoothedTVPenalty(eps=1e-3), 1e-3, 0.5, 19, SolveOptions(max_iters=10))
+        assert len(factored) > 1.5 * cap
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert held < 8 * n * n + 100 * 8 * n + cap * (6 * 8 * n + 1000)
+        del model, fid
         gc.collect()
         assert tracemalloc.get_traced_memory()[0] - before < 100_000
     finally:
@@ -397,8 +415,8 @@ def test_sandwich_band_is_the_lower_band_of_t_b_t(vectors):
 def test_elliptic_gauss_newton_solves_the_saddle_system_when_u_f_has_a_zero(rng, call_log):
     # a fixed interior coordinate, or a zero state (f = 0, g0 = g1 = 0),
     # leaves diag(u_f) singular: the step is one dgbsv on the (s, w, z)
-    # system, with no dpbsv and no warning from a division by u
-    solves = call_log(regupath.models, "dpbsv", "dgbsv")
+    # system, with no dpbtrf and no warning from a division by u
+    solves = call_log(regupath.models, "dpbtrf", "dgbsv")
     zero_state = elliptic_model(60, 0.0, 0.0, Grid(59, convention="interior").zeros())
     for model, fixed in ((_elliptic(N=60), [30]), (zero_state, [])):
         grid = model.x_grid
@@ -413,7 +431,7 @@ def test_elliptic_gauss_newton_solves_the_saddle_system_when_u_f_has_a_zero(rng,
             warnings.simplefilter("error")
             got = model.gauss_newton(x.values, free, diag, sub, rhs)
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
-        assert (len(solves["dpbsv"]), len(solves["dgbsv"])) == (0, 1)
+        assert (len(solves["dpbtrf"]), len(solves["dgbsv"])) == (0, 1)
         solves["dgbsv"].clear()
 
 
@@ -430,6 +448,67 @@ def test_fredholm_gauss_newton_takes_only_an_all_true_mask(rng):
         free[fixed] = False
         with pytest.raises(ValueError, match="free must be all true"):
             model.gauss_newton(grid.zeros().values, free, diag, sub, rhs)
+
+
+def test_a_fredholm_system_that_is_not_positive_definite_raises_and_keeps_no_factor(rng, call_log):
+    # B = -2W makes the first pivot negative: dpbtrf stops there, the step
+    # raises, and the model keeps nothing for that B, so the same system
+    # asked again is factored again
+    model = fredholm_model(41)
+    grid = model.x_grid
+    diag, sub = QuadraticPenalty().hessian(grid, grid.zeros().values)
+    free, rhs = np.ones(grid.n, dtype=bool), rng.normal(size=grid.n)
+    factored = call_log(regupath.models, "dpbtrf")["dpbtrf"]
+    for attempt in (1, 2):
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            model.gauss_newton(grid.zeros().values, free, -diag, sub, rhs)
+        assert len(factored) == attempt
+    model.gauss_newton(grid.zeros().values, free, diag, sub, rhs)
+    model.gauss_newton(grid.zeros().values, free, diag, sub, rhs)
+    assert len(factored) == 3
+
+
+def test_a_fredholm_factor_is_kept_for_its_whole_b(rng):
+    # two B with one diagonal and different sub-diagonals are two systems: a
+    # model that has factored both solves each to a fresh model's bits
+    model = fredholm_model(41)
+    grid = model.x_grid
+    x, free, rhs = grid.zeros().values, np.ones(grid.n, dtype=bool), rng.normal(size=grid.n)
+    diag = rng.uniform(1.0, 2.0, grid.n)
+    subs = (np.zeros(grid.n - 1), rng.uniform(-0.1, 0.1, grid.n - 1))
+    for sub in subs:
+        model.gauss_newton(x, free, diag, sub, rhs)
+    for sub in subs:
+        want = fredholm_model(41).gauss_newton(x, free, diag, sub, rhs)
+        assert model.gauss_newton(x, free, diag, sub, rhs).tobytes() == want.tobytes()
+
+
+def test_a_fredholm_model_shared_by_threads_solves_each_b_to_a_fresh_models_bits(rng, monkeypatch):
+    # four threads on one model cycle through the same four B from different
+    # starts, each B five times running, with the cap at 3, so inserts,
+    # clears and hits interleave: a thread may factor again, but never
+    # solves with another B's factor
+    monkeypatch.setattr(regupath.models, "_FACTOR_CAP", 3)
+    model = fredholm_model(41)
+    grid = model.x_grid
+    x, free, rhs = grid.zeros().values, np.ones(grid.n, dtype=bool), rng.normal(size=grid.n)
+    diag, sub = QuadraticPenalty().hessian(grid, x)
+    alphas = [0.5**i for i in range(4)]
+    fresh = {alpha: fredholm_model(41).gauss_newton(x, free, alpha * diag, sub, rhs).tobytes() for alpha in alphas}
+
+    def worker(k):
+        order = alphas[k:] + alphas[:k]
+        return all(model.gauss_newton(x, free, alpha * diag, sub, rhs).tobytes() == fresh[alpha]
+                   for _ in range(20) for alpha in order for _ in range(5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker, k) for k in range(4)]
+            assert all(future.result(timeout=60) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

@@ -154,33 +154,65 @@ def test_fredholm_gauss_newton_matches_the_spectral_oracle(rng, n, alpha):
 
 
 def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy_benchmark, call_log):
-    # a 36-alpha r = 2 path on one fresh model runs one dpbsv per Gauss-Newton
-    # step, each on one band built by the closed form; an r = 1.01 path runs
-    # descent and never solves or builds a band
-    _, _, noisy, _ = noisy_benchmark
-    calls = call_log(regupath.models, "dpbsv", "_sandwich_band")
-    solves, bands = calls["dpbsv"], calls["_sandwich_band"]
-    path = compute_alpha_path(fredholm_model(101), Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
+    # a 36-alpha r = 2 path on one fresh model builds and factors one band per
+    # Gauss-Newton step and solves with it; a second path on the same model,
+    # at another noise level, meets the same 36 B = 2 alpha W and only solves,
+    # to the bits of a fresh model; an r = 1.01 path runs descent and never
+    # builds, factors or solves a band
+    _, truth, noisy, _ = noisy_benchmark
+    calls = call_log(regupath.models, "_sandwich_band", "dpbtrf", "dpbtrs")
+    model = fredholm_model(101)
+    path = compute_alpha_path(model, Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
     assert len(path) == 36 and all(rec.converged for rec in path)
     assert sum(rec.iters for rec in path) == 36
-    assert len(solves) == 36 and len(bands) == 36
-    solves.clear()
-    bands.clear()
+    assert [len(calls[name]) for name in calls] == [36, 36, 36]
+    other, _ = make_noisy(model.apply(truth), NoiseSpec(kind="gaussian", level=0.005, seed=8), 2.0)
+    for seen in calls.values():
+        seen.clear()
+    again = compute_alpha_path(model, Fidelity(2.0, other), QuadraticPenalty(), 1.0, 0.8, 35)
+    assert sum(rec.iters for rec in again) == 36
+    assert [len(calls[name]) for name in calls] == [0, 0, 36]
+    fresh = compute_alpha_path(fredholm_model(101), Fidelity(2.0, other), QuadraticPenalty(), 1.0, 0.8, 35)
+    assert len(again) == len(fresh) == 36
+    for got, want in zip(again, fresh):
+        assert_same_record(got, want)
+    for seen in calls.values():
+        seen.clear()
     path = compute_alpha_path(fredholm_model(101), Fidelity(1.01, noisy), QuadraticPenalty(), 1.0, 0.8, 35,
                               SolveOptions(max_iters=20))
-    assert len(path) == 36 and len(solves) == 0 and len(bands) == 0
+    assert len(path) == 36 and [len(calls[name]) for name in calls] == [0, 0, 0]
+
+
+def test_a_fredholm_factor_is_reused_only_for_the_same_b():
+    # on one model a quadratic path keeps the factors of B = 2 alpha W; a
+    # smoothed-TV path over the same alphas, whose B depends on x, must not
+    # take them, so its records are those of the same path on a fresh model
+    model = fredholm_model(401)
+    t = model.x_grid.points()
+    y = model.apply(model.x_grid.function(np.where(t < 0.5, 1.0, 0.2)))
+    first, _ = make_noisy(y, NoiseSpec(kind="gaussian", level=0.01, seed=3), 2.0)
+    second, _ = make_noisy(y, NoiseSpec(kind="gaussian", level=0.003, seed=4), 2.0)
+    tv, opts = SmoothedTVPenalty(eps=1e-2, mu=1e-3), SolveOptions(max_iters=50)
+    compute_alpha_path(model, Fidelity(2.0, first), QuadraticPenalty(), 1.0, 0.8, 20)
+    got = compute_alpha_path(model, Fidelity(2.0, second), tv, 1.0, 0.8, 20, opts)
+    want = compute_alpha_path(fredholm_model(401), Fidelity(2.0, second), tv, 1.0, 0.8, 20, opts)
+    assert len(got) == len(want) == 21 and all(rec.converged for rec in want)
+    assert sum(rec.iters for rec in want) > 21
+    for a, b in zip(got, want):
+        assert_same_record(a, b)
 
 
 def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):
     # an r = 2 elliptic path whose iterates stay above the bound fixes no
-    # coordinate, so each Gauss-Newton step is one congruent dpbsv and none
-    # solves the saddle system by dgbsv
+    # coordinate, so each Gauss-Newton step is one congruent dpbtrf and
+    # dpbtrs (its band changes with c, so nothing is reused) and none solves
+    # the saddle system by dgbsv
     model, fid, pen, _ = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
-    solves = call_log(regupath.models, "dpbsv", "dgbsv")
+    solves = call_log(regupath.models, "dpbtrf", "dpbtrs", "dgbsv")
     init = model.x_grid.function(np.ones(model.x_grid.n))
     path = compute_alpha_path(model, fid, pen, 1e-2, 0.5, 4, SolveOptions(init=init))
     assert all(rec.converged and rec.x.values.min() > 0.0 for rec in path)
-    assert len(solves["dpbsv"]) == sum(rec.iters for rec in path) > len(path)
+    assert len(solves["dpbtrf"]) == len(solves["dpbtrs"]) == sum(rec.iters for rec in path) > len(path)
     assert solves["dgbsv"] == []
 
 

@@ -159,6 +159,19 @@ class GridFunction:
     def n(self) -> int:
         return self.grid.n
 
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """A GridFunction that takes over ``values`` itself: no copy and no check, and ``values`` turns read-only.
+
+        For the solver's record only.  ``values`` must be a finite float
+        array of grid.n samples that nothing writes to again.
+        """
+        values.setflags(write=False)
+        gf = object.__new__(cls)
+        object.__setattr__(gf, "grid", grid)
+        object.__setattr__(gf, "values", values)
+        return gf
+
     def points(self) -> np.ndarray:
         return self.grid.points()
 
@@ -186,10 +199,13 @@ class GridFunction:
 
 
 def lr_power_sum(w: np.ndarray, v: np.ndarray, r: float) -> float:
-    """The weighted power sum sum_i w_i |v_i|^r; the one summation order of every L^r sum."""
+    """The weighted power sum sum_i w_i |v_i|^r; the one summation order of every L^r sum.
+
+    ``np.add.reduce(a)`` is the reduction ``a.sum()`` runs, without its wrapper.
+    """
     if r == 2.0:
-        return float((w * v * v).sum())
-    return float((w * np.abs(v) ** r).sum())
+        return float(np.add.reduce(w * v * v))
+    return float(np.add.reduce(w * np.abs(v) ** r))
 
 
 def lr_root(s: float, r: float) -> float:
@@ -199,7 +215,7 @@ def lr_root(s: float, r: float) -> float:
 
 def weighted_inner(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
     """The weighted sum sum_i w_i (f_i g_i); f*g is formed first so the result is exactly symmetric."""
-    return float((w * (f * g)).sum())
+    return float(np.add.reduce(w * (f * g)))
 
 
 def lr_norm(f: GridFunction, r: float) -> float:

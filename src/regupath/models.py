@@ -28,7 +28,8 @@ class GridMap:
     ``on_values(f_1.values, ..., f_k.values)`` as a function on ``out_grid``.
     The solver calls ``on_values`` on raw arrays and never builds the
     GridFunctions; ``on_values`` returns a plain array and, unlike the call,
-    lets a non-finite output through.
+    lets a non-finite output through.  It returns an array that the map never
+    writes to again: a solver record keeps it as it is.
     """
 
     def __init__(self, on_values: Callable[..., np.ndarray], out_grid: Grid, *in_grids: Grid):
@@ -57,9 +58,11 @@ class ForwardModel:
     products of the two grids.  The solver calls the maps' ``on_values`` on
     raw sample arrays, which it may write to afterwards; a map that reuses
     work from an earlier call (the elliptic model keeps the state of its last
-    coefficient) compares values, not array objects.  ``project`` (optional)
-    maps a raw value array onto the admissible set and is used by the solver
-    after each step.
+    coefficient) compares values, not array objects.  The arrays that
+    ``apply``'s ``on_values`` and ``project`` return are never written to
+    again by the model: the solver's record keeps them as its x and fx.
+    ``project`` (optional) maps a raw value array onto the admissible set and
+    is used by the solver after each step.
 
     ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
     misfit on raw arrays, ``gauss_newton(v, free, diag, sub, rhs)``: with
@@ -68,8 +71,9 @@ class ForwardModel:
     the symmetric tridiagonal matrix with diagonal ``diag`` and sub-diagonal
     ``sub``, it returns s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs.  It
     raises SingularSystemError when that matrix is singular.  Only a model
-    with a ``project`` has coordinates to fix: a model without one is always
-    called with an all-true ``free``, and may raise ValueError on any other.
+    with a ``project`` has coordinates to fix: the solver calls a model
+    without one with ``free`` None, every coordinate free, and such a model
+    may raise ValueError on a mask that is not all true.
     """
 
     name: str
@@ -195,8 +199,8 @@ def fredholm_model(n: int) -> ForwardModel:
     band of T B T in closed form (two sub-diagonals when B is diagonal, as
     the quadratic penalties make it, three otherwise), its banded Cholesky
     factor (``dpbtrf``) and one banded solve (``dpbtrs``), O(n).  The model
-    has no projection, so its ``gauss_newton`` takes only an all-true mask
-    and raises ValueError on any other.
+    has no projection, so its ``gauss_newton`` takes ``free`` None or an
+    all-true mask, and raises ValueError on any other.
 
     T and the shift are fixed, so the factor depends on B alone, and the
     model keeps each factor it makes, keyed on the bytes of ``diag`` and
@@ -237,7 +241,7 @@ def fredholm_model(n: int) -> ForwardModel:
     factors = {}
 
     def gauss_newton(v, free, diag, sub, rhs):
-        if not free.all():
+        if free is not None and not free.all():
             raise ValueError("the Fredholm model has no bound to hold coordinates at; free must be all true")
         key = diag.tobytes() + sub.tobytes()
         factor = factors.get(key)

@@ -98,11 +98,23 @@ class TheoryReport:
         return flags + (() if self.precondition_holds else ("precondition_violated",))
 
 
+def _median(values: Sequence[float]) -> float:
+    """The median of finite values, bit for bit ``np.median``'s: the middle one, or the mean (a + b) / 2 of two.
+
+    ``np.median`` imports ``numpy.ma`` for its nan check on its first call.
+    """
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def _small_delta_flag(path: Sequence[AlphaPathRecord], delta_star: float) -> bool:
     """Whether delta_star is below a tenth of the median residual of the smallest-alpha quarter."""
     by_alpha = sorted(path, key=lambda rec: rec.alpha)
     tail = by_alpha[: max(1, len(by_alpha) // 4)]
-    return delta_star < 0.1 * float(np.median([rec.residual for rec in tail]))
+    return delta_star < 0.1 * _median([rec.residual for rec in tail])
 
 
 def hanke_raus_select(path: Sequence[AlphaPathRecord]) -> RuleOutcome:

@@ -40,6 +40,8 @@ class SolveOptions:
     until the sufficient-decrease condition with constant ``_ARMIJO`` holds,
     so the objective is non-increasing across accepted iterations by
     construction, and ``max_iters`` caps the number of accepted steps.  A
+    trial point that is non-finite, or that does not decrease the linear
+    model, is rejected without evaluating the model there.  A
     Gauss-Newton step starts at the full step 1; the first descent step is
     the constant ``_STEP_INIT`` and later ones come from a Barzilai-Borwein
     estimate.
@@ -120,12 +122,18 @@ def _gradient_parts(adjoint_values, fid: Fidelity, pen: Penalty, grid: Grid,
     return adjoint_values(xv, fid.gradient_on(fxv)), pen.subgradient_on(grid, xv)
 
 
-def _gradient(adj: np.ndarray, sub: np.ndarray, alpha: float) -> np.ndarray:
-    """The objective's gradient adj + alpha * sub from its alpha-free parts."""
+def _gradient(adj: np.ndarray, sub: np.ndarray, alpha: float, weights: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The objective's gradient g = adj + alpha * sub from its alpha-free parts, and its weighted L^2 norm.
+
+    The weights are positive, so a non-finite g has a non-finite norm, and
+    g itself is tested only when its norm is not finite: a finite g whose
+    norm overflows is returned with the norm inf.
+    """
     g = adj + alpha * sub
-    if not np.isfinite(g).all():
+    gnorm = math.sqrt(weighted_inner(weights, g, g))
+    if not math.isfinite(gnorm) and not np.isfinite(g).all():
         raise DivergenceError(f"gradient is non-finite (alpha={alpha})")
-    return g
+    return g, gnorm
 
 
 # The last solve's end point and its alpha-free values there:
@@ -150,10 +158,11 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv:
     the free block, active ones the gradient step scaled by the penalty
     Hessian's diagonal, and a singular system falls back to d = g.  The
     system's right-hand side ``weighted_g`` is W g, W the x grid's weights.
+    A model without a projection has no bound, and its ``free`` is None.
     """
     diag, sub = pen.hessian(model.x_grid, xv)
     diag, sub = alpha * diag, alpha * sub
-    free = np.ones(xv.shape, dtype=bool)
+    free = None
     if model.project is not None:
         eps = min(_ACTIVE_EPS, float(np.abs(xv - model.project(xv - g)).max()))
         free = (xv > eps) | (g <= 0.0)
@@ -164,7 +173,9 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv:
         return g
 
 
-@np.errstate(over="ignore")  # an overflowing objective is a DivergenceError, not a numpy warning
+# An overflowing objective is a DivergenceError, and a non-finite trial point,
+# whose predicted decrease may meet 0 * inf, a rejected trial: not numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_tikhonov(
     model: ForwardModel,
     fid: Fidelity,
@@ -182,7 +193,9 @@ def solve_tikhonov(
     backtracked from; an initial guess outside the model's admissible set
     raises the model's InadmissibleCoefficientError.  The loop runs on raw
     sample arrays through the model maps' ``on_values`` and the array forms
-    of the misfit and penalty, and builds GridFunctions only for the record.
+    of the misfit and penalty, and the record takes over its arrays: its x
+    and fx are the loop's last iterate and model output themselves, made
+    read-only, not copies (a solve that takes no step keeps the start's x).
 
     A start that is the record x of the last solve, with the same model,
     fid and pen objects, takes F x, the misfit, R(x) and the gradient's
@@ -221,8 +234,7 @@ def solve_tikhonov(
         raise DivergenceError(f"objective is non-finite at the initial point (alpha={alpha})")
     if not warm:
         adj, sub = _gradient_parts(adjoint_values, fid, pen, x_grid, xv, fxv)
-    g = _gradient(adj, sub, alpha)
-    gnorm = math.sqrt(weighted_inner(weights, g, g))
+    g, gnorm = _gradient(adj, sub, alpha, weights)
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
     gauss_newton = fid.r == 2.0 and model.gauss_newton is not None
@@ -239,12 +251,11 @@ def solve_tikhonov(
             cand = xv - t * direction
             if project is not None:
                 cand = project(cand)
-            if not np.isfinite(cand).all():
-                t *= _STEP_SHRINK
-                continue
-            # a trial that does not decrease the linear model is rejected unevaluated
-            predicted = float((weighted_g * (xv - cand)).sum())
-            if predicted > 0.0:
+            # A trial that does not decrease the linear model is rejected
+            # unevaluated, and so is a non-finite one: xv and weighted_g are
+            # finite and the weights positive, so its predicted is inf or nan.
+            predicted = float(np.add.reduce(weighted_g * (xv - cand)))
+            if 0.0 < predicted < math.inf:
                 fx_new = apply_values(cand)
                 pen_new = pen.value_on(x_grid, cand)
                 misfit_new = fid.value_on(fx_new)
@@ -255,30 +266,29 @@ def solve_tikhonov(
         else:
             break  # no decrease along the arc: below float precision, or the projection blocks it
         adj_new, sub_new = _gradient_parts(adjoint_values, fid, pen, x_grid, cand, fx_new)
-        g_new = _gradient(adj_new, sub_new, alpha)
+        g_new, gnorm = _gradient(adj_new, sub_new, alpha, weights)
         if not gauss_newton:  # the Barzilai-Borwein quotient is the next descent step's first trial
             s = cand - xv
             weighted_s = weights * s
-            sd = float((weighted_s * (g_new - g)).sum())
+            sd = float(np.add.reduce(weighted_s * (g_new - g)))
             if sd > 0:
-                trial = float((weighted_s * s).sum()) / sd
+                trial = float(np.add.reduce(weighted_s * s)) / sd
                 trial = min(max(trial, 1e-14), 1e14)
             else:
                 trial = min(t * 2.0, 1e14)
         xv, fxv, misfit, obj, pen_value, g = cand, fx_new, misfit_new, obj_new, pen_new, g_new
         adj, sub = adj_new, sub_new
-        gnorm = math.sqrt(weighted_inner(weights, g, g))
         iters += 1
         converged = gnorm <= tol
 
-    if iters:
-        x = x_grid.function(xv)
+    if iters:  # xv is finite: a non-finite trial has a non-finite predicted
+        x = GridFunction._adopt(x_grid, xv)
     _last_end = (x, weakref.ref(model), weakref.ref(fid), weakref.ref(pen), fxv, misfit, pen_value, adj, sub)
     residual = lr_root(misfit, fid.r)
     return AlphaPathRecord(
         alpha=alpha,
         x=x,
-        fx=model.y_grid.function(fxv),
+        fx=GridFunction._adopt(model.y_grid, fxv),  # finite, as the objective is: r > 1, weights > 0
         residual=residual,
         penalty=pen_value,
         theta=residual**fid.r / alpha,

@@ -133,6 +133,22 @@ def test_lr_norm_triangle_inequality(n, r, seed):
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5000), st.integers(-200, 200), st.integers(-200, 200), st.integers(0, 2**32 - 1))
+def test_the_grid_sums_are_ndarray_sum_bit_for_bit(n, lo, hi, seed):
+    # np.add.reduce is the reduction behind ndarray.sum, so the pairwise
+    # summation order, and every bit, is the same for magnitudes 1e-200..1e200
+    gen = np.random.default_rng(seed)
+    lo, hi = min(lo, hi), max(lo, hi)
+    v = gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(lo, hi, n)
+    w, u = np.abs(gen.normal(size=n)), gen.normal(size=n)
+    assert float(np.add.reduce(v)).hex() == float(v.sum()).hex()
+    with np.errstate(over="ignore"):
+        assert regupath.grid.lr_power_sum(w, v, 2.0).hex() == float((w * v * v).sum()).hex()
+        assert regupath.grid.lr_power_sum(w, v, 1.01).hex() == float((w * np.abs(v) ** 1.01).sum()).hex()
+        assert regupath.grid.weighted_inner(w, v, u).hex() == float((w * (v * u)).sum()).hex()
+
+
 def test_lr_norm_keeps_the_plain_sum_on_finite_sums(rng):
     g = Grid(37)
     v = rng.normal(size=37)
@@ -319,6 +335,25 @@ for model, fixed in ((fredholm_model(21), []), (elliptic_model(20, 1.0, 6.0, sou
     model.gauss_newton(np.ones(n), free, diag, sub, np.ones(n))
 assert calls[0] == "dgtsv" and {"dpbtrf", "dpbtrs", "dgbsv"} <= set(calls), calls
 assert "scipy.linalg" not in sys.modules
+""")
+
+
+def test_a_run_and_a_shrinking_noise_study_leave_numpy_ma_and_scipy_linalg_unimported():
+    # np.median's nan check imports numpy.ma; the rules take their medians
+    # without it
+    _fresh_python("""
+import sys
+import numpy as np
+import regupath
+
+cfg = regupath.preset("example1")
+cfg.model.n, cfg.j_max, cfg.solver.max_iters = 41, 6, 200
+regupath.run_experiment(cfg)
+model = regupath.fredholm_model(41)
+x_dagger = model.apply(model.x_grid.function(np.sin(np.pi * model.x_grid.points())))
+regupath.run_delta_sequence(model, regupath.QuadraticPenalty(), 2.0, 1.0, 0.8, 10, deltas=[0.1, 0.05, 0.025],
+                            seed=7, x_dagger=x_dagger)
+assert "numpy.ma" not in sys.modules and "scipy.linalg" not in sys.modules
 """)
 
 

@@ -19,7 +19,7 @@ from regupath import (
     power_index,
     run_delta_sequence,
 )
-from regupath.rules import kappa_hat
+from regupath.rules import _median, kappa_hat
 from regupath.solver import AlphaPathRecord
 
 from oracles import (check_corollary_bounds, estimate_kappa, fredholm_apply_matrix, oracle_theta_table,
@@ -340,3 +340,14 @@ def test_delta_sequence_rows_sorted_and_reproducible(fredholm_benchmark):
     assert deltas == sorted(deltas, reverse=True)
     for a, b in zip(rep1.convergence_table, rep2.convergence_table):
         assert a.theta_star == b.theta_star and a.bregman == b.bregman
+
+
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_rules_median_is_np_median_bit_for_bit(parity, data):
+    # the middle value, or (a + b) / 2 of the two middle ones, as np.median
+    # takes them, without its import of numpy.ma
+    size = data.draw(st.integers(0, 19)) * 2 + parity or 2
+    values = data.draw(st.lists(st.floats(1e-10, 1e10), min_size=size, max_size=size))
+    assert _median(values).hex() == float(np.median(values)).hex()

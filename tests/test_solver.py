@@ -424,17 +424,20 @@ def test_path_evaluates_its_start_once_and_floors_later_solves_at_the_first_tol(
     init = model.x_grid.function(np.ones(model.x_grid.n))
     g = model.adjoint_derivative(init, fid.gradient(model.apply(init))) + alpha0 * pen.subgradient(init)
     opts = SolveOptions(max_iters=50, grad_tol=1e-9, grad_tol_abs=1e-12, init=init)
-    applied, adjoints, seen = [], [], []
+    applied, adjoints, seen = [], [], []  # applied: (index of the running solve, argument)
     apply, adjoint, solve = model.apply, model.adjoint_derivative, regupath.solver.solve_tikhonov
-    model = dataclasses.replace(model, apply=spied(apply, applied.append),
+    model = dataclasses.replace(model, apply=spied(apply, lambda v: applied.append((len(seen) - 1, v))),
                                 adjoint_derivative=spied(adjoint, lambda v, w: adjoints.append(v)))
     monkeypatch.setattr(regupath.solver, "solve_tikhonov", lambda *args: seen.append(args[4]) or solve(*args))
     path = compute_alpha_path(model, fid, pen, alpha0, 0.6, 4, opts)
     # a later solve starts from its predecessor's evaluation of the same x, so
     # the path evaluates only its first start: one apply there, and one
-    # adjoint there plus one per accepted step
-    starts = [init.values] + [rec.x.values for rec in path]
-    assert sum(any(v is start for start in starts) for v in applied) == 1
+    # adjoint there plus one per accepted step.  A record's x is the accepted
+    # trial array itself, so each apply is matched to the start of the solve
+    # that made it; a trial equal to its start predicts no decrease and is
+    # never evaluated, so an apply there is an evaluation of the start.
+    starts = [init.values] + [rec.x.values for rec in path[:-1]]
+    assert [k for k, v in applied if np.array_equal(v, starts[k])] == [0] and applied[0][1] is init.values
     assert len(adjoints) == 1 + sum(rec.iters for rec in path) and adjoints[0] is init.values
     assert len(seen) == len(path) == 5 and seen[0] is opts
     assert path[0].tol == max(opts.grad_tol * math.sqrt(l2_inner(g, g)), opts.grad_tol_abs)
@@ -703,16 +706,18 @@ def test_model_of_wrapped_maps_solves_like_the_bare_model(case):
 
 def _constructions_per_solve(monkeypatch, model, fid, pen, alpha, max_iters):
     opts = SolveOptions(max_iters=max_iters, grad_tol=1e-10, init=model.x_grid.zeros())
-    built, post_init = [], GridFunction.__post_init__
+    built, post_init, adopt = [], GridFunction.__post_init__, GridFunction._adopt
     with monkeypatch.context() as patch:
         patch.setattr(GridFunction, "__post_init__", lambda self: built.append(1) or post_init(self))
+        patch.setattr(GridFunction, "_adopt", classmethod(lambda cls, grid, v: built.append(1) or adopt(grid, v)))
         rec = solve_tikhonov(model, fid, pen, alpha, opts)
     return len(built), rec.iters
 
 
 def test_solves_build_grid_functions_only_for_their_records(monkeypatch):
-    # the record's x and fx are the only GridFunctions a solve builds, however
-    # many iterations it takes; its residual is taken on the arrays
+    # the record's x and fx are the only GridFunctions a solve builds, by
+    # construction or by taking over the solver's arrays, however many
+    # iterations it takes; its residual is taken on the arrays
     descent = _fredholm_outlier_case()
     gauss_newton = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
     for case, short, long, many in ((descent, 20, 400, 100), (gauss_newton, 1, 50, 3)):
@@ -778,6 +783,92 @@ def test_overflowing_model_output_at_a_trial_point_is_backtracked():
     rec = solve_tikhonov(model, fid, pen, alpha, SolveOptions(max_iters=20, init=init))
     assert finite[:3] == [True, False, False]  # the start point, then two trial points
     assert rec.iters > 0 and rec.objective < start
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("case, iters, applies", [("descent", 29, 33), ("gauss_newton", 59, 82)])
+def test_non_finite_trial_points_from_the_projection_are_rejected_unevaluated(case, iters, applies, bad):
+    # A non-finite trial has a non-finite predicted decrease, so it is rejected
+    # before the model sees it and without a numpy warning (every warning is an
+    # error in this suite).  The counts are the ones of a solve that tested
+    # every trial point's samples for finiteness before its predicted decrease.
+    if case == "descent":
+        model, fid, pen, alpha = _fredholm_outlier_case()
+    else:
+        model, fid, pen, alpha = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
+    applied, poisoned, base = [], [], model.project
+
+    def project(v):  # the model's projection, or none, with every sample beyond 1 in size made ``bad``
+        out = np.where(np.abs(v) > 1.0, bad, v if base is None else base(v))
+        poisoned.append(not np.isfinite(out).all())
+        return out
+
+    model = dataclasses.replace(
+        model, apply=spied(model.apply, lambda v: applied.append(bool(np.isfinite(v).all()))), project=project)
+    rec = solve_tikhonov(model, fid, pen, alpha, SolveOptions(max_iters=60))
+    assert any(poisoned) and all(applied)
+    assert (rec.iters, len(applied)) == (iters, applies)
+    assert np.isfinite(rec.x.values).all() and math.isfinite(rec.objective)
+
+
+def test_a_gauss_newton_step_that_overflows_is_rejected_unevaluated(noisy_benchmark):
+    # the model's step (1e308)^2 s overflows, and its samples that do stay
+    # inf at each step length, so the whole arc is rejected with the start
+    # its only evaluation
+    model, truth, noisy, _ = noisy_benchmark
+    applied = []
+    gauss_newton = model.gauss_newton
+    model = dataclasses.replace(model, apply=spied(model.apply, lambda v: applied.append(1)),
+                                gauss_newton=lambda *args: 1e308 * (1e308 * gauss_newton(*args)))
+    rec = solve_tikhonov(model, Fidelity(2.0, noisy), QuadraticPenalty(), 1e-3)
+    assert (rec.iters, rec.converged, len(applied)) == (0, False, 1)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_non_finite_gradient_after_a_step_is_an_error(bad):
+    # F'(x)* is the identity at the start x = 0 and non-finite anywhere else
+    model = identity_model(8)
+    model = dataclasses.replace(model, adjoint_derivative=GridMap(
+        lambda x, w: np.where(x == 0.0, w, bad), model.x_grid, model.x_grid, model.y_grid))
+    fid = Fidelity(2.0, model.y_grid.function(np.ones(8)))
+    with pytest.raises(DivergenceError, match="gradient is non-finite"):
+        solve_tikhonov(model, fid, QuadraticPenalty(), 1e-3)
+
+
+def test_a_finite_gradient_whose_norm_overflows_is_no_error():
+    # g = 1e200 * grad fid is finite, but its weighted square sum is not: at
+    # the start that makes tol inf, so the start is converged; after a step it
+    # is a norm above every tol, and the step g beyond it predicts an
+    # overflowing decrease, which no finite objective meets
+    model = identity_model(8)
+    ones = model.y_grid.function(np.ones(8))
+    for scale, iters, converged in ((lambda x: 1e200, 0, True), (lambda x: np.where(x == 0.0, 0.3, 1e200), 1, False)):
+        model = dataclasses.replace(model, adjoint_derivative=GridMap(
+            lambda x, w: scale(x) * w, model.x_grid, model.x_grid, model.y_grid))
+        rec = solve_tikhonov(model, Fidelity(2.0, ones), QuadraticPenalty(), 1e-3)
+        assert (rec.iters, rec.converged, math.isfinite(rec.tol)) == (iters, converged, not converged)
+        assert math.isfinite(rec.objective)
+
+
+@pytest.mark.parametrize("case", ["identity", "fredholm_r2", "fredholm_r1.01", "elliptic_tv_projected"])
+def test_a_record_owns_read_only_arrays_that_are_not_the_callers(case):
+    if case == "identity":
+        model = identity_model(8)
+        fid, pen, alpha = Fidelity(2.0, model.y_grid.function(np.ones(8))), QuadraticPenalty(), 1e-3
+    elif case == "elliptic_tv_projected":
+        model, fid, pen, alpha = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
+    else:
+        model, fid, pen, alpha = _fredholm_outlier_case()
+        fid = Fidelity(2.0 if case == "fredholm_r2" else 1.01, fid.target)
+    init = model.x_grid.function(np.ones(model.x_grid.n))
+    for max_iters in (1, 30):
+        rec = solve_tikhonov(model, fid, pen, alpha, SolveOptions(max_iters=max_iters, init=init))
+        assert rec.iters > 0
+        for values in (rec.x.values, rec.fx.values):
+            assert not values.flags.writeable
+            assert not np.shares_memory(values, init.values)
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
 
 

@@ -1,9 +1,10 @@
 """Uniform 1-D grids, their weighted L^r sums, roots and inner product, and tridiagonal solves.
 
 The LAPACK routines of the package (``dgtsv`` here, ``dpbtrf``, ``dpbtrs``
-and ``dgbsv`` for ``models``) come from ``_load_flapack``, which loads
-scipy's compiled wrapper module without running the ``scipy.linalg``
-package init.
+and ``dgbsv`` for ``models``) are read from ``lapack()``, which loads
+scipy's compiled wrapper module at the first band or tridiagonal solve,
+without running the ``scipy.linalg`` package init.  A run that only
+descends never imports scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 from importlib.util import module_from_spec
 
 import numpy as np
-import scipy
 
 
 def _load_flapack():
@@ -26,15 +26,19 @@ def _load_flapack():
     ``scipy.linalg.lapack`` re-exports these same wrapper objects, but its
     import runs the whole ``scipy.linalg`` init (about 24 MB and 0.25 s per
     process), where ``import scipy`` alone is cheap and keeps scipy's DLL
-    set-up on Windows.  An already imported module is reused.  Otherwise the
-    extension file in scipy's ``linalg`` directory is run by the standard
-    extension loader; CPython files such a module in ``sys.modules`` as it
-    runs it, so a later ``import scipy.linalg`` reuses it.  With no file
-    found, the normal import of the same module is the fallback.
+    set-up on Windows; it runs here, at the first ``lapack()`` call, not at
+    ``import regupath``.  An already imported module is reused.  Otherwise
+    the extension file in scipy's ``linalg`` directory is run by the
+    standard extension loader; CPython files such a module in
+    ``sys.modules`` as it runs it, so a later ``import scipy.linalg`` reuses
+    it.  With no file found, the normal import of the same module is the
+    fallback.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
+    import scipy
+
     finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
@@ -46,8 +50,19 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-dgbsv, dgtsv, dpbtrf, dpbtrs = _flapack.dgbsv, _flapack.dgtsv, _flapack.dpbtrf, _flapack.dpbtrs
+_flapack = None
+
+
+def lapack():
+    """scipy's LAPACK wrapper module, loaded by ``_load_flapack`` at the first call and kept.
+
+    Threads that race on the first call may each load it; a second load of
+    the extension hands back the same routine objects, so either serves.
+    """
+    global _flapack
+    if _flapack is None:
+        _flapack = _load_flapack()
+    return _flapack
 
 
 class GridMismatchError(ValueError):
@@ -246,7 +261,7 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     without the banded copy.  Lengths that do not fit an n-unknown system
     (n >= 2) raise ValueError; a zero pivot raises SingularSystemError.
     """
-    x, info = dgtsv(sub, diag, sup, rhs)[3:]
+    x, info = lapack().dgtsv(sub, diag, sup, rhs)[3:]
     if info > 0:
         raise SingularSystemError(f"singular matrix: zero pivot in row {info}")
     if info < 0:

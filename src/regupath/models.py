@@ -8,8 +8,8 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, SingularSystemError, dgbsv, dpbtrf, dpbtrs, is_integer, is_real, lr_norm,
-                   require, solve_tridiagonal)
+from .grid import (Grid, GridFunction, SingularSystemError, is_integer, is_real, lapack, lr_norm, require,
+                   solve_tridiagonal)
 
 
 class InadmissibleCoefficientError(ValueError):
@@ -165,7 +165,7 @@ def _sandwich_factor(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, su
     """
     band = _sandwich_band(t_diag, t_off, diag, sub)
     band[0] += shift
-    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    factor, info = lapack().dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise SingularSystemError(f"banded system is not positive definite (info={info})")
     return factor
@@ -177,7 +177,7 @@ def _sandwich_solve(t_diag: np.ndarray, t_off: np.ndarray, factor: np.ndarray, r
     Both Gauss-Newton steps end here: with H s = rhs and
     T H T = T B T + diag(shift), s = T y.
     """
-    y = dpbtrs(factor, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_b=1)[0]
+    y = lapack().dpbtrs(factor, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_b=1)[0]
     return _times_tridiagonal(t_diag, t_off, y)
 
 
@@ -376,7 +376,7 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
             put(at, coupled, weight)
         b = np.zeros(size)
         b[s_at] = rhs
-        x, info = dgbsv(kl, ku, band, b, overwrite_ab=1, overwrite_b=1)[2:]
+        x, info = lapack().dgbsv(kl, ku, band, b, overwrite_ab=1, overwrite_b=1)[2:]
         if info != 0:
             raise SingularSystemError(f"singular Gauss-Newton system: zero pivot in row {info}")
         return x[s_at]

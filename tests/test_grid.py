@@ -297,7 +297,7 @@ def test_singular_system_raises():
 
 
 # ---------------------------------------------------------------------------
-# scipy's LAPACK wrappers, loaded without the scipy.linalg package
+# scipy's LAPACK wrappers, loaded at the first solve without the scipy.linalg package
 
 def _fresh_python(code: str) -> None:
     """Run ``code`` in a fresh interpreter that imports this regupath; fail with its stderr."""
@@ -308,22 +308,52 @@ def _fresh_python(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_scipy_loads_at_the_first_lapack_solve_and_not_before(tmp_path):
+    # a descent-only run (example1's r = 1.01 path), its bundle and its plots
+    # never import scipy; the first tridiagonal solve loads the wrapper
+    # module alone, and later solves reuse it without loading again
+    _fresh_python(f"""
+import sys
+import numpy as np
+import regupath
+
+assert "scipy" not in sys.modules and "numpy.random" not in sys.modules
+cfg = regupath.preset("example1")
+cfg.model.n, cfg.j_max, cfg.solver.max_iters = 41, 6, 200
+bundle = regupath.run_experiment(cfg)
+regupath.write_bundle(bundle, {str(tmp_path)!r})
+regupath.emit_plots(bundle, {str(tmp_path)!r})
+assert "scipy" not in sys.modules
+
+system = (np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
+first = regupath.solve_tridiagonal(*system)
+loaded = sys.modules["scipy.linalg._flapack"]
+assert "scipy.linalg" not in sys.modules
+
+def no_second_load():
+    raise AssertionError("loaded the wrapper module again")
+
+regupath.grid._load_flapack = no_second_load
+assert np.array_equal(regupath.solve_tridiagonal(*system), first)
+assert regupath.grid.lapack() is loaded
+""")
+
+
 def test_solves_on_every_lapack_route_leave_scipy_linalg_unimported():
     # one tridiagonal solve (dgtsv), one Fredholm Gauss-Newton step (dpbtrf
     # and dpbtrs) and one elliptic step with a fixed coordinate (dgbsv), each
-    # counted
+    # counted on the loaded wrapper module, which every call site reads
     _fresh_python("""
 import sys
 import numpy as np
 import regupath
-import regupath.models
 from regupath import Grid, QuadraticPenalty, elliptic_model, fredholm_model, solve_tridiagonal
 
 calls = []
-for module, name in ((regupath.grid, "dgtsv"), (regupath.models, "dpbtrf"), (regupath.models, "dpbtrs"),
-                     (regupath.models, "dgbsv")):
-    routine = getattr(module, name)
-    setattr(module, name, lambda *a, routine=routine, name=name, **kw: calls.append(name) or routine(*a, **kw))
+lapack = regupath.grid.lapack()
+for name in ("dgtsv", "dpbtrf", "dpbtrs", "dgbsv"):
+    routine = getattr(lapack, name)
+    setattr(lapack, name, lambda *a, routine=routine, name=name, **kw: calls.append(name) or routine(*a, **kw))
 
 solve_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
 source = Grid(19, convention="interior").function(np.full(19, 100.0))
@@ -362,9 +392,9 @@ def test_a_scipy_linalg_imported_first_lends_regupath_its_routines():
 import scipy.linalg.lapack
 import regupath.grid
 
-assert regupath.grid._flapack is scipy.linalg._flapack
+assert regupath.grid.lapack() is scipy.linalg._flapack
 for name in ("dgtsv", "dpbtrf", "dpbtrs", "dgbsv"):
-    assert getattr(regupath.grid, name) is getattr(scipy.linalg.lapack, name), name
+    assert getattr(regupath.grid.lapack(), name) is getattr(scipy.linalg.lapack, name), name
 """)
 
 

@@ -416,7 +416,7 @@ def test_elliptic_gauss_newton_solves_the_saddle_system_when_u_f_has_a_zero(rng,
     # a fixed interior coordinate, or a zero state (f = 0, g0 = g1 = 0),
     # leaves diag(u_f) singular: the step is one dgbsv on the (s, w, z)
     # system, with no dpbtrf and no warning from a division by u
-    solves = call_log(regupath.models, "dpbtrf", "dgbsv")
+    solves = call_log(regupath.grid.lapack(), "dpbtrf", "dgbsv")
     zero_state = elliptic_model(60, 0.0, 0.0, Grid(59, convention="interior").zeros())
     for model, fixed in ((_elliptic(N=60), [30]), (zero_state, [])):
         grid = model.x_grid
@@ -458,7 +458,7 @@ def test_a_fredholm_system_that_is_not_positive_definite_raises_and_keeps_no_fac
     grid = model.x_grid
     diag, sub = QuadraticPenalty().hessian(grid, grid.zeros().values)
     free, rhs = np.ones(grid.n, dtype=bool), rng.normal(size=grid.n)
-    factored = call_log(regupath.models, "dpbtrf")["dpbtrf"]
+    factored = call_log(regupath.grid.lapack(), "dpbtrf")["dpbtrf"]
     for attempt in (1, 2):
         with pytest.raises(SingularSystemError, match="not positive definite"):
             model.gauss_newton(grid.zeros().values, free, -diag, sub, rhs)

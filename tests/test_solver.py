@@ -160,7 +160,7 @@ def test_fredholm_gauss_newton_is_one_band_solve_per_step_and_only_for_r_2(noisy
     # to the bits of a fresh model; an r = 1.01 path runs descent and never
     # builds, factors or solves a band
     _, truth, noisy, _ = noisy_benchmark
-    calls = call_log(regupath.models, "_sandwich_band", "dpbtrf", "dpbtrs")
+    calls = {**call_log(regupath.models, "_sandwich_band"), **call_log(regupath.grid.lapack(), "dpbtrf", "dpbtrs")}
     model = fredholm_model(101)
     path = compute_alpha_path(model, Fidelity(2.0, noisy), QuadraticPenalty(), 1.0, 0.8, 35)
     assert len(path) == 36 and all(rec.converged for rec in path)
@@ -208,7 +208,7 @@ def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):
     # dpbtrs (its band changes with c, so nothing is reused) and none solves
     # the saddle system by dgbsv
     model, fid, pen, _ = _elliptic_case(lambda grid: SmoothedTVPenalty(eps=1e-3))
-    solves = call_log(regupath.models, "dpbtrf", "dpbtrs", "dgbsv")
+    solves = call_log(regupath.grid.lapack(), "dpbtrf", "dpbtrs", "dgbsv")
     init = model.x_grid.function(np.ones(model.x_grid.n))
     path = compute_alpha_path(model, fid, pen, 1e-2, 0.5, 4, SolveOptions(init=init))
     assert all(rec.converged and rec.x.values.min() > 0.0 for rec in path)

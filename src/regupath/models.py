@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,9 +45,28 @@ class GridMap:
         return self.out_grid.function(self.on_values(*(arg.values for arg in args)))
 
 
+class BandJacobian(NamedTuple):
+    """The band form of a Jacobian J = F'(x), as ``gauss_newton_step`` takes it.
+
+    J is zero in the two boundary columns and J = -A^-1 diag(``u``) inside,
+    A symmetric positive definite tridiagonal.  ``shift`` is 2 W_y inside,
+    W_y the data grid's weights, and 0 at the two ends; a constant factor k
+    of J goes into it as k^2.  ``t_diag`` and ``t_off`` are the diagonal
+    and off-diagonal of T = [1; A; 1], ``u`` is None for u = 1, and
+    ``factors`` is a dict only for a Jacobian that never changes.  No array
+    of the record is written to.
+    """
+
+    t_diag: np.ndarray
+    t_off: np.ndarray
+    u: Optional[np.ndarray]
+    shift: np.ndarray
+    factors: Optional[dict] = None
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardModel:
-    """Operator contract: F, the adjoint action F'(x)* and a Gauss-Newton solve.
+    """Operator contract: F, the adjoint action F'(x)* and the band form of F'(x).
 
     ``apply`` and ``adjoint_derivative`` are GridMaps (or wrappers that carry
     a GridMap's ``on_values``, ``out_grid`` and ``in_grids``), and
@@ -64,23 +84,17 @@ class ForwardModel:
     ``project`` (optional) maps a raw value array onto the admissible set and
     is used by the solver after each step.
 
-    ``gauss_newton`` (optional) solves the Gauss-Newton system of an r = 2
-    misfit on raw arrays, ``gauss_newton(v, free, diag, sub, rhs)``: with
-    J = F'(x) as a matrix on the sample values v of x, W_y the data grid's
-    weights, D_f the diagonal 0/1 matrix of the boolean mask ``free`` and B
-    the symmetric tridiagonal matrix with diagonal ``diag`` and sub-diagonal
-    ``sub``, it returns s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs.  It
-    raises SingularSystemError when that matrix is singular.  Only a model
-    with a ``project`` has coordinates to fix: the solver calls a model
-    without one with ``free`` None, every coordinate free, and such a model
-    may raise ValueError on a mask that is not all true.
+    ``jacobian`` (optional) maps the sample values v of x to the
+    BandJacobian of F'(x).  The solver takes the Gauss-Newton steps of an
+    r = 2 misfit on a model with one, each by ``gauss_newton_step``, and
+    descent steps on a model without.
     """
 
     name: str
     apply: GridMap
     adjoint_derivative: GridMap
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    gauss_newton: Optional[Callable[..., np.ndarray]] = None
+    jacobian: Optional[Callable[[np.ndarray], BandJacobian]] = None
 
     def __post_init__(self):
         for field in ("apply", "adjoint_derivative"):
@@ -100,11 +114,10 @@ class ForwardModel:
 def _sandwich_band(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
     """The band of T B T in closed form, O(n), in ``dpbtrf``'s lower layout: ``band[k, j]`` = (T B T)[j + k, j].
 
-    The one band builder of both Gauss-Newton steps, called by
-    ``_sandwich_factor``.  T and B are symmetric tridiagonal, T with diagonal
-    a = ``t_diag`` and off-diagonal o = ``t_off``, B with diagonal
-    d = ``diag`` and off-diagonal e = ``sub``.  With p_i = o_i e_i,
-    q_i = a_i e_i + o_i d_{i+1} and every index outside its vector read as 0:
+    T and B are symmetric tridiagonal, T with diagonal a = ``t_diag`` and
+    off-diagonal o = ``t_off``, B with diagonal d = ``diag`` and
+    off-diagonal e = ``sub``.  With p_i = o_i e_i, q_i = a_i e_i + o_i d_{i+1}
+    and every index outside its vector read as 0:
 
         band[0, i] = a_i^2 d_i + 2 a_i (p_{i-1} + p_i) + o_{i-1}^2 d_{i-1} + o_i^2 d_{i+1}
         band[1, i] = o_i (p_{i-1} + a_i d_i + p_i + p_{i+1}) + a_{i+1} q_i
@@ -172,17 +185,105 @@ def _sandwich_factor(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, su
 
 
 def _sandwich_solve(t_diag: np.ndarray, t_off: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """s = T y for the y with (T B T + diag(shift)) y = T rhs, by one ``dpbtrs`` on ``_sandwich_factor``'s factor.
-
-    Both Gauss-Newton steps end here: with H s = rhs and
-    T H T = T B T + diag(shift), s = T y.
-    """
+    """s = T y for the y with (T B T + diag(shift)) y = T rhs, by one ``dpbtrs`` on ``_sandwich_factor``'s factor."""
     y = lapack().dpbtrs(factor, _times_tridiagonal(t_diag, t_off, rhs), lower=1, overwrite_b=1)[0]
     return _times_tridiagonal(t_diag, t_off, y)
 
 
-# The most factors a Fredholm model keeps; 128 covers a path of 121 alphas.
+@lru_cache(maxsize=8)
+def _saddle_order(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The places of s, w and z among ``_saddle_step``'s unknowns; shared by every caller, so read only.
+
+    Cached per n: building them took 4 us of a 170 us step at n = 401 (2-vCPU x86 host).
+    """
+    s_at = np.arange(n) * 3 - 2
+    s_at[0] = 0
+    return s_at, s_at[1:-1] + 1, s_at[1:-1] + 2
+
+
+def _saddle_step(t_diag: np.ndarray, t_off: np.ndarray, u_f: np.ndarray, shift: np.ndarray, diag: np.ndarray,
+                 sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The s of B s + U_f z = rhs, A w - U_f s = 0, A z - S w = 0 by one ``dgbsv``; see gauss_newton_step.
+
+    Ordered s_0, (s_k, w_k, z_k) for k = 1..n-2, s_{n-1}, every coupling
+    lies within three places of the diagonal: kl = ku = 3, and entry (i, j)
+    sits at ``band[kl + ku + i - j, j]`` of a band with 2 kl + ku + 1 rows.
+    """
+    s_at, w_at, z_at = _saddle_order(t_diag.size)
+    band = np.zeros((10, s_at[-1] + 1))
+
+    def put(rows, cols, values):
+        band[6 + rows - cols, cols] = values
+
+    put(s_at, s_at, diag)
+    put(s_at[1:], s_at[:-1], sub)
+    put(s_at[:-1], s_at[1:], sub)
+    put(s_at[1:-1], z_at, u_f)
+    for at, coupled, weight in ((w_at, s_at[1:-1], -u_f), (z_at, w_at, -shift[1:-1])):
+        put(at, at, t_diag[1:-1])
+        put(at[1:], at[:-1], t_off[1:-1])
+        put(at[:-1], at[1:], t_off[1:-1])
+        put(at, coupled, weight)
+    b = np.zeros(band.shape[1])
+    b[s_at] = rhs
+    x, info = lapack().dgbsv(3, 3, band, b, overwrite_ab=1, overwrite_b=1)[2:]
+    if info != 0:
+        raise SingularSystemError(f"singular Gauss-Newton system: zero pivot in row {info}")
+    return x[s_at]
+
+
+# The most factors one BandJacobian's dict keeps; 128 covers a path of 121 alphas.
 _FACTOR_CAP = 128
+
+
+def gauss_newton_step(jac: BandJacobian, free: Optional[np.ndarray], diag: np.ndarray, sub: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """The s with (2 (J D_f)^T W_y (J D_f) + B) s = rhs, for the J whose band form is ``jac``.
+
+    D_f is the 0/1 diagonal of the boolean mask ``free`` (None: all free),
+    and B is symmetric tridiagonal with diagonal ``diag`` and sub-diagonal
+    ``sub``.  With A, T and u as in BandJacobian, S = diag(shift) and
+    U_f = diag(u_f), u_f = u on the free interior nodes and 0 elsewhere, the
+    matrix is H = B + U_f A^-1 S A^-1 U_f, the second term on the interior
+    block.  SingularSystemError is raised for a singular H, or for a
+    congruent band that is not positive definite.
+
+    Congruent route, when u_f has no zero: with sigma = (1, 1/u, 1) (1 for
+    u None) and P = diag(sigma) T, P^T H P = T (sigma B sigma) T +
+    diag(shift), whose band ``_sandwich_band`` builds in closed form; one
+    ``dpbtrf`` and one ``dpbtrs`` solve P^T H P y = P^T rhs, and s = P y.
+    The backward error grows with cond(P)^2, so the route is loose where
+    sigma B sigma dwarfs the shift, as smoothed TV can make it.  With
+    ``jac.factors`` a dict, the factor of a diagonal B is kept there, keyed
+    on its bytes, so a B that recurs (the quadratic penalty's 2 alpha W, on
+    every later path of the model) solves by ``dpbtrs`` alone; a B that is
+    not diagonal never recurs and is never kept.  At ``_FACTOR_CAP`` factors
+    the dict is emptied before the next one goes in.
+
+    Saddle route, when u_f has a zero (a held interior coordinate or a zero
+    of u), which no congruence makes banded: ``_saddle_step``, with
+    w = A^-1 U_f s and z = A^-1 S w.
+    """
+    t_diag, t_off, u, shift, factors = jac
+    u_f = u if free is None else (1.0 if u is None else u) * free[1:-1]
+    if u_f is not None and not u_f.all():  # tested first: 1/u must not meet a zero
+        return _saddle_step(t_diag, t_off, u_f, shift, diag, sub, rhs)
+    if u is not None:
+        sigma = np.ones(t_diag.size)
+        sigma[1:-1] = 1.0 / u
+        diag, sub, rhs = sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub, sigma * rhs
+    # get, clear and item assignment are each atomic, so a Jacobian shared
+    # across threads may miss but never gets another B's factor.
+    key = None if factors is None else diag.tobytes() + sub.tobytes()
+    factor = None if key is None else factors.get(key)
+    if factor is None:
+        factor = _sandwich_factor(t_diag, t_off, diag, sub, shift)
+        if key is not None and not sub.any():
+            if len(factors) >= _FACTOR_CAP:
+                factors.clear()
+            factors[key] = factor
+    s = _sandwich_solve(t_diag, t_off, factor, rhs)
+    return s if u is None else sigma * s
 
 
 def fredholm_model(n: int) -> ForwardModel:
@@ -193,22 +294,10 @@ def fredholm_model(n: int) -> ForwardModel:
     function of -u'' with zero ends, which the 3-point Laplacian
     L = h^-2 tridiag(-1, 2, -1) on the n - 2 interior nodes inverts exactly:
     the matrix of F is 40 L^-1 on the interior and 0 in the boundary rows and
-    columns.  With T the identity on the two ends and L inside, the
-    Gauss-Newton matrix becomes T (2 K^T W K + B) T = T B T + 3200 h I_int,
-    and each step is ``_sandwich_factor`` then ``_sandwich_solve``: the
-    band of T B T in closed form (two sub-diagonals when B is diagonal, as
-    the quadratic penalties make it, three otherwise), its banded Cholesky
-    factor (``dpbtrf``) and one banded solve (``dpbtrs``), O(n).  The model
-    has no projection, so its ``gauss_newton`` takes ``free`` None or an
-    all-true mask, and raises ValueError on any other.
-
-    T and the shift are fixed, so the factor depends on B alone, and the
-    model keeps each factor it makes, keyed on the bytes of ``diag`` and
-    ``sub``.  A B that recurs solves by ``dpbtrs`` alone: the quadratic
-    penalty's B = 2 alpha W recurs at every alpha of every later path on
-    the model, as in each noise level of a shrinking-noise study, and an
-    x-dependent B, as smoothed TV gives, misses.  At ``_FACTOR_CAP``
-    factors the memo is emptied before the next one goes in.
+    columns.  So ``jacobian`` returns one fixed BandJacobian, with A = L,
+    ``u`` None (u = 1), shift 2 * 40^2 h inside and a factor dict: a
+    Gauss-Newton step whose B recurs reuses its factor (see
+    gauss_newton_step).
 
     Memory: a live model holds one float64 n x n array, the quadrature
     matrix of F, and O(_FACTOR_CAP n) besides: each kept factor is 4n
@@ -233,31 +322,16 @@ def fredholm_model(n: int) -> ForwardModel:
     t_diag[[0, -1]] = 1.0
     t_off = np.full(n - 1, -inv_h2)
     t_off[[0, -1]] = 0.0
-    shift = np.full(n, 2.0 * 40.0**2 * h)  # T 2 K^T W K T = 2 (40 L^-1 L)^T h (40 L^-1 L) inside
+    shift = np.full(n, 2.0 * 40.0**2 * h)
     shift[[0, -1]] = 0.0
-
-    # get, clear and item assignment are each atomic, so a model shared
-    # across threads may miss but never gets another B's factor.
-    factors = {}
-
-    def gauss_newton(v, free, diag, sub, rhs):
-        if free is not None and not free.all():
-            raise ValueError("the Fredholm model has no bound to hold coordinates at; free must be all true")
-        key = diag.tobytes() + sub.tobytes()
-        factor = factors.get(key)
-        if factor is None:
-            factor = _sandwich_factor(t_diag, t_off, diag, sub, shift)
-            if len(factors) >= _FACTOR_CAP:
-                factors.clear()
-            factors[key] = factor
-        return _sandwich_solve(t_diag, t_off, factor, rhs)
+    jac = BandJacobian(t_diag, t_off, None, shift, {})
 
     return ForwardModel(
         name="fredholm",
         apply=GridMap(lambda x: apply_mat @ x, grid, grid),
         # The kernel is symmetric, so the weighted adjoint of F' = F is apply_mat @ v.
         adjoint_derivative=GridMap(lambda x, v: apply_mat @ v, grid, grid, grid),
-        gauss_newton=gauss_newton,
+        jacobian=lambda v: jac,
     )
 
 
@@ -269,18 +343,14 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
     Admissible coefficients are pointwise nonnegative, which keeps the
     tridiagonal operator A(c) an M-matrix.
 
-    The Jacobian is J = -A(c)^-1 diag(u) on the interior coefficients.  When
-    every interior coefficient is free and u has no zero, the Gauss-Newton
-    step is the Fredholm model's transform (``_sandwich_factor``, then
-    ``_sandwich_solve``) with a congruence that changes with c:
-    P = diag(sigma) T, sigma = (1, 1/u, 1) and T = [1; A(c); 1], so that
-    P^T H P = T (sigma B sigma) T + 2h I_int and each step is one ``dpbtrf``
-    and one ``dpbtrs`` of size N + 1 with 3 sub-diagonals, on a band built
-    in closed form; sigma B sigma is diagonal when B is, and its band then
-    has only two nonzero sub-diagonals.  The band changes with c, so no
-    factor is kept.  A step that holds an
-    interior coefficient, or meets a zero of u, solves a banded saddle
-    system of size 3(N - 1) + 2 by one ``dgbsv`` instead.
+    The Jacobian is J = -A(c)^-1 diag(u) on the interior coefficients:
+    ``jacobian(c)`` returns it with shift 2h inside and no factor dict, as
+    it changes with c (see gauss_newton_step).  With smoothed TV the
+    congruent steps are loose but serve: on ``example2_piecewise`` (eps =
+    0.5) its 186 steps differ from a dense solve by relative errors of
+    3.8e-6 at the median and 2.4e-4 at most, and 43 of 43 solves converge.
+    The saddle route on every step took 185 iterations, the same
+    selections, and more than twice the CPU time.
     """
     if N < 4:
         raise ValueError(f"elliptic_model needs N >= 4, got {N}")
@@ -324,69 +394,22 @@ def elliptic_model(N: int, g0: float, g1: float, f: GridFunction) -> ForwardMode
         full[1:-1] = -u * v
         return full
 
-    # J = -A(c)^{-1} diag(u) and W_y = h I give H = B + 2h U_f A^-2 U_f on
-    # the interior block, U_f = diag(u_f) with u_f = u on the free interior
-    # nodes and 0 elsewhere.  With no zero in u_f, P = diag(sigma) T as in the
-    # docstring gives P^T H P = T (sigma B sigma) T + 2h I_int, the Fredholm
-    # step's transform with t_diag = [1; A(c); 1] and the fixed shift below;
-    # T has no coupling to the two ends.
-    t_off = np.zeros(N)
-    t_off[1:-1] = -inv_h2
+    t_off = np.concatenate(([0.0], off, [0.0]))
     shift = np.full(N + 1, 2.0 * h)
     shift[[0, -1]] = 0.0
 
-    def congruent_step(a_diag, u, diag, sub, rhs):
+    def jacobian(c: np.ndarray) -> BandJacobian:
+        a_diag, u = _solved(c)
         t_diag = np.ones(N + 1)
         t_diag[1:-1] = a_diag
-        sigma = np.ones(N + 1)
-        sigma[1:-1] = 1.0 / u
-        factor = _sandwich_factor(t_diag, t_off, sigma * sigma * diag, sigma[:-1] * sigma[1:] * sub, shift)
-        return sigma * _sandwich_solve(t_diag, t_off, factor, sigma * rhs)
-
-    # A fixed interior coordinate or a zero of u leaves U_f singular, and no
-    # congruence makes the masked A^-2 block banded.  Such a step solves
-    #   B s + diag(u_f) z = rhs,   A w - diag(u_f) s = 0,   A z - 2h w = 0.
-    # Ordered s_0, (s_k, w_k, z_k) for k = 1..N-1, s_N, every coupling lies
-    # within three places of the diagonal: one dgbsv of size 3(N-1)+2.
-    size = 3 * (N - 1) + 2
-    s_at = np.arange(N + 1) * 3 - 2
-    s_at[0] = 0
-    w_at = s_at[1:-1] + 1
-    z_at = s_at[1:-1] + 2
-    kl = ku = 3
-
-    def gauss_newton(c, free, diag, sub, rhs):
-        a_diag, u = _solved(c)
-        u_f = u * free[1:-1]
-        if u_f.all():  # tested first: 1/u must not meet a zero
-            return congruent_step(a_diag, u, diag, sub, rhs)
-        band = np.zeros((2 * kl + ku + 1, size))
-
-        def put(rows, cols, values):
-            band[kl + ku + rows - cols, cols] = values
-
-        put(s_at, s_at, diag)
-        put(s_at[1:], s_at[:-1], sub)
-        put(s_at[:-1], s_at[1:], sub)
-        put(s_at[1:-1], z_at, u_f)
-        for at, coupled, weight in ((w_at, s_at[1:-1], -u_f), (z_at, w_at, -2.0 * h)):
-            put(at, at, a_diag)
-            put(at[1:], at[:-1], -inv_h2)
-            put(at[:-1], at[1:], -inv_h2)
-            put(at, coupled, weight)
-        b = np.zeros(size)
-        b[s_at] = rhs
-        x, info = lapack().dgbsv(kl, ku, band, b, overwrite_ab=1, overwrite_b=1)[2:]
-        if info != 0:
-            raise SingularSystemError(f"singular Gauss-Newton system: zero pivot in row {info}")
-        return x[s_at]
+        return BandJacobian(t_diag, t_off, u, shift)
 
     return ForwardModel(
         name="elliptic",
         apply=GridMap(lambda c: _solved(c)[1], u_grid, c_grid),
         adjoint_derivative=GridMap(adjoint_derivative, c_grid, c_grid, u_grid),
         project=lambda vals: np.maximum(vals, 0.0),
-        gauss_newton=gauss_newton,
+        jacobian=jacobian,
     )
 
 

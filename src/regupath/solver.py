@@ -11,7 +11,7 @@ import numpy as np
 
 from .grid import (Grid, GridFunction, GridMismatchError, SingularSystemError, is_integer, is_real, lr_root, require,
                    weighted_inner)
-from .models import ForwardModel
+from .models import ForwardModel, gauss_newton_step
 from .penalties import Fidelity, Penalty
 
 
@@ -33,8 +33,8 @@ class PathAborted(RuntimeError):
 class SolveOptions:
     """Solver configuration.
 
-    An r = 2 misfit on a model with a ``gauss_newton`` solve (both shipped
-    models) takes projected Gauss-Newton steps; every other problem, such as
+    An r = 2 misfit on a model with a ``jacobian`` (both shipped models)
+    takes projected Gauss-Newton steps; every other problem, such as
     an r = 1.01 misfit, takes projected gradient descent steps.  Either way
     each step is backtracked by ``_STEP_SHRINK`` along the projection arc
     until the sufficient-decrease condition with constant ``_ARMIJO`` holds,
@@ -168,7 +168,7 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv:
         free = (xv > eps) | (g <= 0.0)
         sub = sub * (free[1:] & free[:-1])
     try:
-        return model.gauss_newton(xv, free, diag, sub, weighted_g)
+        return gauss_newton_step(model.jacobian(xv), free, diag, sub, weighted_g)
     except SingularSystemError:
         return g
 
@@ -237,7 +237,7 @@ def solve_tikhonov(
     g, gnorm = _gradient(adj, sub, alpha, weights)
     tol = max(opts.grad_tol * gnorm, opts.grad_tol_abs)
 
-    gauss_newton = fid.r == 2.0 and model.gauss_newton is not None
+    gauss_newton = fid.r == 2.0 and model.jacobian is not None
     iters = 0
     converged = gnorm <= tol
     trial = _STEP_INIT

@@ -31,6 +31,8 @@ from regupath import (
     l2_inner,
     lr_norm,
     make_noisy,
+    preset,
+    run_experiment,
     solve_tikhonov,
 )
 from regupath.experiments import build_model
@@ -216,6 +218,17 @@ def test_elliptic_gauss_newton_is_one_band_solve_per_free_step(call_log):
     assert solves["dgbsv"] == []
 
 
+@pytest.mark.parametrize("name, counts", [("example2_smooth", (592, 116, 116, 73)),
+                                          ("example2_piecewise", (581, 186, 186, 0))])
+def test_each_elliptic_preset_takes_its_known_share_of_each_lapack_route(name, counts, call_log):
+    # the whole preset run: state and adjoint solves (dgtsv), congruent
+    # Gauss-Newton steps (dpbtrf and dpbtrs) and saddle steps, each of which
+    # holds an interior coefficient at the bound (dgbsv)
+    solves = call_log(regupath.grid.lapack(), "dgtsv", "dpbtrf", "dpbtrs", "dgbsv")
+    run_experiment(preset(name))
+    assert tuple(len(calls) for calls in solves.values()) == counts
+
+
 def test_a_warm_started_elliptic_solve_starts_from_its_predecessors_state(call_log):
     # Solve j = 1 of a path starts at record 0's x, whose misfit, penalty and
     # gradient parts solve j = 0 computed last, so it evaluates its start not
@@ -238,7 +251,7 @@ def test_a_warm_started_elliptic_solve_starts_from_its_predecessors_state(call_l
     np.testing.assert_array_equal(cold.x.values, path[1].x.values)
 
 
-def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):
+def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng, monkeypatch):
     # a model whose Gauss-Newton solve always fails still converges, by
     # gradient steps, to the closed-form minimizer data/(1+alpha)
     calls = []
@@ -247,7 +260,8 @@ def test_singular_gauss_newton_system_falls_back_to_gradient_step(rng):
         calls.append(1)
         raise SingularSystemError("singular")
 
-    model = dataclasses.replace(identity_model(), gauss_newton=singular)
+    monkeypatch.setattr(regupath.solver, "gauss_newton_step", singular)
+    model = dataclasses.replace(identity_model(), jacobian=lambda v: None)
     data = model.x_grid.function(rng.normal(size=model.x_grid.n))
     rec = solve_tikhonov(model, Fidelity(2.0, data), QuadraticPenalty(), 1.0,
                          SolveOptions(grad_tol=1e-12, max_iters=100))
@@ -811,15 +825,15 @@ def test_non_finite_trial_points_from_the_projection_are_rejected_unevaluated(ca
     assert np.isfinite(rec.x.values).all() and math.isfinite(rec.objective)
 
 
-def test_a_gauss_newton_step_that_overflows_is_rejected_unevaluated(noisy_benchmark):
-    # the model's step (1e308)^2 s overflows, and its samples that do stay
-    # inf at each step length, so the whole arc is rejected with the start
-    # its only evaluation
+def test_a_gauss_newton_step_that_overflows_is_rejected_unevaluated(noisy_benchmark, monkeypatch):
+    # the step (1e308)^2 s overflows, and its samples that do stay inf at
+    # each step length, so the whole arc is rejected with the start its only
+    # evaluation
     model, truth, noisy, _ = noisy_benchmark
     applied = []
-    gauss_newton = model.gauss_newton
-    model = dataclasses.replace(model, apply=spied(model.apply, lambda v: applied.append(1)),
-                                gauss_newton=lambda *args: 1e308 * (1e308 * gauss_newton(*args)))
+    step = regupath.solver.gauss_newton_step
+    monkeypatch.setattr(regupath.solver, "gauss_newton_step", lambda *args: 1e308 * (1e308 * step(*args)))
+    model = dataclasses.replace(model, apply=spied(model.apply, lambda v: applied.append(1)))
     rec = solve_tikhonov(model, Fidelity(2.0, noisy), QuadraticPenalty(), 1e-3)
     assert (rec.iters, rec.converged, len(applied)) == (0, False, 1)
 

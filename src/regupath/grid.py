@@ -2,44 +2,48 @@
 
 The LAPACK routines of the package (``dgtsv`` here, ``dpbtrf``, ``dpbtrs``
 and ``dgbsv`` for ``models``) are read from ``lapack()``, which loads
-scipy's compiled wrapper module at the first band or tridiagonal solve,
-without running the ``scipy.linalg`` package init.  A run that only
-descends never imports scipy.
+scipy's compiled wrapper module alone at the first band or tridiagonal
+solve: neither the ``scipy.linalg`` package init nor, except on Windows,
+scipy's own runs.  A run that only descends never imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
 
 def _load_flapack():
-    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, without the ``scipy.linalg`` package.
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, without the scipy packages' init.
 
     ``scipy.linalg.lapack`` re-exports these same wrapper objects, but its
     import runs the whole ``scipy.linalg`` init (about 24 MB and 0.25 s per
-    process), where ``import scipy`` alone is cheap and keeps scipy's DLL
-    set-up on Windows; it runs here, at the first ``lapack()`` call, not at
-    ``import regupath``.  An already imported module is reused.  Otherwise
-    the extension file in scipy's ``linalg`` directory is run by the
-    standard extension loader; CPython files such a module in
-    ``sys.modules`` as it runs it, so a later ``import scipy.linalg`` reuses
-    it.  With no file found, the normal import of the same module is the
-    fallback.
+    process), and ``import scipy`` alone adds about 0.6 MB and 6-12 ms that
+    no routine here uses.  So scipy's directory is read from its import
+    spec, which runs no package code.  Only on Windows is scipy imported
+    first: its ``_distributor_init`` adds the DLL directory the extension
+    needs; on Linux the extension's RPATH finds scipy's OpenBLAS without it.
+    An already imported module is reused.  Otherwise the extension file in
+    scipy's ``linalg`` directory is run by the standard extension loader;
+    CPython files such a module in ``sys.modules`` as it runs it, so a later
+    ``import scipy.linalg`` reuses it.  With no file found, the normal import
+    of the same module is the fallback.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
-
-    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    if sys.platform == "win32":
+        import scipy  # its DLL set-up
+    scipy_dir = find_spec("scipy").submodule_search_locations[0]
+    finder = FileFinder(os.path.join(scipy_dir, "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
         from scipy.linalg import _flapack
@@ -50,19 +54,10 @@ def _load_flapack():
     return module
 
 
-_flapack = None
-
-
-def lapack():
-    """scipy's LAPACK wrapper module, loaded by ``_load_flapack`` at the first call and kept.
-
-    Threads that race on the first call may each load it; a second load of
-    the extension hands back the same routine objects, so either serves.
-    """
-    global _flapack
-    if _flapack is None:
-        _flapack = _load_flapack()
-    return _flapack
+# scipy's LAPACK wrapper module, loaded by ``_load_flapack`` at the first call
+# and kept.  Threads that race on the first call may each load it; a second
+# load of the extension hands back the same routine objects, so either serves.
+lapack = functools.cache(_load_flapack)
 
 
 class GridMismatchError(ValueError):

@@ -248,21 +248,26 @@ def gauss_newton_step(jac: BandJacobian, free: Optional[np.ndarray], diag: np.nd
     block.  SingularSystemError is raised for a singular H, or for a
     congruent band that is not positive definite.
 
-    Congruent route, when u_f has no zero: with sigma = (1, 1/u, 1) (1 for
-    u None) and P = diag(sigma) T, P^T H P = T (sigma B sigma) T +
-    diag(shift), whose band ``_sandwich_band`` builds in closed form; one
-    ``dpbtrf`` and one ``dpbtrs`` solve P^T H P y = P^T rhs, and s = P y.
-    The backward error grows with cond(P)^2, so the route is loose where
-    sigma B sigma dwarfs the shift, as smoothed TV can make it.  With
-    ``jac.factors`` a dict, the factor of a diagonal B is kept there, keyed
-    on its bytes, so a B that recurs (the quadratic penalty's 2 alpha W, on
-    every later path of the model) solves by ``dpbtrs`` alone; a B that is
-    not diagonal never recurs and is never kept.  At ``_FACTOR_CAP`` factors
-    the dict is emptied before the next one goes in.
+    Congruent route, when u_f has no zero and B is diagonal or u is not
+    None: with sigma = (1, 1/u, 1) (1 for u None) and P = diag(sigma) T,
+    P^T H P = T (sigma B sigma) T + diag(shift), whose band
+    ``_sandwich_band`` builds in closed form; one ``dpbtrf`` and one
+    ``dpbtrs`` solve P^T H P y = P^T rhs, and s = P y.  The backward error
+    grows with cond(P)^2, so the route is loose where sigma B sigma dwarfs
+    the shift, as smoothed TV can make it.  With ``jac.factors`` a dict, each
+    factor is kept there, keyed on the bytes of B, so a B that recurs (the
+    quadratic penalty's 2 alpha W, on every later path of the model) solves
+    by ``dpbtrs`` alone.  At ``_FACTOR_CAP`` factors the dict is emptied
+    before the next one goes in.
 
     Saddle route, when u_f has a zero (a held interior coordinate or a zero
-    of u), which no congruence makes banded: ``_saddle_step``, with
-    w = A^-1 U_f s and z = A^-1 S w.
+    of u), which no congruence makes banded, or when u is None and B is not
+    diagonal (the Fredholm model with smoothed TV, whose T B T reaches
+    cond(T)^2 times the shift: at n = 401 and eps = 1e-3 the congruent route
+    left backward errors up to 4.6e-8, or no positive definite band at all):
+    ``_saddle_step``, with w = A^-1 U_f s and z = A^-1 S w.  That test runs
+    only when no kept factor matches, and a B that is not diagonal is never
+    kept.
     """
     t_diag, t_off, u, shift, factors = jac
     u_f = u if free is None else (1.0 if u is None else u) * free[1:-1]
@@ -277,8 +282,11 @@ def gauss_newton_step(jac: BandJacobian, free: Optional[np.ndarray], diag: np.nd
     key = None if factors is None else diag.tobytes() + sub.tobytes()
     factor = None if key is None else factors.get(key)
     if factor is None:
+        if u is None and sub.any():
+            u_f = np.ones(t_diag.size - 2) if u_f is None else u_f
+            return _saddle_step(t_diag, t_off, u_f, shift, diag, sub, rhs)
         factor = _sandwich_factor(t_diag, t_off, diag, sub, shift)
-        if key is not None and not sub.any():
+        if key is not None:
             if len(factors) >= _FACTOR_CAP:
                 factors.clear()
             factors[key] = factor
@@ -296,8 +304,9 @@ def fredholm_model(n: int) -> ForwardModel:
     the matrix of F is 40 L^-1 on the interior and 0 in the boundary rows and
     columns.  So ``jacobian`` returns one fixed BandJacobian, with A = L,
     ``u`` None (u = 1), shift 2 * 40^2 h inside and a factor dict: a
-    Gauss-Newton step whose B recurs reuses its factor (see
-    gauss_newton_step).
+    Gauss-Newton step with a diagonal B (the quadratic penalties) takes the
+    congruent band Cholesky and reuses the factor of a B that recurs, and a
+    step with smoothed TV takes the saddle route (see gauss_newton_step).
 
     Memory: a live model holds one float64 n x n array, the quadrature
     matrix of F, and O(_FACTOR_CAP n) besides: each kept factor is 4n

@@ -311,7 +311,8 @@ def _fresh_python(code: str) -> None:
 def test_scipy_loads_at_the_first_lapack_solve_and_not_before(tmp_path):
     # a descent-only run (example1's r = 1.01 path), its bundle and its plots
     # never import scipy; the first tridiagonal solve loads the wrapper
-    # module alone, and later solves reuse it without loading again
+    # module alone, without scipy's package init (which runs first only on
+    # Windows), and later solves reuse it without loading again
     _fresh_python(f"""
 import sys
 import numpy as np
@@ -329,13 +330,56 @@ system = (np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
 first = regupath.solve_tridiagonal(*system)
 loaded = sys.modules["scipy.linalg._flapack"]
 assert "scipy.linalg" not in sys.modules
+assert sys.platform == "win32" or "scipy" not in sys.modules
 
-def no_second_load():
-    raise AssertionError("loaded the wrapper module again")
-
-regupath.grid._load_flapack = no_second_load
 assert np.array_equal(regupath.solve_tridiagonal(*system), first)
-assert regupath.grid.lapack() is loaded
+assert regupath.grid.lapack() is loaded and regupath.grid.lapack.cache_info().misses == 1
+""")
+
+
+def test_a_scipy_linalg_imported_after_the_first_solve_reuses_the_loaded_routines():
+    # the wrapper module loaded without scipy's init is the one scipy.linalg
+    # then imports, and solve_banded's dgtsv gives solve_tridiagonal's bits
+    _fresh_python("""
+import numpy as np
+import regupath.grid
+
+system = (np.array([1.0, -2.0, 0.5]), np.array([4.0, 3.0, -5.0, 6.0]), np.array([0.25, 1.0, -1.0]),
+          np.array([1.0, 2.0, 3.0, 4.0]))
+first = regupath.solve_tridiagonal(*system)
+import scipy.linalg
+
+assert scipy.linalg.lapack.dgtsv is regupath.grid.lapack().dgtsv
+sub, diag, sup, rhs = system
+banded = np.array([np.r_[0.0, sup], diag, np.r_[sub, 0.0]])
+assert scipy.linalg.solve_banded((1, 1), banded, rhs).tobytes() == first.tobytes()
+""")
+
+
+def test_on_windows_scipy_is_imported_before_the_wrapper_module_loads():
+    # scipy's _distributor_init adds the DLL directory the extension needs
+    # there; sysconfig's variables are read first, as they would not load
+    # under the borrowed platform name
+    _fresh_python("""
+import sys
+import sysconfig
+import numpy as np
+import regupath.grid
+
+sysconfig.get_config_vars()
+found = regupath.grid.FileFinder
+
+def finder(*args):
+    assert "scipy" in sys.modules, "the extension was searched for before scipy's import"
+    return found(*args)
+
+regupath.grid.FileFinder = finder
+platform, sys.platform = sys.platform, "win32"
+try:
+    regupath.solve_tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
+finally:
+    sys.platform = platform
+assert "scipy" in sys.modules and "scipy.linalg._flapack" in sys.modules
 """)
 
 

@@ -137,12 +137,13 @@ def test_a_fredholm_model_holds_one_matrix_and_frees_it_when_dropped(call_log):
     # One whole-matrix expression would peak at about 3 matrices; the row
     # blocks add a few 64 x n temporaries to the one kept matrix.  After a
     # standalone solve, dropping the model frees its matrix: the warm-start
-    # memo keeps only the end point's O(n) arrays.  A smoothed-TV path
-    # factors a new B at every step, and none of them is kept: its B is not
-    # diagonal and never recurs, so the model holds no more than it was built
-    # with, where each kept factor would add 4n floats and a key of 2n - 1.
+    # memo keeps only the end point's O(n) arrays.  A smoothed-TV path solves
+    # every step on the saddle route, and none of them keeps a factor: its B
+    # is not diagonal and never recurs, so the model holds no more than it was
+    # built with, where each kept factor would add 4n floats and a key of
+    # 2n - 1.
     cap = regupath.models._FACTOR_CAP
-    regupath.grid.lapack()  # loaded before the count: scipy's import would stay after the model is dropped
+    regupath.grid.lapack()  # loaded before the count: the wrapper module would stay after the model is dropped
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -165,9 +166,9 @@ def test_a_fredholm_model_holds_one_matrix_and_frees_it_when_dropped(call_log):
         n = 401
         model = fredholm_model(n)
         fid = Fidelity(2.0, model.y_grid.from_callable(lambda t: np.sin(3.0 * np.pi * t)))
-        factored = call_log(regupath.models, "_sandwich_factor")["_sandwich_factor"]
+        solved = call_log(regupath.models, "_saddle_step")["_saddle_step"]
         compute_alpha_path(model, fid, SmoothedTVPenalty(eps=1e-3), 1e-3, 0.5, 19, SolveOptions(max_iters=10))
-        assert len(factored) > 1.5 * cap
+        assert len(solved) > 1.5 * cap
         held = tracemalloc.get_traced_memory()[0] - before
         assert held < 8 * n * n + 100 * 8 * n
         del model, fid
@@ -313,10 +314,11 @@ def test_elliptic_projection_clips_at_zero():
                          ids=["quadratic", "smoothed_tv"])
 def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
     # both models on random free masks (the banded (s, w, z) system, which
-    # the solver never asks of a Fredholm model, as it has no bound) and on
-    # an all-true one (the congruent band solve), against the dense J of the
-    # oracles; the smallest legal sizes leave band rows 2 and 3 short or
-    # empty
+    # the solver asks of a Fredholm model, as it has no bound, only for a B
+    # that is not diagonal) and on an all-true one (the congruent band solve,
+    # or that same system for the Fredholm model with smoothed TV), against
+    # the dense J of the oracles; the smallest legal sizes leave band rows 2
+    # and 3 short or empty
     for model in (_elliptic(N=60), fredholm_model(41), _elliptic(N=4), fredholm_model(3), fredholm_model(4)):
         grid = model.x_grid
         x = grid.function(1.0 + rng.uniform(0.0, 3.0, size=grid.n))
@@ -329,11 +331,13 @@ def test_gauss_newton_solve_matches_dense_oracle(rng, alpha, penalty):
             got = gauss_newton_step(model.jacobian(x.values), free, diag, sub, rhs)
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), model.name
 
-    # At n = 401 both band solves are held to a backward-error bound.  Each
-    # solves M y = P^T rhs, M = P^T A P with A = 2 (J D_f)^T W (J D_f) + B,
-    # and returns s = P y.  For the Fredholm step P = T, the identity on the
-    # ends and h^-2 tridiag(-1, 2, -1) inside; for the all-free elliptic step
-    # P = diag(sigma) T, sigma = (1, 1/u, 1) and T = [1; A(c); 1].  Backward
+    # At n = 401 both band solves are held to a backward-error bound; the
+    # Fredholm smoothed-TV step, on the saddle route, meets it with room to
+    # spare.  Each congruent step solves M y = P^T rhs, M = P^T A P with
+    # A = 2 (J D_f)^T W (J D_f) + B, and returns s = P y.  For the Fredholm
+    # step P = T, the identity on the ends and h^-2 tridiag(-1, 2, -1)
+    # inside; for the all-free elliptic step P = diag(sigma) T,
+    # sigma = (1, 1/u, 1) and T = [1; A(c); 1].  Backward
     # stability gives (M + E) y = P^T rhs with ||E|| <= c u ||P||^2 ||A||, as
     # ||M|| <= ||P||^2 ||A||, ||B|| <= ||A|| and || |P| || = ||P||: the band
     # Cholesky and its two triangular solves (kd = 3) give 3 (kd + 2) (kd + 1)
@@ -458,23 +462,24 @@ def test_a_fredholm_factor_is_kept_only_for_a_diagonal_b(rng, call_log):
     # two B with one diagonal and different sub-diagonals are two systems.
     # The diagonal one, as the quadratic penalties give, is kept and solved
     # again by dpbtrs alone; the other, as smoothed TV gives, depends on x
-    # and never recurs, so it is factored at each step and never kept.  Each
-    # solves to a fresh model's bits.
+    # and never recurs, so it takes the saddle route (dgbsv) at each step
+    # and is never factored.  Each solves to a fresh model's bits.
     model = fredholm_model(41)
     grid = model.x_grid
     x, free, rhs = grid.zeros().values, np.ones(grid.n, dtype=bool), rng.normal(size=grid.n)
     jac = model.jacobian(x)
     diag = rng.uniform(1.0, 2.0, grid.n)
     subs = (np.zeros(grid.n - 1), rng.uniform(-0.1, 0.1, grid.n - 1))
-    factored = call_log(regupath.grid.lapack(), "dpbtrf")["dpbtrf"]
+    solves = call_log(regupath.grid.lapack(), "dpbtrf", "dgbsv")
     for sub in subs:
         gauss_newton_step(jac, free, diag, sub, rhs)
     assert list(jac.factors) == [diag.tobytes() + subs[0].tobytes()]
-    for sub, refactored in zip(subs, (0, 1)):
+    for sub, counts in zip(subs, ((0, 0), (0, 1))):
         want = gauss_newton_step(fredholm_model(41).jacobian(x), free, diag, sub, rhs)
-        factored.clear()
+        for calls in solves.values():
+            calls.clear()
         assert gauss_newton_step(jac, free, diag, sub, rhs).tobytes() == want.tobytes()
-        assert len(factored) == refactored
+        assert tuple(len(calls) for calls in solves.values()) == counts
     assert len(jac.factors) == 1
 
 

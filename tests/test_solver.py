@@ -32,13 +32,15 @@ from regupath import (
     lr_norm,
     make_noisy,
     preset,
+    run_delta_sequence,
     run_experiment,
     solve_tikhonov,
 )
-from regupath.experiments import build_model
+from regupath.experiments import TRUTHS, build_model, range_source_w
+from regupath.models import gauss_newton_step
 
-from oracles import (fredholm_apply_matrix, laplacian_eigenvalues, reference_solve_tikhonov, spectral_tikhonov,
-                     tikhonov_normal_equations)
+from oracles import (fredholm_apply_matrix, gauss_newton_matrix, laplacian_eigenvalues, reference_solve_tikhonov,
+                     spectral_tikhonov, tikhonov_normal_equations)
 
 
 def identity_model(n=50):
@@ -227,6 +229,79 @@ def test_each_elliptic_preset_takes_its_known_share_of_each_lapack_route(name, c
     solves = call_log(regupath.grid.lapack(), "dgtsv", "dpbtrf", "dpbtrs", "dgbsv")
     run_experiment(preset(name))
     assert tuple(len(calls) for calls in solves.values()) == counts
+
+
+def _fredholm_tv_case(n, eps):
+    """The Fredholm model at n, noisy three_steps data (level 0.01, seed 1) and smoothed TV of ``eps``."""
+    model = fredholm_model(n)
+    truth = model.x_grid.from_callable(TRUTHS["three_steps"])
+    noisy, _ = make_noisy(model.apply(truth), NoiseSpec(kind="gaussian", level=0.01, seed=1), 2.0)
+    return model, Fidelity(2.0, noisy), SmoothedTVPenalty(eps, mu=1e-3)
+
+
+def test_each_fredholm_case_takes_its_known_share_of_each_lapack_route(call_log):
+    # the benchmark's shrinking-noise unit on a fresh model: a quadratic B is
+    # diagonal, so every step takes the band Cholesky, and each of the 36
+    # alphas is factored once and reused by the other four noise levels; a
+    # smoothed-TV path takes every step on the saddle route (dgbsv)
+    solves = call_log(regupath.grid.lapack(), "dpbtrf", "dpbtrs", "dgbsv")
+    model = fredholm_model(101)
+    x_dagger = model.apply(model.x_grid.from_callable(range_source_w))
+    run_delta_sequence(model, QuadraticPenalty(), 2.0, 1.0, 0.8, 35, deltas=[0.2, 0.1, 0.05, 0.025, 0.0125],
+                       seed=7, x_dagger=x_dagger, max_workers=1,
+                       opts=SolveOptions(max_iters=3000, grad_tol=1e-9, grad_tol_abs=1e-6))
+    assert tuple(len(calls) for calls in solves.values()) == (36, 180, 0)
+    for calls in solves.values():
+        calls.clear()
+    path = compute_alpha_path(*_fredholm_tv_case(101, 1e-3), 1.0, 0.8, 4)
+    steps = sum(rec.iters for rec in path)
+    assert steps > len(path) and all(rec.converged for rec in path)
+    assert tuple(len(calls) for calls in solves.values()) == (0, 0, steps)
+
+
+@pytest.mark.parametrize("n", [101, 401])
+def test_every_fredholm_smoothed_tv_direction_is_backward_stable(n, monkeypatch):
+    # each Gauss-Newton direction d of the first 7 alphas against the dense
+    # H = 2 K^T W K + B of the oracles: ||H d - rhs|| / (||H|| ||d||) stays
+    # at rounding level.  The congruent band T B T + S would square cond(T):
+    # at n = 401 it leaves up to 4.6e-8 on the steps that factor at all.
+    steps = []
+
+    def kept(jac, free, diag, sub, rhs):
+        d = gauss_newton_step(jac, free, diag, sub, rhs)
+        steps.append((diag, sub, rhs, d))
+        return d
+
+    monkeypatch.setattr(regupath.solver, "gauss_newton_step", kept)
+    model, fid, pen = _fredholm_tv_case(n, 1e-3)
+    path = compute_alpha_path(model, fid, pen, 1.0, 0.8, 6)
+    kernel, free = fredholm_apply_matrix(n), np.ones(n, dtype=bool)
+    worst = 0.0
+    for diag, sub, rhs, d in steps:
+        lhs = gauss_newton_matrix(model, kernel, free, diag, sub)
+        worst = max(worst, np.linalg.norm(lhs @ d - rhs) / (np.linalg.norm(lhs, 2) * np.linalg.norm(d)))
+    assert worst <= 1e-14
+    assert sum(rec.iters for rec in path) == len(steps) > len(path)  # no step fell back to the gradient
+
+
+def test_a_fredholm_smoothed_tv_path_at_eps_1e_4_converges_without_a_fallback(monkeypatch):
+    # n = 401, 21 alphas: every solve converges within 84 steps on the saddle
+    # route, and no step meets a singular system.  Through the congruent
+    # band the same path takes 47,111 steps with 5000 allowed per solve, and
+    # 9 of its solves do not converge; the cap of 150 bounds that case.
+    fallbacks = []
+
+    def recorded(*args):
+        try:
+            return gauss_newton_step(*args)
+        except SingularSystemError:
+            fallbacks.append(args)
+            raise
+
+    monkeypatch.setattr(regupath.solver, "gauss_newton_step", recorded)
+    path = compute_alpha_path(*_fredholm_tv_case(401, 1e-4), 1.0, 0.8, 20, SolveOptions(max_iters=150, grad_tol=1e-8))
+    assert len(path) == 21 and all(rec.converged for rec in path)
+    assert fallbacks == []
 
 
 def test_a_warm_started_elliptic_solve_starts_from_its_predecessors_state(call_log):

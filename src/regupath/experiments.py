@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
@@ -109,7 +110,14 @@ class ExperimentConfig:
     implementation_defaults: List[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        """The JSON form; a numpy scalar that passed validation is written as its Python value."""
+        return json.dumps(asdict(self), indent=2, default=_python_scalar) + "\n"
+
+
+def _python_scalar(value):
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _is_object(value, name: str, errors: List[str]) -> bool:
@@ -125,6 +133,12 @@ _TYPE_TESTS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _type_hints(cls) -> dict:
+    """A config section's field annotations, read once per dataclass; callers must not change the dict."""
+    return get_type_hints(cls)
+
+
 def _parse_section(cls, data: dict, where: str, errors: List[str], mistyped: set):
     """Build ``cls`` from a JSON object, recursing into nested sections.
 
@@ -132,7 +146,7 @@ def _parse_section(cls, data: dict, where: str, errors: List[str], mistyped: set
     or a section that is not an object, keeps the field's default; a scalar
     of the wrong type is kept and its full name added to ``mistyped``.
     """
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         name = f"{where}.{key}" if where else key
@@ -520,39 +534,62 @@ def run_experiment(
 
 
 # ---------------------------------------------------------------------------
-# persistence: RFC-4180 CSVs, UTF-8, LF line endings, 17 significant digits
+# persistence: comma-separated with RFC-4180 quoting, UTF-8, LF line endings,
+# floats to 17 significant digits.  A table is formatted a column at a time.
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+_FLOAT = "%.17g"  # format(v, ".17g") bit for bit
 
 
-def _write_rows(path: Path, header: List[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _column(values) -> Tuple[str, list]:
+    """A column's ``%`` conversion and the values it converts.
+
+    Floats get 17 digits, integers all, any bool ``true``/``false``, and the rest its string, quoted as csv quotes it.
+    """
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "f":
+        return _FLOAT, array.tolist()
+    if kind in "iu":
+        return "%d", array.tolist()
+    if kind == "b":
+        return "%s", np.where(array, "true", "false").tolist()
+    return "%s", [_quoted(str(v)) for v in values]
 
 
-# The columns of a path CSV that need no truth, and one record's values for them.
+def _quoted(text: str) -> str:
+    """``text`` as csv's minimal rule writes it: quoted, its quotes doubled, around a comma, a quote or a line feed."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _lines(columns) -> str:
+    """The CSV lines of a table given as equal-length columns, one line per row."""
+    conversions, cells = zip(*map(_column, columns))
+    line = ",".join(conversions) + "\n"
+    return (line * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _table(header, columns) -> str:
+    return _lines([[name] for name in header]) + _lines(columns)
+
+
+def _save(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+# The columns of a path CSV that need no truth, and their values over a path.
 PATH_COLUMNS = ["j", "alpha", "residual", "penalty", "theta", "objective", "iters", "converged"]
 
 
-def _path_row(j: int, rec: AlphaPathRecord) -> tuple:
-    return (j, rec.alpha, rec.residual, rec.penalty, rec.theta, rec.objective, rec.iters, rec.converged)
+def _path_columns(records: List[AlphaPathRecord]) -> list:
+    return [range(len(records)), *([getattr(rec, name) for rec in records] for name in PATH_COLUMNS[1:])]
 
 
 def write_path(records: List[AlphaPathRecord], path) -> Path:
     """Write records as the truth-free path columns, one row per record in path order."""
-    path = Path(path)
-    _write_rows(path, PATH_COLUMNS, (_path_row(j, rec) for j, rec in enumerate(records)))
-    return path
+    return _save(Path(path), _table(PATH_COLUMNS, _path_columns(records)))
 
 
 def l1_error(x: GridFunction, truth: GridFunction) -> float:
@@ -575,26 +612,20 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
     cfg_path.write_text(bundle.config.to_json(), encoding="utf-8")
     created.append(cfg_path)
 
-    data_path = out / "data.csv"
-    _write_rows(
-        data_path,
-        ["t", "exact", "noisy"],
-        zip(bundle.exact_data.points(), bundle.exact_data.values, bundle.noisy_data.values),
-    )
-    created.append(data_path)
+    data = bundle.exact_data
+    created.append(_save(out / "data.csv", _table(
+        ["t", "exact", "noisy"], [data.points(), data.values, bundle.noisy_data.values])))
 
     outcome_rows = []
     for result in bundle.results:
         xi = result.penalty.subgradient(bundle.truth)
         kappa = kappa_hat(result.path, bundle.delta)
-        path_rows = []
-        for j, rec in enumerate(result.path):
-            breg = bregman_distance(result.penalty, xi, rec.x, bundle.truth)
-            l2e = lr_norm(rec.x - bundle.truth, 2.0)
-            path_rows.append((*_path_row(j, rec), breg, l2e))
-        path_path = out / f"path_{result.tag}.csv"
-        _write_rows(path_path, PATH_COLUMNS + ["bregman_to_truth", "l2_error_to_truth"], path_rows)
-        created.append(path_path)
+        columns = _path_columns(result.path) + [
+            [bregman_distance(result.penalty, xi, rec.x, bundle.truth) for rec in result.path],
+            [lr_norm(rec.x - bundle.truth, 2.0) for rec in result.path],
+        ]
+        created.append(_save(out / f"path_{result.tag}.csv", _table(
+            PATH_COLUMNS + ["bregman_to_truth", "l2_error_to_truth"], columns)))
 
         for outcome in result.outcomes:
             x_star = outcome.record.x
@@ -602,7 +633,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
                 (
                     result.tag,
                     outcome.rule,
-                    "" if outcome.tau is None else _fmt(outcome.tau),
+                    "" if outcome.tau is None else _FLOAT % outcome.tau,
                     outcome.alpha_star,
                     outcome.delta_star,
                     bundle.delta,
@@ -615,23 +646,14 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
                     outcome.record.converged,
                 )
             )
-            recon_path = out / f"recon_{result.tag}_{rule_tag(outcome.rule, outcome.tau)}.csv"
-            _write_rows(
-                recon_path,
-                ["t", "truth", "estimate"],
-                zip(bundle.truth.points(), bundle.truth.values, x_star.values),
-            )
-            created.append(recon_path)
+            created.append(_save(out / f"recon_{result.tag}_{rule_tag(outcome.rule, outcome.tau)}.csv", _table(
+                ["t", "truth", "estimate"], [bundle.truth.points(), bundle.truth.values, x_star.values])))
 
     if outcome_rows:
-        outcomes_path = out / "outcomes.csv"
-        _write_rows(
-            outcomes_path,
+        created.append(_save(out / "outcomes.csv", _table(
             ["penalty", "rule", "tau", "alpha_star", "delta_star", "delta", "kappa_hat",
              "l2_error", "l1_error", "bregman", "tv_roughness", "flags", "selected_converged"],
-            outcome_rows,
-        )
-        created.append(outcomes_path)
+            list(zip(*outcome_rows)))))
     return created
 
 
@@ -639,12 +661,14 @@ def write_theory_report(report: TheoryReport, path) -> Path:
     """One CSV row per noise level, then a key/value summary block."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    keys = (
-        "kappa_estimate", "delta", "delta_star", "alpha_star", "lower_bound_alpha", "bound_ratio",
-        "precondition_holds", "delta_bound_ok", "alpha_bound_ok",
-    )
-    _write_rows(path, [f.name for f in fields(DeltaLevelRow)], [
-        *map(astuple, report.convergence_table), (), ("key", "value"),
-        *((key, getattr(report, key)) for key in keys), ("flags", ";".join(report.flags)),
-    ])
-    return path
+    names = [f.name for f in fields(DeltaLevelRow)]
+    # the summary's values are of three types, so its rows are three tables without a header
+    numbers = ("kappa_estimate", "delta", "delta_star", "alpha_star", "lower_bound_alpha", "bound_ratio")
+    checks = ("precondition_holds", "delta_bound_ok", "alpha_bound_ok")
+    return _save(path, "".join([
+        _table(names, [[getattr(row, name) for row in report.convergence_table] for name in names]),
+        "\n",
+        _table(["key", "value"], [numbers, [getattr(report, key) for key in numbers]]),
+        _lines([checks, [getattr(report, key) for key in checks]]),
+        _lines([["flags"], [";".join(report.flags)]]),
+    ]))

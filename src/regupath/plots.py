@@ -27,15 +27,18 @@ class _Axis:
             self.lo, self.hi = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
         else:  # nothing to show: the unit range, the decade [1, 10] on a log axis
             self.lo, self.hi = 0.0, 1.0
-        if self.hi <= self.lo:
-            self.hi = self.lo + 1.0
+        if self.hi <= self.lo:  # a unit wide, or an ulp of lo where lo + 1 rounds back to lo
+            self.hi = self.lo + max(1.0, math.ulp(self.lo))
         pad = 0.04 * (self.hi - self.lo)
         self.lo -= pad
         self.hi += pad
         self.px0, self.px1 = px0, px1
 
-    def to_px(self, v: float) -> float:
-        u = math.log10(v) if self.log else v
+    def to_px(self, values) -> np.ndarray:
+        """Pixel positions of ``values``; ``math.log10`` on a log axis, as ``np.log10`` can differ in the last bit."""
+        u = np.asarray(values, dtype=float)
+        if self.log:
+            u = np.array([math.log10(v) for v in u.tolist()], dtype=float)
         frac = (u - self.lo) / (self.hi - self.lo)
         return self.px0 + frac * (self.px1 - self.px0)
 
@@ -90,8 +93,8 @@ def line_chart(
         f'font-size="15">{title}</text>',
     ]
 
-    for t in x_axis.ticks():
-        px = x_axis.to_px(t)
+    x_ticks = x_axis.ticks()
+    for t, px in zip(x_ticks, x_axis.to_px(x_ticks).tolist()):
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MT}" x2="{px:.2f}" y2="{_H - _MB}" '
             f'stroke="#dddddd" stroke-width="1"/>'
@@ -100,8 +103,8 @@ def line_chart(
             f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{t:.3g}</text>'
         )
-    for t in y_axis.ticks():
-        py = y_axis.to_px(t)
+    y_ticks = y_axis.ticks()
+    for t, py in zip(y_ticks, y_axis.to_px(y_ticks).tolist()):
         parts.append(
             f'<line x1="{_ML}" y1="{py:.2f}" x2="{_W - _MR}" y2="{py:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
@@ -127,7 +130,8 @@ def line_chart(
     for i, ((label, _, _), x, y) in enumerate(zip(series, xs, ys)):
         color = _PALETTE[i % len(_PALETTE)]
         if x.size:
-            pts = " ".join(f"{x_axis.to_px(a):.2f},{y_axis.to_px(b):.2f}" for a, b in zip(x, y))
+            xy = np.column_stack((x_axis.to_px(x), y_axis.to_px(y))).ravel().tolist()
+            pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
@@ -141,12 +145,12 @@ def line_chart(
             f'font-size="12">{label}</text>'
         )
 
-    for mx, my in markers or ():
-        if (not xlog or mx > 0) and (not ylog or my > 0):
-            parts.append(
-                f'<circle cx="{x_axis.to_px(mx):.2f}" cy="{y_axis.to_px(my):.2f}" r="5" '
-                f'fill="none" stroke="black" stroke-width="1.5"/>'
-            )
+    shown = [(mx, my) for mx, my in markers or () if (not xlog or mx > 0) and (not ylog or my > 0)]
+    for cx, cy in zip(x_axis.to_px([mx for mx, _ in shown]).tolist(), y_axis.to_px([my for _, my in shown]).tolist()):
+        parts.append(
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5" '
+            f'fill="none" stroke="black" stroke-width="1.5"/>'
+        )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -45,7 +45,7 @@ from regupath import (
 from regupath.experiments import (PRESETS, build_model, build_penalty, example1_config, example2_piecewise_config,
                                   example2_smooth_config, penalty_tags, run_theory_study, truth_function)
 from regupath.models import gaussian_draw
-from regupath.plots import line_chart
+from regupath.plots import _Axis, line_chart
 from regupath.rules import hanke_raus_select, kappa_hat
 
 from oracles import check_corollary_bounds, fredholm_apply_matrix, laplacian_eigenvalues, spectral_tikhonov
@@ -338,6 +338,22 @@ def test_bundle_write_and_determinism(tmp_path):
     assert {"config.json", "data.csv", "path_quadratic.csv", "outcomes.csv"} <= names
     assert "recon_quadratic_hanke_raus.csv" in names
     assert "recon_quadratic_discrepancy_tau1.2.csv" in names
+
+
+def test_a_config_with_numpy_scalars_writes_the_plain_config_json(tmp_path):
+    # numpy scalars pass validation, so writing them must not fail after the solves; the
+    # config has no bool field, and a numpy string is a str
+    def short_study(n, j_max, alpha0, experiment):
+        cfg = preset("theory_study")
+        cfg.model.n, cfg.j_max, cfg.alpha0, cfg.experiment = n, j_max, alpha0, experiment
+        return cfg
+
+    plain = short_study(21, 3, 1.0, "theory_study")
+    scalars = short_study(np.int64(21), np.int64(3), np.float32(1.0), np.str_("theory_study"))
+    assert validate_config(scalars) == []
+    for name, cfg in (("plain", plain), ("numpy", scalars)):
+        write_bundle(run_experiment(cfg), tmp_path / name)
+    assert (tmp_path / "numpy" / "config.json").read_bytes() == (tmp_path / "plain" / "config.json").read_bytes()
 
 
 def test_outcomes_report_whether_each_selection_converged(tmp_path):
@@ -688,6 +704,36 @@ def test_a_linear_axis_one_ulp_wide_gets_ticks(level):
     assert all(40 <= py <= 425 for py in y_ticks)  # inside the frame
 
 
+@pytest.mark.parametrize("level", [2.0**53, 1e17, -1e300])
+def test_a_constant_series_too_large_to_widen_by_one_is_drawn(level):
+    # lo + 1 rounds back to lo there, so the axis is an ulp wide instead of a unit
+    svg = line_chart([("y", np.array([0.0, 1.0]), np.array([level, level]))], "t", "x", "y")
+    points = re.findall(r'<polyline points="([^"]*)"', svg)[0].split()
+    assert len(points) == 2 and all(40 <= float(p.split(",")[1]) <= 425 for p in points)
+
+
+def _scalar_px(axis, v: float) -> float:
+    u = math.log10(v) if axis.log else v
+    frac = (u - axis.lo) / (axis.hi - axis.lo)
+    return axis.px0 + frac * (axis.px1 - axis.px0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=st.booleans(), constant=st.booleans(), y=st.booleans(),
+       values=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40), signs=st.lists(st.booleans()))
+def test_the_array_axis_map_places_every_point_as_the_scalar_formula(log, constant, y, values, signs):
+    # a log axis sees positive values only; a linear one either sign
+    if not log:
+        values = [-v if neg else v for v, neg in zip(values, signs + [False] * len(values))]
+    if constant:
+        values = values[:1] * len(values)
+    axis = _Axis([np.array(values)], log, *((425, 40) if y else (70, 620)))
+    got = axis.to_px(values).tolist()
+    want = [_scalar_px(axis, v) for v in values]
+    assert got == want
+    assert " ".join(["%.2f"] * len(got)) % tuple(got) == " ".join(f"{p:.2f}" for p in want)
+
+
 def test_a_log_axis_with_no_positive_value_falls_back_to_a_decade():
     svg = line_chart([("theta", np.array([1.0, 0.5]), np.array([0.0, 0.0]))], "t", "a", "theta",
                      xlog=True, ylog=True)
@@ -716,3 +762,12 @@ def test_write_theory_report_layout(tmp_path):
     assert len([l for l in lines if l and not l.startswith(("delta,", "key,"))]) >= 2
     assert any(l.startswith("kappa_estimate,") for l in lines)
     assert any(l == "precondition_holds,true" for l in lines)
+
+
+def test_numpy_noise_levels_write_the_same_theory_csv_as_a_list(tmp_path):
+    # the bound checks of an array's levels are numpy bools, and print as Python's do
+    deltas = [0.1, 0.05]
+    as_list = write_theory_report(run_theory_study(preset("theory_study"), deltas), tmp_path / "list.csv")
+    as_array = write_theory_report(run_theory_study(preset("theory_study"), np.array(deltas)), tmp_path / "array.csv")
+    assert "precondition_holds,true" in as_list.read_text(encoding="utf-8").splitlines()
+    assert as_array.read_bytes() == as_list.read_bytes()

@@ -491,16 +491,40 @@ def test_an_imported_wrapper_module_is_reused_without_a_file_search(monkeypatch)
 # ---------------------------------------------------------------------------
 # CSV serialization
 
-def test_write_csv_roundtrips_exact_floats(tmp_path):
-    from regupath.experiments import _write_rows
+_SINES = Grid(7).function(np.sin(7.0 * Grid(7).points()) / 3.0)
+_EDGE_FLOATS = np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
 
-    g = Grid(7)
-    f = g.function(np.sin(7.0 * g.points()) / 3.0)
-    path = tmp_path / "f.csv"
-    _write_rows(path, ["t", "value"], zip(f.points(), f.values))
+
+@pytest.mark.parametrize("t, values", [
+    (_SINES.points(), _SINES.values),
+    # values that need all 17 digits, a negative zero, the least subnormal and the float range's ends
+    (np.arange(_EDGE_FLOATS.size, dtype=float), _EDGE_FLOATS),
+], ids=["sines", "edge_floats"])
+def test_write_csv_roundtrips_exact_floats(tmp_path, t, values):
+    from regupath.experiments import _save, _table
+
+    path = _save(tmp_path / "f.csv", _table(["t", "value"], [t, values]))
     text = path.read_text(encoding="utf-8")
     assert "\r" not in text
-    assert text.splitlines()[0] == "t,value"
+    lines = text.splitlines()
+    assert lines[0] == "t,value"
+    assert lines[1:] == [f"{format(a, '.17g')},{format(b, '.17g')}" for a, b in zip(t.tolist(), values.tolist())]
     loaded = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(loaded[:, 0], f.points())
-    np.testing.assert_array_equal(loaded[:, 1], f.values)
+    # bit for bit, so that -0.0 and 0.0 differ
+    np.testing.assert_array_equal(loaded[:, 0].view(np.int64), t.view(np.int64))
+    np.testing.assert_array_equal(loaded[:, 1].view(np.int64), values.view(np.int64))
+
+
+def test_write_csv_quotes_text_and_prints_bools_as_the_csv_module_did():
+    import csv
+    import io
+
+    from regupath.experiments import _table
+
+    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "", " padded ", "semi;colon"]
+    flags = [True, np.bool_(False), np.bool_(True), False, True, False, True]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["text", "flag"])
+    writer.writerows((text, "true" if flag else "false") for text, flag in zip(texts, flags))
+    assert _table(["text", "flag"], [texts, flags]) == expected.getvalue()

@@ -11,7 +11,7 @@ from typing import Iterator, List, Optional, Tuple, get_args, get_origin, get_ty
 
 import numpy as np
 
-from .grid import Grid, GridFunction, is_integer, is_real, lr_norm, lr_power_sum
+from .grid import Grid, GridFunction, is_integer, is_real, lr_norm, lr_power_sum, lr_root, weighted_inner
 from .models import (ForwardModel, InadmissibleCoefficientError, NoiseOverflowError, NoiseSpec, elliptic_model,
                      fredholm_model, make_noisy)
 from .penalties import (
@@ -20,7 +20,7 @@ from .penalties import (
     QuadraticPenalty,
     ShiftedQuadraticPenalty,
     SmoothedTVPenalty,
-    bregman_distance,
+    bregman_terms,
     power_index,
 )
 from .rules import (
@@ -450,12 +450,16 @@ def penalty_tags(specs: List[PenaltySpec]) -> List[str]:
 
 
 def _setup(config: ExperimentConfig):
-    """Validate a config; build its model, truth, exact data (ConfigError if inadmissible) and initial guess."""
+    """Validate a config; build its model and truth (ConfigError if too large), exact data (ConfigError if
+    inadmissible) and initial guess."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
-    model = build_model(config.model)
-    truth = truth_function(config.truth, model.x_grid)
+    try:
+        model = build_model(config.model)
+        truth = truth_function(config.truth, model.x_grid)
+    except MemoryError as exc:
+        raise ConfigError([f"model.n {config.model.n!r} is too large to allocate: {exc}"]) from exc
     try:
         exact = model.apply(truth)
     except InadmissibleCoefficientError as exc:
@@ -612,23 +616,29 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
     cfg_path.write_text(bundle.config.to_json(), encoding="utf-8")
     created.append(cfg_path)
 
-    data = bundle.exact_data
+    data, truth = bundle.exact_data, bundle.truth
     created.append(_save(out / "data.csv", _table(
         ["t", "exact", "noisy"], [data.points(), data.values, bundle.noisy_data.values])))
 
+    w = truth.grid.weights()
     outcome_rows = []
     for result in bundle.results:
-        xi = result.penalty.subgradient(bundle.truth)
-        kappa = kappa_hat(result.path, bundle.delta)
-        columns = _path_columns(result.path) + [
-            [bregman_distance(result.penalty, xi, rec.x, bundle.truth) for rec in result.path],
-            [lr_norm(rec.x - bundle.truth, 2.0) for rec in result.path],
-        ]
+        # R(truth) and xi = dR(truth) once per path, R(x_j) from its record, one x_j - truth at a time
+        pen, kappa = result.penalty, kappa_hat(result.path, bundle.delta)
+        xi, pairings, l2_error = pen.subgradient(truth).values, [], []
+        with np.errstate(over="ignore"):  # an error beyond the largest float is inf, as lr_norm gives it
+            for rec in result.path:
+                d = rec.x.values - truth.values
+                pairings.append(weighted_inner(w, xi, d))
+                l2_error.append(lr_root(lr_power_sum(w, d, 2.0), 2.0))
+        bregman = bregman_terms(np.array([rec.penalty for rec in result.path]), pen.value(truth), np.array(pairings))
+        columns = _path_columns(result.path) + [bregman, l2_error]
         created.append(_save(out / f"path_{result.tag}.csv", _table(
             PATH_COLUMNS + ["bregman_to_truth", "l2_error_to_truth"], columns)))
 
         for outcome in result.outcomes:
             x_star = outcome.record.x
+            j = result.path.index(outcome.record)  # records compare by identity
             outcome_rows.append(
                 (
                     result.tag,
@@ -638,16 +648,16 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
                     outcome.delta_star,
                     bundle.delta,
                     kappa,
-                    lr_norm(x_star - bundle.truth, 2.0),
-                    l1_error(x_star, bundle.truth),
-                    bregman_distance(result.penalty, xi, x_star, bundle.truth),
+                    l2_error[j],
+                    l1_error(x_star, truth),
+                    bregman[j],
                     tv_roughness(x_star),
                     ";".join(outcome.flags),
                     outcome.record.converged,
                 )
             )
             created.append(_save(out / f"recon_{result.tag}_{rule_tag(outcome.rule, outcome.tau)}.csv", _table(
-                ["t", "truth", "estimate"], [bundle.truth.points(), bundle.truth.values, x_star.values])))
+                ["t", "truth", "estimate"], [truth.points(), truth.values, x_star.values])))
 
     if outcome_rows:
         created.append(_save(out / "outcomes.csv", _table(

@@ -123,35 +123,19 @@ def _sandwich_band(t_diag: np.ndarray, t_off: np.ndarray, diag: np.ndarray, sub:
         band[1, i] = o_i (p_{i-1} + a_i d_i + p_i + p_{i+1}) + a_{i+1} q_i
         band[2, i] = o_{i+1} q_i + a_{i+2} o_i e_{i+1}
         band[3, i] = o_i o_{i+2} e_{i+1}
-
-    When ``sub`` is all zero (a diagonal B, as the quadratic penalties give)
-    every e term is an exact zero, and the band has three nonzero rows:
-
-        band[0, i] = a_i (a_i d_i) + o_i^2 d_{i+1} + o_{i-1}^2 d_{i-1}
-        band[1, i] = o_i (a_i d_i) + a_{i+1} (o_i d_{i+1})
-        band[2, i] = o_{i+1} (o_i d_{i+1})
-
-    each term formed and summed in the general formula's order, so both
-    forms give the same values up to the sign of an exact zero.
     """
     a, o, d, e = t_diag, t_off, diag, sub
     n = a.size
     ad = a * d
     band = np.zeros((4, n))
-    if not e.any():
-        od = o * d[1:]  # o_i d_{i+1}
-        np.multiply(a, ad, out=band[0])
-        band[1, :-1] = o * ad[:-1] + a[1:] * od
-        band[2, :-2] = o[1:] * od[:-1]
-    else:
-        p = np.zeros(n + 1)  # p[i + 1] = p_i, so p_{-1} = p_{n-1} = 0
-        np.multiply(o, e, out=p[1:-1])
-        pp = p[:-1] + p[1:]  # p_{i-1} + p_i
-        q = a[:-1] * e + o * d[1:]
-        np.multiply(a, ad + 2.0 * pp, out=band[0])
-        band[1, :-1] = o * (ad[:-1] + pp[:-1] + p[2:]) + a[1:] * q
-        band[2, :-2] = o[1:] * q[:-1] + a[2:] * o[:-1] * e[1:]
-        band[3, :-3] = o[:-2] * o[2:] * e[1:-1]
+    p = np.zeros(n + 1)  # p[i + 1] = p_i, so p_{-1} = p_{n-1} = 0
+    np.multiply(o, e, out=p[1:-1])
+    pp = p[:-1] + p[1:]  # p_{i-1} + p_i
+    q = a[:-1] * e + o * d[1:]
+    np.multiply(a, ad + 2.0 * pp, out=band[0])
+    band[1, :-1] = o * (ad[:-1] + pp[:-1] + p[2:]) + a[1:] * q
+    band[2, :-2] = o[1:] * q[:-1] + a[2:] * o[:-1] * e[1:]
+    band[3, :-3] = o[:-2] * o[2:] * e[1:-1]
     r = o * o
     band[0, :-1] += r * d[1:]
     band[0, 1:] += r * d[:-1]

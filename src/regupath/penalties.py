@@ -148,19 +148,23 @@ class SmoothedTVPenalty(_GridFunctionForms):
 Penalty = Union[QuadraticPenalty, ShiftedQuadraticPenalty, SmoothedTVPenalty]
 
 
-def bregman_distance(pen: Penalty, xi: GridFunction, xbar: GridFunction, x: GridFunction) -> float:
-    """D_xi R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x>.
+def bregman_terms(r_bar, r_x, pairing):
+    """The Bregman distance R(xbar) - R(x) - <xi, xbar - x> from its three terms, elementwise on floats or arrays.
 
-    The caller is responsible for xi being a subgradient of the penalty at
-    x; a result below -1e-10 times the largest of 1 and the three terms'
-    magnitudes signals that the precondition was violated.  The scale keeps
-    the rounding of large terms that cancel from reading as a violation.
+    A result below -1e-10 times the largest of 1 and the terms' magnitudes (a
+    scale that keeps the rounding of large terms that cancel from reading as
+    a violation) raises SubgradientError: xi was not a subgradient at x.
     """
-    r_bar, r_x, pairing = pen.value(xbar), pen.value(x), l2_inner(xi, xbar - x)
     d = r_bar - r_x - pairing
-    if d < -1e-10 * max(1.0, abs(r_bar), abs(r_x), abs(pairing)):
-        raise SubgradientError(f"negative Bregman distance {d}: xi is not a subgradient at x")
-    return max(d, 0.0)
+    scale = np.maximum(np.maximum(1.0, np.abs(r_bar)), np.maximum(np.abs(r_x), np.abs(pairing)))
+    if np.any(d < -1e-10 * scale):
+        raise SubgradientError(f"negative Bregman distance {np.min(d)}: xi is not a subgradient at x")
+    return np.where(d < 0.0, 0.0, d)  # keeps -0.0 and nan, as max(d, 0.0) does
+
+
+def bregman_distance(pen: Penalty, xi: GridFunction, xbar: GridFunction, x: GridFunction) -> float:
+    """D_xi R(xbar, x) = R(xbar) - R(x) - <xi, xbar - x> by ``bregman_terms``, for xi a subgradient of R at x."""
+    return float(bregman_terms(pen.value(xbar), pen.value(x), l2_inner(xi, xbar - x)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,9 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import GridFunction, is_real, require
+from .grid import GridFunction, is_real, l2_inner, require
 from .models import ForwardModel, NoiseOverflowError, gaussian_draw
-from .penalties import Fidelity, Penalty, bregman_distance
+from .penalties import Fidelity, Penalty, bregman_terms
 from .solver import AlphaPathRecord, PathAborted, SolveOptions, compute_alpha_path
 
 
@@ -162,17 +162,18 @@ def kappa_hat(path: Sequence[AlphaPathRecord], delta: float) -> float:
 
 
 def _evaluate_level(
-    path: Sequence[AlphaPathRecord], outcome: RuleOutcome, delta: float, x_dagger: GridFunction, pen: Penalty,
-    r: float, index_fn: Optional[Callable[[float], float]],
+    path: Sequence[AlphaPathRecord], outcome: RuleOutcome, delta: float, x_dagger: GridFunction,
+    r_dagger: float, xi_dagger: GridFunction, r: float, index_fn: Optional[Callable[[float], float]],
 ) -> DeltaLevelRow:
     """The row of one selection from ``path`` at noise level delta, with its Bregman error to x_dagger.
 
+    That error reads R(x_*) from the record; R(x_dagger) and xi_dagger = dR(x_dagger) are the caller's.
     ``kappa_hat`` is that of ``path``.  ``bound_ratio`` is the Bregman error
     over its a-posteriori bound
     (1 + delta^r/delta_*^r) * (delta^r + phi(delta + delta_*)); it is NaN
     without an index function phi or when delta_* = 0.
     """
-    breg = bregman_distance(pen, pen.subgradient(x_dagger), outcome.record.x, x_dagger)
+    breg = float(bregman_terms(outcome.record.penalty, r_dagger, l2_inner(xi_dagger, outcome.record.x - x_dagger)))
     ratio = float("nan")
     if index_fn is not None and outcome.delta_star > 0.0:
         ds = outcome.delta_star
@@ -249,7 +250,7 @@ def run_delta_sequence(
     if not np.isfinite(noisy).all():
         raise NoiseOverflowError(f"noise levels up to {deltas[0]!r} give noisy data beyond the float range")
 
-    r_dagger = pen.value(x_dagger)
+    r_dagger, xi_dagger = pen.value(x_dagger), pen.subgradient(x_dagger)
     rows: List[DeltaLevelRow] = []
     for delta, values in zip(deltas, noisy):
         try:
@@ -258,5 +259,5 @@ def run_delta_sequence(
             partial = _bound_report(outcome, alpha0, r_dagger, q, r, rows) if rows else None
             raise PathAborted(f"{exc} (delta={delta!r})", exc.records, partial) from exc
         outcome = hanke_raus_select(path)
-        rows.append(_evaluate_level(path, outcome, delta, x_dagger, pen, r, index_fn))
+        rows.append(_evaluate_level(path, outcome, delta, x_dagger, r_dagger, xi_dagger, r, index_fn))
     return _bound_report(outcome, alpha0, r_dagger, q, r, rows)

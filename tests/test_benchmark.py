@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,9 +34,11 @@ def test_benchmark_traced_elliptic_tv_converges_everywhere():
     assert metrics["solver.converged"]["value"] == metrics["solver.solves"]["value"] > 0
 
 
-def test_benchmark_untraced_theory_study_reports_the_declared_metrics():
-    # the untraced mode, with its setup probes, is the one whose metrics are compared
-    result = _run("theory_study", trace=0)
+@pytest.mark.parametrize("workload", ["theory_study", "elliptic_tv"])
+def test_benchmark_untraced_run_reports_the_declared_metrics(workload):
+    # the untraced mode, with its setup probes, is the one whose metrics are
+    # compared; elliptic_tv also writes a bundle each unit
+    result = _run(workload, trace=0)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     assert result["failed"] == 0
     assert list(result["metrics"]) == [metric["name"] for metric in declared]

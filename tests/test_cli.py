@@ -116,6 +116,25 @@ def test_every_truth_and_model_exits_cleanly(tmp_path, capsys, command, model_ki
         assert rc == 0
 
 
+@pytest.mark.parametrize("command", [["run"], ["path"], ["theory", "--deltas", "0.1"]])
+def test_a_model_too_large_to_allocate_exit_code_2(tmp_path, capsys, monkeypatch, command):
+    # a stand-in factory raises what numpy raises for an n x n matrix beyond
+    # the address space; a real large n could be allocated on some hosts
+    def fredholm_model(n):
+        raise MemoryError(f"Unable to allocate an array with shape ({n}, {n})")
+
+    monkeypatch.setattr(regupath.experiments, "fredholm_model", fredholm_model)
+    data = small_config_dict(tmp_path / "out")
+    data.update(model={"kind": "fredholm", "n": 10_000_000}, j_max=1)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command[0], "--config", str(cfg_path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model.n 10000000 is too large to allocate: Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_alpha0_below_path_floor_exit_code_2(tmp_path, capsys):
     # every grid point would lie below the path's alpha floor, leaving no path
     data = small_config_dict(tmp_path / "out")

@@ -367,6 +367,35 @@ def test_outcomes_report_whether_each_selection_converged(tmp_path):
         "true" if o.record.converged else "false" for o in outcomes]
 
 
+def test_the_truth_columns_measure_each_record_once_per_path(tmp_path, call_log):
+    # R(truth) is evaluated once per path and R(x_j) read from the record,
+    # yet every cell is the per-record bregman_distance and lr_norm, and
+    # each outcome repeats the row of its record
+    cfg = tiny_config(penalties=[PenaltySpec(kind="quadratic"), PenaltySpec(kind="smoothed_tv", eps=0.1, mu=0.01)])
+    bundle = run_experiment(cfg)
+    calls = {cls: call_log(cls, "value")["value"] for cls in (QuadraticPenalty, regupath.SmoothedTVPenalty)}
+    write_bundle(bundle, tmp_path)
+    assert {cls: len(seen) for cls, seen in calls.items()} == dict.fromkeys(calls, 1)
+
+    def rows(name):
+        with open(tmp_path / name, encoding="utf-8", newline="") as handle:
+            return list(csv.DictReader(handle))
+
+    outcomes = rows("outcomes.csv")
+    assert len(outcomes) == 4
+    truth = bundle.truth
+    for result in bundle.results:
+        xi = result.penalty.subgradient(truth)
+        path_rows = rows(f"path_{result.tag}.csv")
+        for rec, row in zip(result.path, path_rows, strict=True):
+            assert row["bregman_to_truth"] == "%.17g" % regupath.bregman_distance(result.penalty, xi, rec.x, truth)
+            assert row["l2_error_to_truth"] == "%.17g" % lr_norm(rec.x - truth, 2.0)
+        own = [row for row in outcomes if row["penalty"] == result.tag]
+        for outcome, row in zip(result.outcomes, own, strict=True):
+            path_row = path_rows[result.path.index(outcome.record)]
+            assert (row["bregman"], row["l2_error"]) == (path_row["bregman_to_truth"], path_row["l2_error_to_truth"])
+
+
 def test_csv_format_lf_and_17_digits(tmp_path):
     bundle = run_experiment(tiny_config())
     files = write_bundle(bundle, tmp_path)

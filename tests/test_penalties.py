@@ -17,6 +17,8 @@ from regupath import (
     power_index,
 )
 
+from regupath.penalties import bregman_terms
+
 from oracles import dense_tridiagonal, directional_derivative, phi, phi_inverse
 
 
@@ -215,6 +217,55 @@ def test_bregman_accepts_true_subgradients_at_large_scale(pen):
         xv = 1e4 * rng.normal(size=g.n)
         x, xbar = g.function(xv), g.function(xv + 1e-6 * rng.normal(size=g.n))
         assert bregman_distance(pen, pen.subgradient(x), xbar, x) >= 0.0
+
+
+_BREGMAN_PENALTIES = {
+    "quadratic": lambda grid: QuadraticPenalty(),
+    "shifted_quadratic": lambda grid: ShiftedQuadraticPenalty(grid.function(grid.points())),
+    "smoothed_tv": lambda grid: SmoothedTVPenalty(eps=1e-2, mu=0.1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_BREGMAN_PENALTIES)), st.integers(3, 20), st.integers(1, 6),
+       st.integers(0, 2**32 - 1), st.data())
+def test_bregman_terms_over_arrays_is_bregman_distance_row_by_row(kind, n, rows, seed, data):
+    # the terms of each row's (xbar, x) stacked into arrays give each row's
+    # distance bit for bit, the sign of a zero included; one row whose xi is
+    # no subgradient fails the whole array
+    g = Grid(n)
+    pen = _BREGMAN_PENALTIES[kind](g)
+    gen = np.random.default_rng(seed)
+    pairs = [(g.function(gen.normal(size=n)), g.function(gen.normal(size=n))) for _ in range(rows)]
+    xis = [pen.subgradient(x) for _, x in pairs]
+    want = np.array([bregman_distance(pen, xi, xbar, x) for xi, (xbar, x) in zip(xis, pairs)])
+
+    def terms(xis):
+        return [np.array(v) for v in zip(*[(pen.value(xbar), pen.value(x), l2_inner(xi, xbar - x))
+                                          for xi, (xbar, x) in zip(xis, pairs)])]
+
+    got = bregman_terms(*terms(xis))
+    assert got.tobytes() == want.tobytes()
+
+    bad = data.draw(st.integers(0, rows - 1))
+    xbar, x = pairs[bad]
+    step = xbar - x
+    # <xi', xbar - x> exceeds <xi, xbar - x> by 2 (D + 1): the distance reads -D - 2
+    xis[bad] = xis[bad] + (2.0 * (want[bad] + 1.0) / l2_inner(step, step)) * step
+    with pytest.raises(SubgradientError):
+        bregman_distance(pen, xis[bad], xbar, x)
+    with pytest.raises(SubgradientError):
+        bregman_terms(*terms(xis))
+
+
+def test_bregman_distance_rejects_a_nodal_and_an_interior_grid_of_equal_length():
+    nodal, interior = Grid(9), Grid(9, convention="interior")
+    pen = QuadraticPenalty()
+    x = nodal.function(np.linspace(0.0, 1.0, 9))
+    with pytest.raises(GridMismatchError):
+        bregman_distance(pen, pen.subgradient(x), interior.function(x.values), x)
+    with pytest.raises(GridMismatchError):
+        bregman_distance(pen, interior.function(x.values), x, x)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,21 @@ def test_delta_sequence_rows_sorted_and_reproducible(fredholm_benchmark):
         assert a.theta_star == b.theta_star and a.bregman == b.bregman
 
 
+def test_delta_sequence_evaluates_the_truth_once_per_study(fredholm_benchmark, monkeypatch):
+    # R(x_dagger) and its subgradient serve every level; each level reads
+    # R(x_*) from its selected record
+    model, truth, y = fredholm_benchmark
+    args = {"value": [], "subgradient": []}
+    for name, seen in args.items():
+        method = getattr(QuadraticPenalty, name)
+        monkeypatch.setattr(QuadraticPenalty, name,
+                            lambda self, x, method=method, seen=seen: seen.append(x) or method(self, x))
+    opts = SolveOptions(max_iters=1500, grad_tol=1e-9, grad_tol_abs=1e-5)
+    report = run_delta_sequence(model, QuadraticPenalty(), 2.0, 1.0, 0.8, 8, [0.2, 0.1, 0.05], 5, truth, opts=opts)
+    assert len(report.convergence_table) == 3
+    assert {name: sum(x is truth for x in seen) for name, seen in args.items()} == {"value": 1, "subgradient": 1}
+
+
 @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())

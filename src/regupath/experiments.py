@@ -450,14 +450,15 @@ def penalty_tags(specs: List[PenaltySpec]) -> List[str]:
 
 
 def _setup(config: ExperimentConfig):
-    """Validate a config; build its model and truth (ConfigError if too large), exact data (ConfigError if
-    inadmissible) and initial guess."""
+    """Validate a config; build its truth and model (ConfigError if too large), exact data (ConfigError if
+    inadmissible) and initial guess.  The truth comes first, on Grid(model.n), both model kinds' x grid, so that
+    one that builds a model of its own (``range_source``) frees it before the run's model exists."""
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
     try:
+        truth = truth_function(config.truth, Grid(config.model.n))
         model = build_model(config.model)
-        truth = truth_function(config.truth, model.x_grid)
     except MemoryError as exc:
         raise ConfigError([f"model.n {config.model.n!r} is too large to allocate: {exc}"]) from exc
     try:
@@ -579,6 +580,7 @@ def _table(header, columns) -> str:
 
 
 def _save(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8, its line feeds untranslated; the one writer of every output file."""
     path.write_text(text, encoding="utf-8", newline="")
     return path
 
@@ -612,9 +614,7 @@ def write_bundle(bundle: ResultBundle, out_dir) -> List[Path]:
     out.mkdir(parents=True, exist_ok=True)
     created: List[Path] = []
 
-    cfg_path = out / "config.json"
-    cfg_path.write_text(bundle.config.to_json(), encoding="utf-8")
-    created.append(cfg_path)
+    created.append(_save(out / "config.json", bundle.config.to_json()))
 
     data, truth = bundle.exact_data, bundle.truth
     created.append(_save(out / "data.csv", _table(

@@ -85,6 +85,12 @@ class ShiftedQuadraticPenalty(_GridFunctionForms):
         return 2.0 * grid.weights(), np.zeros(grid.n - 1)
 
 
+# The eps a smoothed TV can be evaluated with: above the upper end the value's
+# eps**2 overflows, and below the lower end the Hessian's (eps**2)**1.5
+# underflows to 0, where a flat slope divides by it.
+_EPS_RANGE = (1.351817985853457e-108, 1.3407807929942596e154)
+
+
 @dataclass(frozen=True)
 class SmoothedTVPenalty(_GridFunctionForms):
     """Smoothed total variation plus a small quadratic term.
@@ -109,6 +115,9 @@ class SmoothedTVPenalty(_GridFunctionForms):
         """Every reason these arguments make no penalty, each led by its field name."""
         if not (is_real(eps) and eps > 0):
             yield f"eps must be positive, got {eps!r}"
+        elif not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
+            yield (f"eps must lie in [{_EPS_RANGE[0]!r}, {_EPS_RANGE[1]!r}], where eps**2 is finite and "
+                   f"(eps**2)**1.5 is nonzero, got {eps!r}")
         if not (is_real(mu) and mu >= 0):
             yield f"mu must be nonnegative, got {mu!r}"
 

@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .experiments import ResultBundle, rule_tag
+from .experiments import ResultBundle, _save, rule_tag
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 _W, _H = 640, 480
@@ -163,9 +163,7 @@ def emit_plots(bundle: ResultBundle, out_dir) -> List[Path]:
     created: List[Path] = []
 
     def save(name: str, svg: str) -> None:
-        p = out / name
-        p.write_text(svg, encoding="utf-8")
-        created.append(p)
+        created.append(_save(out / name, svg))
 
     t_data = bundle.exact_data.points()
     save("data.svg", line_chart(

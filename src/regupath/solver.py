@@ -48,7 +48,8 @@ class SolveOptions:
 
     Convergence is declared when the weighted L^2 norm of the objective
     gradient is at most tol = max(grad_tol * |g(init)|, grad_tol_abs), the
-    tolerance each record reports.
+    tolerance each record reports: finite, as grad_tol < 1 and a norm that
+    is not finite is a DivergenceError.
 
     ``init`` is the start point, zero by default; see solve_tikhonov for a
     start that is the last solve's record x.
@@ -67,8 +68,8 @@ class SolveOptions:
         """Every reason the iteration cap and tolerances make no SolveOptions, each led by its field name."""
         if not (is_integer(max_iters) and max_iters > 0):
             yield f"max_iters must be a positive integer, got {max_iters!r}"
-        if not (is_real(grad_tol) and grad_tol > 0):
-            yield f"grad_tol must be positive, got {grad_tol!r}"
+        if not (is_real(grad_tol) and 0 < grad_tol < 1):
+            yield f"grad_tol must lie in (0, 1), got {grad_tol!r}"
         if not (is_real(grad_tol_abs) and grad_tol_abs >= 0):
             yield f"grad_tol_abs must be nonnegative, got {grad_tol_abs!r}"
 
@@ -125,13 +126,11 @@ def _gradient_parts(adjoint_values, fid: Fidelity, pen: Penalty, grid: Grid,
 def _gradient(adj: np.ndarray, sub: np.ndarray, alpha: float, weights: np.ndarray) -> Tuple[np.ndarray, float]:
     """The objective's gradient g = adj + alpha * sub from its alpha-free parts, and its weighted L^2 norm.
 
-    The weights are positive, so a non-finite g has a non-finite norm, and
-    g itself is tested only when its norm is not finite: a finite g whose
-    norm overflows is returned with the norm inf.
+    A norm that is not finite, from a g that is not or a square sum that overflows, raises DivergenceError.
     """
     g = adj + alpha * sub
     gnorm = math.sqrt(weighted_inner(weights, g, g))
-    if not math.isfinite(gnorm) and not np.isfinite(g).all():
+    if not math.isfinite(gnorm):
         raise DivergenceError(f"gradient is non-finite (alpha={alpha})")
     return g, gnorm
 
@@ -173,8 +172,8 @@ def _gauss_newton_direction(model: ForwardModel, pen: Penalty, alpha: float, xv:
         return g
 
 
-# An overflowing objective is a DivergenceError, and a non-finite trial point,
-# whose predicted decrease may meet 0 * inf, a rejected trial: not numpy warnings.
+# An overflowing objective or gradient norm is a DivergenceError, and a non-finite
+# trial point, whose predicted decrease may meet 0 * inf, a rejected trial: not numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_tikhonov(
     model: ForwardModel,
@@ -186,16 +185,16 @@ def solve_tikhonov(
     """Minimize ||F(x) - data||_r^r + alpha * R(x) by projected Gauss-Newton or descent.
 
     See SolveOptions for which problems take which method.  Returns a
-    stationary-point record; ``converged`` reports whether the
-    gradient tolerance was met within max_iters.  A non-finite objective
-    (an overflowing F x included) or gradient at the initial point raises
-    DivergenceError, and a trial point with a non-finite objective is
-    backtracked from; an initial guess outside the model's admissible set
+    stationary-point record; ``converged`` reports whether the gradient
+    tolerance was met within max_iters.  A non-finite objective (an overflowing
+    F x included) at the start, or a gradient norm that is not finite at any
+    iterate, raises DivergenceError; a trial point with a non-finite objective
+    is backtracked from; an initial guess outside the model's admissible set
     raises the model's InadmissibleCoefficientError.  The loop runs on raw
-    sample arrays through the model maps' ``on_values`` and the array forms
-    of the misfit and penalty, and the record takes over its arrays: its x
-    and fx are the loop's last iterate and model output themselves, made
-    read-only, not copies (a solve that takes no step keeps the start's x).
+    sample arrays through the model maps' ``on_values`` and the array forms of
+    the misfit and penalty, and the record takes over its arrays: its x and fx
+    are the loop's last iterate and model output themselves, made read-only,
+    not copies (a solve that takes no step keeps the start's x).
 
     A start that is the record x of the last solve, with the same model,
     fid and pen objects, takes F x, the misfit, R(x) and the gradient's

@@ -119,18 +119,19 @@ def test_every_truth_and_model_exits_cleanly(tmp_path, capsys, command, model_ki
 @pytest.mark.parametrize("command", [["run"], ["path"], ["theory", "--deltas", "0.1"]])
 def test_a_model_too_large_to_allocate_exit_code_2(tmp_path, capsys, monkeypatch, command):
     # a stand-in factory raises what numpy raises for an n x n matrix beyond
-    # the address space; a real large n could be allocated on some hosts
+    # the host's memory; a real large n could be allocated on some hosts.  The
+    # truth is sampled on the n-point grid first, which at this n takes 38 MB.
     def fredholm_model(n):
         raise MemoryError(f"Unable to allocate an array with shape ({n}, {n})")
 
     monkeypatch.setattr(regupath.experiments, "fredholm_model", fredholm_model)
     data = small_config_dict(tmp_path / "out")
-    data.update(model={"kind": "fredholm", "n": 10_000_000}, j_max=1)
+    data.update(model={"kind": "fredholm", "n": 1_000_000}, j_max=1)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
     assert main([command[0], "--config", str(cfg_path), *command[1:]]) == 2
     err = capsys.readouterr().err
-    assert "config error: model.n 10000000 is too large to allocate: Unable to allocate" in err
+    assert "config error: model.n 1000000 is too large to allocate: Unable to allocate" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -229,6 +230,35 @@ def test_divergent_solve_exit_code_3(tmp_path, capsys):
     assert "gradient is non-finite" in capsys.readouterr().err
     # both fail at j = 0, so there is no partial path to keep
     assert not (tmp_path / "digress").exists()
+
+
+_EPS_PROBLEM = "config error: penalties[0].eps must lie in [1.351817985853457e-108, 1.3407807929942596e+154]"
+
+
+@pytest.mark.parametrize("command", [["run"], ["theory", "--deltas", "0.1"]], ids=["run", "theory"])
+@pytest.mark.parametrize("extreme, rc, message", [
+    # a start gradient whose norm overflows: no tolerance can be tested on it
+    pytest.param({"alpha0": 1e300}, 3, "solver failure: path aborted at alpha=1e+300: gradient is non-finite",
+                 id="alpha0=1e300"),
+    # eps**2 overflows, or (eps**2)**1.5 underflows to 0, in the penalty's floats
+    *(pytest.param({"penalties": [{"kind": "smoothed_tv", "eps": eps}]}, 2, _EPS_PROBLEM, id=f"eps={eps!r}")
+      for eps in (1.35e154, 1e-200, 1e-109)),
+    *(pytest.param({"penalties": [{"kind": "smoothed_tv", "eps": eps}]}, 0, "", id=f"eps={eps!r}")
+      for eps in (1e-107, 1.3e154)),
+    # a relative tolerance of 1 or more would let tol = grad_tol * |g| overflow
+    pytest.param({"alpha0": 1e250, "solver": {"grad_tol": 1e300, "init": "ones"}}, 2,
+                 "config error: solver.grad_tol must lie in (0, 1), got 1e+300", id="grad_tol=1e300"),
+])
+def test_extreme_accepted_values_exit_cleanly(tmp_path, capsys, command, extreme, rc, message):
+    data = small_config_dict(tmp_path / "out")
+    data.update(model={"kind": "fredholm", "n": 21}, q=0.5, j_max=3, solver={"init": "ones"})
+    data.update(extreme)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command[0], "--config", str(cfg_path), *command[1:]]) == rc
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(message) and (rc != 0 or err == "")
 
 
 def test_aborted_path_keeps_its_records_exit_code_3(config_file, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -486,6 +488,27 @@ def test_theory_study_matches_pinned_digest(tmp_path):
                                 "--deltas", THEORY_DELTAS, "--out", str(out))
         digest = hashlib.sha256((out / "theory.csv").read_bytes()).hexdigest()
         assert digest == PINNED_THEORY_CSV, f"theory.csv (1 file) at {threads} BLAS threads now has sha256 {digest}"
+
+
+def test_setup_holds_one_fredholm_matrix_at_a_time():
+    # The range_source truth applies a Fredholm model of its own.  It is
+    # sampled, and that model freed, before the run's model is built, so the
+    # set-up peaks near one n x n matrix, where holding both would take two.
+    config = preset("theory_study")
+    n = config.model.n = 1601
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model, truth, _, _ = regupath.experiments._setup(config)
+        assert tracemalloc.get_traced_memory()[1] - before < 1.25 * 8 * n * n
+        assert truth.grid == model.x_grid
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _theory_csv(config, path) -> bytes:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from regupath import (
     power_index,
 )
 
-from regupath.penalties import bregman_terms
+from regupath.penalties import _EPS_RANGE, bregman_terms
 
 from oracles import dense_tridiagonal, directional_derivative, phi, phi_inverse
 
@@ -65,6 +67,26 @@ def test_smoothed_tv_of_unit_step():
 
 # ---------------------------------------------------------------------------
 # subgradients
+
+def test_the_smoothed_tv_eps_range_ends_where_its_floats_do():
+    # eps**2 of the value overflows just above the range, and the Hessian's
+    # (eps**2)**1.5 underflows to 0 just below it
+    lo, hi = _EPS_RANGE
+    above, below = math.nextafter(hi, math.inf), math.nextafter(lo, 0.0)
+    assert hi * hi < math.inf == above * above
+    assert (lo * lo) ** 1.5 > 0.0 == (below * below) ** 1.5
+    grid = Grid(2)  # h = 1, the widest cell
+    for eps in (lo, hi):
+        pen = SmoothedTVPenalty(eps=eps)
+        for v in (np.zeros(2), np.array([0.0, 1.0])):
+            assert math.isfinite(pen.value_on(grid, v))
+            assert np.isfinite(pen.subgradient_on(grid, v)).all()
+            with np.errstate(over="ignore"):  # as the solver calls it: a curvature beyond floats is 0
+                assert all(np.isfinite(band).all() for band in pen.hessian(grid, v))
+    for eps in (above, below, 1e-200, 1e300):
+        with pytest.raises(ValueError, match=r"eps must lie in \[1.351817985853457e-108, 1.3407807929942596e\+154\]"):
+            SmoothedTVPenalty(eps=eps)
+
 
 def test_quadratic_subgradient_gives_exact_bregman_identity(rng):
     g = Grid(57)

@@ -402,6 +402,10 @@ def test_solve_options_validation():
         SolveOptions(max_iters=0)
     with pytest.raises(ValueError):
         SolveOptions(grad_tol=0.0)
+    # at 1 or more, tol = grad_tol * |g(init)| could overflow a finite norm
+    for grad_tol in (1.0, 1e300):
+        with pytest.raises(ValueError, match=r"grad_tol must lie in \(0, 1\)"):
+            SolveOptions(grad_tol=grad_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -924,19 +928,24 @@ def test_a_non_finite_gradient_after_a_step_is_an_error(bad):
         solve_tikhonov(model, fid, QuadraticPenalty(), 1e-3)
 
 
-def test_a_finite_gradient_whose_norm_overflows_is_no_error():
-    # g = 1e200 * grad fid is finite, but its weighted square sum is not: at
-    # the start that makes tol inf, so the start is converged; after a step it
-    # is a norm above every tol, and the step g beyond it predicts an
-    # overflowing decrease, which no finite objective meets
+def test_a_finite_gradient_whose_norm_overflows_diverges():
+    # g = 1e200 * grad fid is finite, but its weighted square sum is not: no
+    # tolerance can be tested against that norm, so the solve diverges, at the
+    # start (one adjoint) or after one step (two), where the scale turns on
     model = identity_model(8)
     ones = model.y_grid.function(np.ones(8))
-    for scale, iters, converged in ((lambda x: 1e200, 0, True), (lambda x: np.where(x == 0.0, 0.3, 1e200), 1, False)):
-        model = dataclasses.replace(model, adjoint_derivative=GridMap(
-            lambda x, w: scale(x) * w, model.x_grid, model.x_grid, model.y_grid))
-        rec = solve_tikhonov(model, Fidelity(2.0, ones), QuadraticPenalty(), 1e-3)
-        assert (rec.iters, rec.converged, math.isfinite(rec.tol)) == (iters, converged, not converged)
-        assert math.isfinite(rec.objective)
+    for scale, adjoints in ((lambda x: 1e200, 1), (lambda x: np.where(x == 0.0, 0.3, 1e200), 2)):
+        calls = []
+
+        def adjoint(x, w, scale=scale):
+            calls.append(x)
+            return scale(x) * w
+
+        adjoint_map = GridMap(adjoint, model.x_grid, model.x_grid, model.y_grid)
+        model = dataclasses.replace(model, adjoint_derivative=adjoint_map)
+        with pytest.raises(DivergenceError, match="gradient is non-finite"):
+            solve_tikhonov(model, Fidelity(2.0, ones), QuadraticPenalty(), 1e-3)
+        assert len(calls) == adjoints
 
 
 @pytest.mark.parametrize("case", ["identity", "fredholm_r2", "fredholm_r1.01", "elliptic_tv_projected"])
